@@ -43,6 +43,7 @@ from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
+    check_field_resolution,
     neuron_curve,
     optimal_tuning_1d,
     optimal_tuning_2d,
@@ -55,9 +56,6 @@ EXIT_INVALID_COVARIANCE = 3
 EXIT_INFEASIBLE_OPTIMIZATION = 4
 EXIT_BAD_PARAMETER = 5
 EXIT_SIMULATION_FAILURE = 6
-
-CLI_RESOLUTION_MIN = 8
-CLI_RESOLUTION_MAX = 4096
 
 
 class ParameterRangeError(ValueError):
@@ -267,10 +265,7 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 
 def _cmd_field2d(args: argparse.Namespace) -> int:
-    if not CLI_RESOLUTION_MIN <= args.res <= CLI_RESOLUTION_MAX:
-        raise ResolutionOutOfRangeError(
-            f"--res {args.res} outside [{CLI_RESOLUTION_MIN}, {CLI_RESOLUTION_MAX}]"
-        )
+    check_field_resolution(args.res)
     decomp = _load_decomposition(args.kernel)
     if args.optimal:
         pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)
@@ -374,7 +369,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(dump, "w", newline="") as handle:
             handle.write("trial,estimate\n")
             for i, value in enumerate(estimates):
-                handle.write(f"{i},{value!r}\n")
+                handle.write(f"{i},{float(value)!r}\n")
         outputs.append(dump)
     _write_manifest(args, out, [args.config], outputs, {"config": str(args.config)}, config.seed)
     print(rio.dumps_json(result.to_dict()))

@@ -313,7 +313,6 @@ class PathIntegrationReport:
 
 def run_path_integration(
     pop: TuningPopulation1D,
-    decomp: SpectralDecomposition | None = None,
     steps: int = 100,
     step_delta: float = 1e-3,
     trials: int = 10_000,
@@ -330,8 +329,7 @@ def run_path_integration(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    decomp = decomp if decomp is not None else pop.decomp
-    noise = NoiseModel(decomp, scale=noise_scale)
+    noise = NoiseModel(pop.decomp, scale=noise_scale)
     rng = make_rng(seed)
     cumulative = np.zeros(trials)
     variance_by_step = []

@@ -2,12 +2,16 @@
 
 The one-axis objective is linear in the per-frequency power weights, so the
 optimum concentrates on the smallest paired eigenvalue. The torus x-direction
-objective is a product of two positive linear functionals; its maximum sits on
-a vertex whenever the eigenvalue ordering and the frequency-squared-weighted
-ordering pick the same frequency, and otherwise on an edge of the simplex,
-which the search enumerates in closed form before a projected-gradient polish.
-A Dirichlet audit over random allocations acts as the brute-force optimality
-oracle for both objectives.
+objective is (u.w)(v.w) with u_k = 1/lambda_k and v_k = u_k/k^2. The map
+w -> (u.w, v.w) sends the simplex onto the convex hull of the points
+(u_k, v_k), whose corners are images of simplex vertices and whose edges are
+images of simplex edges. With positive eigenvalues the product rises in both
+coordinates, so its maximum lies on the upper-right part of that hull: a
+vertex when one point dominates in both coordinates (the eigenvalue and
+frequency-squared-weighted orderings pick the same frequency), otherwise the
+interior of one hull edge, where the objective is a concave quadratic solved
+in closed form. A Dirichlet audit over random allocations acts as the
+brute-force optimality oracle for both objectives.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NoPairedModeError
-from .spectral import SpectralDecomposition
-from .tuning import PowerAllocation
+from .errors import SingularCovarianceError
+from .spectral import PSD_TOLERANCE, SpectralDecomposition
+from .tuning import ORDER_TIE_TOL, PowerAllocation, _paired_arrays, _tie_argmin
 
 Objective = Literal["fi1d", "fi2d_x"]
-
-ORDER_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class ConditionReport:
 class AllocationSearchResult:
     allocation: PowerAllocation
     achieved_fi: float
-    method: Literal["closed_form", "vertex_edge", "gradient_refined"]
+    method: Literal["closed_form", "vertex_edge"]
     audit_margin: float | None = None
 
     def to_dict(self) -> dict:
@@ -80,20 +82,6 @@ class AuditReport:
         }
 
 
-def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    freqs = np.array(decomp.paired_frequencies, dtype=int)
-    if freqs.size == 0:
-        raise NoPairedModeError(f"no paired mode available on the n={decomp.n} ring")
-    lams = np.array([decomp.mode(int(k)).eigenvalue for k in freqs])
-    return freqs, lams
-
-
-def _tie_argmin(freqs: np.ndarray, scores: np.ndarray) -> int:
-    best = scores.min()
-    ties = freqs[scores <= best + ORDER_TIE_TOL]
-    return int(ties.min())
-
-
 def _strictly_decreasing(scores: np.ndarray) -> bool:
     return bool(np.all(scores[:-1] - scores[1:] > ORDER_TIE_TOL))
 
@@ -101,8 +89,6 @@ def _strictly_decreasing(scores: np.ndarray) -> bool:
 def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
     """Evaluate both spectral orderings over paired frequencies (ascending k)."""
     freqs, lams = _paired_arrays(decomp)
-    order = np.argsort(freqs)
-    freqs, lams = freqs[order], lams[order]
     weighted = freqs.astype(float) ** 2 * lams
     argmin_lambda = _tie_argmin(freqs, lams)
     argmin_weighted = _tie_argmin(freqs, weighted)
@@ -183,14 +169,21 @@ def maximize_fisher_1d(
     )
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+def _upper_hull(u: np.ndarray, v: np.ndarray) -> list[int]:
+    """Indices of the upper convex hull of the points (u_k, v_k), left to right.
+
+    Andrew's monotone chain over the points sorted by u, then v; points on a
+    hull edge's interior are dropped.
+    """
+    hull: list[int] = []
+    for k in np.lexsort((v, u)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (u[b] - u[a]) * (v[k] - v[a]) - (v[b] - v[a]) * (u[k] - u[a]) < 0.0:
+                break
+            hull.pop()
+        hull.append(int(k))
+    return hull
 
 
 def maximize_fisher_2d(
@@ -198,16 +191,22 @@ def maximize_fisher_2d(
     power: float,
     audit_trials: int = 0,
     seed: int = 0,
-    refine_iters: int = 200,
 ) -> AllocationSearchResult:
     """Maximize the torus x-direction information over the power simplex.
 
-    Enumerates all vertices exactly and solves each pairwise edge in closed
-    form (the objective restricted to an edge is quadratic), then polishes the
-    winner with projected gradient ascent as a safety net for degenerate
-    spectra.
+    The objective (u.w)(v.w) rises in both coordinates of the image point
+    (u.w, v.w), which ranges over the convex hull of the points (u_k, v_k);
+    its maximum therefore sits at the best vertex or inside an edge of the
+    upper-right hull, where u and v trade off. The search takes the best
+    vertex (lowest index on ties) and then solves the quadratic restricted to
+    each such hull edge in closed form, so the result is exact. Raises
+    SingularCovarianceError unless every paired eigenvalue is positive.
     """
     freqs, lams = _paired_arrays(decomp)
+    if lams.min() <= PSD_TOLERANCE:
+        raise SingularCovarianceError(
+            f"torus allocation search needs positive paired eigenvalues, min is {lams.min():.6g}"
+        )
     u = 1.0 / lams
     v = u / freqs.astype(float) ** 2
     m = freqs.size
@@ -220,34 +219,19 @@ def maximize_fisher_2d(
     best_val = value(best_w)
     method = "closed_form" if check_condition(decomp).concentration_valid else "vertex_edge"
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            quad = (u[i] - u[j]) * (v[i] - v[j])
-            lin = (u[i] - u[j]) * v[j] + u[j] * (v[i] - v[j])
-            if quad < 0.0:  # orders disagree: the edge holds an interior maximum
-                t = -lin / (2.0 * quad)
-                if 0.0 < t < 1.0:
-                    w = np.zeros(m)
-                    w[i], w[j] = power * t, power * (1.0 - t)
-                    val = value(w)
-                    if val > best_val:
-                        best_val, best_w, method = val, w, "vertex_edge"
-
-    step = power / max(1.0, float(np.max(u) * np.max(v)))
-    w = best_w.copy()
-    val = best_val
-    for _ in range(refine_iters):
-        grad = (w @ v) * u + (w @ u) * v
-        w_next = _project_simplex(w + step * grad, power)
-        val_next = value(w_next)
-        if val_next > val:
-            w, val = w_next, val_next
-        else:
-            step *= 0.5
-            if step < 1e-18:
-                break
-    if val > best_val * (1.0 + 1e-12):
-        best_val, best_w, method = val, w, "gradient_refined"
+    hull = _upper_hull(u, v)
+    for a, b in zip(hull, hull[1:]):
+        i, j = min(a, b), max(a, b)
+        quad = (u[i] - u[j]) * (v[i] - v[j])
+        lin = (u[i] - u[j]) * v[j] + u[j] * (v[i] - v[j])
+        if quad < 0.0:  # u and v trade off along the edge: an interior maximum may exist
+            t = -lin / (2.0 * quad)
+            if 0.0 < t < 1.0:
+                w = np.zeros(m)
+                w[i], w[j] = power * t, power * (1.0 - t)
+                val = value(w)
+                if val > best_val:
+                    best_val, best_w, method = val, w, "vertex_edge"
 
     margin = None
     if audit_trials > 0:

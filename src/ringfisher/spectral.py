@@ -108,22 +108,14 @@ def gaussian_kernel(n: int, c0: float = 1.0, length: float = 1.0) -> Correlation
 def kernel_from_spectrum(n: int, eigenvalues: Iterable[float]) -> CorrelationKernel:
     """Kernel whose decomposition has the given eigenvalues at frequencies 0..floor(n/2).
 
-    Inverts the closed-form cosine sum, so it is the exact preimage of
-    ``decompose``: handy for constructing kernels with a prescribed spectrum.
+    The cosine sum is its own inverse up to a factor n, so this is the exact
+    preimage of ``decompose``: handy for constructing kernels with a prescribed spectrum.
     """
     lams = np.asarray(list(eigenvalues), dtype=float)
     half = n // 2
     if lams.shape != (half + 1,):
         raise MalformedKernelError(f"need {half + 1} eigenvalues for n={n}, got {lams.shape}")
-    ds = np.arange(half + 1)
-    interior = np.arange(1, (n + 1) // 2)
-    cs = np.full(half + 1, lams[0], dtype=float)
-    if interior.size:
-        angles = TWO_PI * np.outer(ds, interior) / n
-        cs = cs + 2.0 * (np.cos(angles) @ lams[interior])
-    if n % 2 == 0:
-        cs = cs + lams[half] * np.where(ds % 2 == 0, 1.0, -1.0)
-    return CorrelationKernel(n, tuple(cs / n))
+    return CorrelationKernel(n, tuple(_closed_form_eigenvalues(n, lams) / n))
 
 
 def _require_psd(kernel: CorrelationKernel) -> None:
@@ -155,7 +147,11 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full analytic eigensystem of a circulant symmetric kernel."""
+    """Full analytic eigensystem of a circulant symmetric kernel.
+
+    ``modes`` holds frequencies 0..floor(n/2) in order, so frequency k is
+    ``modes[k]``.
+    """
 
     kernel: CorrelationKernel
     modes: tuple[EigenMode, ...]
@@ -163,6 +159,8 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         if sum(m.multiplicity for m in self.modes) != self.kernel.n:
             raise MalformedKernelError("mode multiplicities must span the whole space")
+        if [m.frequency for m in self.modes] != list(range(self.kernel.n // 2 + 1)):
+            raise MalformedKernelError("modes must list frequencies 0..n/2 in order")
 
     @property
     def n(self) -> int:
@@ -177,10 +175,9 @@ class SpectralDecomposition:
         return tuple(m.frequency for m in self.modes if m.paired)
 
     def mode(self, frequency: int) -> EigenMode:
-        for m in self.modes:
-            if m.frequency == frequency:
-                return m
-        raise KeyError(f"no mode at frequency {frequency}")
+        if not 0 <= frequency < len(self.modes):
+            raise KeyError(f"no mode at frequency {frequency}")
+        return self.modes[frequency]
 
     def is_paired(self, frequency: int) -> bool:
         return self.mode(frequency).paired

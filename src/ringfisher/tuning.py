@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +26,11 @@ from .spectral import TWO_PI, SpectralDecomposition
 
 POWER_CONSISTENCY_TOL = 1e-10
 
-FIELD_RESOLUTION_MIN = 16
+FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
+
+#: Scores within this absolute distance of the minimum tie; ties go to the smallest frequency.
+ORDER_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,62 +188,62 @@ def _as_theta_array(theta) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), scalar
 
 
+def _entry_sum(
+    pop: TuningPopulation1D, thetas: np.ndarray, order: int, neuron: int | None = None
+) -> np.ndarray:
+    """Theta-derivative of the given order (0, 1 or 2) of the mean activity.
+
+    Rows follow ``thetas``; columns are all neurons, or one neuron's samples
+    as a flat array when ``neuron`` is given, so no thetas x n array is built.
+    With psi = k theta + c, each active frequency contributes
+    (T/k) [sin(psi) w_k - cos(psi) w'_k] at order 0, T [cos(psi) w_k + sin(psi) w'_k]
+    at order 1 and T k [cos(psi) w'_k - sin(psi) w_k] at order 2.
+    """
+    cols = slice(None) if neuron is None else neuron
+    out = np.zeros((thetas.size, pop.n) if neuron is None else thetas.size)
+    outer = np.multiply.outer
+    for e in pop.allocation.entries:
+        psi = e.frequency * thetas + e.phase
+        sin, cos = np.sin(psi), np.cos(psi)
+        w = pop.decomp.cos_vector(e.frequency)[cols]
+        wp = pop.decomp.sin_vector(e.frequency)[cols]
+        if order == 0:
+            out += (e.amplitude / e.frequency) * (outer(sin, w) - outer(cos, wp))
+        elif order == 1:
+            out += e.amplitude * (outer(cos, w) + outer(sin, wp))
+        else:
+            out += e.amplitude * e.frequency * (outer(cos, wp) - outer(sin, w))
+    return out
+
+
 def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Mean population activity f(theta); rows follow theta when given an array.
 
-    Each active frequency contributes (T/k) [sin(k theta + c) w_k
-    - cos(k theta + c) w'_k], i.e. the integral of the derivative profile with
-    integration constants fixed to zero.
+    The integral of the derivative profile with integration constants fixed
+    to zero.
     """
     thetas, scalar = _as_theta_array(theta)
-    out = np.zeros((thetas.size, pop.n))
-    for e in pop.allocation.entries:
-        psi = e.frequency * thetas + e.phase
-        w = pop.decomp.cos_vector(e.frequency)
-        wp = pop.decomp.sin_vector(e.frequency)
-        scale = e.amplitude / e.frequency
-        out += scale * (np.outer(np.sin(psi), w) - np.outer(np.cos(psi), wp))
+    out = _entry_sum(pop, thetas, 0)
     return out[0] if scalar else out
 
 
 def mean_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Derivative of the mean activity with respect to theta (closed form)."""
     thetas, scalar = _as_theta_array(theta)
-    out = np.zeros((thetas.size, pop.n))
-    for e in pop.allocation.entries:
-        psi = e.frequency * thetas + e.phase
-        w = pop.decomp.cos_vector(e.frequency)
-        wp = pop.decomp.sin_vector(e.frequency)
-        out += e.amplitude * (np.outer(np.cos(psi), w) + np.outer(np.sin(psi), wp))
+    out = _entry_sum(pop, thetas, 1)
     return out[0] if scalar else out
 
 
 def mean_second_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Second derivative of the mean activity (closed form)."""
     thetas, scalar = _as_theta_array(theta)
-    out = np.zeros((thetas.size, pop.n))
-    for e in pop.allocation.entries:
-        psi = e.frequency * thetas + e.phase
-        w = pop.decomp.cos_vector(e.frequency)
-        wp = pop.decomp.sin_vector(e.frequency)
-        out += (
-            e.amplitude
-            * e.frequency
-            * (np.outer(np.cos(psi), wp) - np.outer(np.sin(psi), w))
-        )
+    out = _entry_sum(pop, thetas, 2)
     return out[0] if scalar else out
 
 
 def neuron_curve(pop: TuningPopulation1D, neuron: int, thetas: np.ndarray) -> np.ndarray:
     """Single neuron's tuning curve sampled at the given angles."""
-    thetas, _ = _as_theta_array(thetas)
-    out = np.zeros(thetas.size)
-    for e in pop.allocation.entries:
-        psi = e.frequency * thetas + e.phase
-        w = pop.decomp.cos_vector(e.frequency)[neuron]
-        wp = pop.decomp.sin_vector(e.frequency)[neuron]
-        out += (e.amplitude / e.frequency) * (np.sin(psi) * w - np.cos(psi) * wp)
-    return out
+    return _entry_sum(pop, _as_theta_array(thetas)[0], 0, neuron)
 
 
 def signal_power(pop: TuningPopulation1D, theta) -> float:
@@ -250,13 +252,18 @@ def signal_power(pop: TuningPopulation1D, theta) -> float:
     return float(d @ d)
 
 
-def _argmin_with_tiebreak(frequencies: Sequence[int], scores: Sequence[float]) -> int:
-    """Smallest frequency whose score ties the minimum within 1e-12 absolute."""
-    best = min(scores)
-    for k, s in sorted(zip(frequencies, scores)):
-        if s <= best + 1e-12:
-            return k
-    return min(frequencies)
+def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Paired frequencies (ascending) and their eigenvalues."""
+    freqs = np.array(decomp.paired_frequencies, dtype=int)
+    if freqs.size == 0:
+        raise NoPairedModeError(f"no paired mode available on the n={decomp.n} ring")
+    return freqs, decomp.eigenvalues[freqs]
+
+
+def _tie_argmin(freqs: np.ndarray, scores: np.ndarray) -> int:
+    """Smallest frequency whose score ties the minimum within ORDER_TIE_TOL."""
+    ties = freqs[scores <= scores.min() + ORDER_TIE_TOL]
+    return int(ties.min())
 
 
 def optimal_tuning_1d(decomp: SpectralDecomposition, power: float) -> TuningPopulation1D:
@@ -265,12 +272,7 @@ def optimal_tuning_1d(decomp: SpectralDecomposition, power: float) -> TuningPopu
     Ties break toward the smaller frequency; phase defaults to zero so the
     derivative at theta = 0 aligns with the cosine eigenvector.
     """
-    paired = [m for m in decomp.modes if m.paired]
-    if not paired:
-        raise NoPairedModeError(f"no paired mode available on the n={decomp.n} ring")
-    k_star = _argmin_with_tiebreak(
-        [m.frequency for m in paired], [m.eigenvalue for m in paired]
-    )
+    k_star = _tie_argmin(*_paired_arrays(decomp))
     return TuningPopulation1D(decomp, PowerAllocation.single(k_star, power))
 
 
@@ -283,13 +285,9 @@ def optimal_tuning_2d(
     minimizer coincide over paired modes; otherwise the concentration argument
     does not apply and the general simplex search must be used instead.
     """
-    paired = [m for m in decomp.modes if m.paired]
-    if not paired:
-        raise NoPairedModeError(f"no paired mode available on the n={decomp.n} ring")
-    freqs = [m.frequency for m in paired]
-    lams = [m.eigenvalue for m in paired]
-    k_lam = _argmin_with_tiebreak(freqs, lams)
-    k_klam = _argmin_with_tiebreak(freqs, [k * k * l for k, l in zip(freqs, lams)])
+    freqs, lams = _paired_arrays(decomp)
+    k_lam = _tie_argmin(freqs, lams)
+    k_klam = _tie_argmin(freqs, freqs.astype(float) ** 2 * lams)
     if k_lam != k_klam:
         raise ConditionViolatedError(
             f"eigenvalue minimizer {k_lam} and weighted minimizer {k_klam} disagree; "
@@ -309,7 +307,7 @@ def sample_firing_field(
 
     With ``nonnegative`` each axis curve is lifted by its own minimum before
     multiplying, which renders the positive-bump lattice (display convention);
-    callers are responsible for range-checking the resolution.
+    callers range-check the resolution with ``check_field_resolution``.
     """
     i, j = neuron
     thetas = TWO_PI * np.arange(resolution) / resolution
@@ -321,6 +319,14 @@ def sample_firing_field(
     return np.outer(cx, cy)
 
 
+def check_field_resolution(resolution: int) -> None:
+    """Raise ResolutionOutOfRangeError unless samples per axis lie in the supported range."""
+    if not FIELD_RESOLUTION_MIN <= resolution <= FIELD_RESOLUTION_MAX:
+        raise ResolutionOutOfRangeError(
+            f"resolution {resolution} outside [{FIELD_RESOLUTION_MIN}, {FIELD_RESOLUTION_MAX}]"
+        )
+
+
 def firing_field_2d(
     pop2d: TuningPopulation2D,
     neuron: tuple[int, int],
@@ -328,10 +334,7 @@ def firing_field_2d(
     nonnegative: bool = False,
 ) -> np.ndarray:
     """Sampled firing field of one torus neuron; see ``sample_firing_field``."""
-    if not FIELD_RESOLUTION_MIN <= resolution <= FIELD_RESOLUTION_MAX:
-        raise ResolutionOutOfRangeError(
-            f"resolution {resolution} outside [{FIELD_RESOLUTION_MIN}, {FIELD_RESOLUTION_MAX}]"
-        )
+    check_field_resolution(resolution)
     return sample_firing_field(pop2d, neuron, resolution, nonnegative=nonnegative)
 
 

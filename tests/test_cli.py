@@ -262,6 +262,10 @@ class TestSimulateCommand:
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "trial,estimate"
         assert len(lines) == 151
+        for i, line in enumerate(lines[1:]):
+            trial, estimate = line.split(",")
+            assert int(trial) == i
+            float(estimate)  # plain decimal numbers, not numpy scalar reprs
 
     def test_bad_estimator_exit_6(self, tmp_path):
         config = {

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringfisher.errors import SingularCovarianceError
 from ringfisher.optimal import (
     audit_random_allocations,
     check_condition,
@@ -12,6 +15,60 @@ from ringfisher.optimal import (
 from ringfisher.spectral import decompose, exponential_kernel, kernel_from_spectrum
 
 from conftest import dense_ring_matrix, random_psd_kernel, white_kernel
+
+
+def torus_search_oracle(decomp, power):
+    """Brute force: the best vertex, then the closed-form maximum on every edge of the simplex.
+
+    Returns the achieved information and the method label, following the same
+    vertex tie rule and strict-improvement rule as the search under test.
+    """
+    freqs = np.array(decomp.paired_frequencies)
+    lams = np.array([decomp.mode(int(k)).eigenvalue for k in freqs])
+    u = 1.0 / lams
+    v = u / freqs.astype(float) ** 2
+    m = freqs.size
+    best_w = np.zeros(m)
+    best_w[int(np.argmax(u * v))] = power
+    best_val = float((best_w @ u) * (best_w @ v))
+    method = "closed_form" if check_condition(decomp).concentration_valid else "vertex_edge"
+    for i in range(m):
+        for j in range(i + 1, m):
+            quad = (u[i] - u[j]) * (v[i] - v[j])
+            lin = (u[i] - u[j]) * v[j] + u[j] * (v[i] - v[j])
+            if quad < 0.0:
+                t = -lin / (2.0 * quad)
+                if 0.0 < t < 1.0:
+                    w = np.zeros(m)
+                    w[i], w[j] = power * t, power * (1.0 - t)
+                    val = float((w @ u) * (w @ v))
+                    if val > best_val:
+                        best_val, method = val, "vertex_edge"
+    return best_val, method
+
+
+@st.composite
+def torus_spectra(draw):
+    """Spectra with up to 40 paired modes, some with eigenvalue ties or collinear hull points."""
+    n = draw(st.integers(4, 82))
+    half = n // 2
+    paired = (n + 1) // 2 - 1
+    lams = draw(st.lists(st.floats(0.05, 2.0), min_size=half + 1, max_size=half + 1))
+    if paired >= 2 and draw(st.booleans()):
+        # tie two paired eigenvalues exactly
+        a = draw(st.integers(1, paired))
+        b = draw(st.integers(1, paired).filter(lambda k: k != a))
+        lams[b] = lams[a]
+    if paired >= 3 and draw(st.booleans()):
+        # frequencies a < b < c with (u_b, v_b) on the segment between the other two
+        # points, which trade off u against v: the c point has the largest u of all
+        a, b, c = sorted(draw(st.lists(st.integers(1, paired), min_size=3, max_size=3, unique=True)))
+        lams[c] = draw(st.floats(0.01, 0.05))
+        lams[a] = lams[c] * draw(st.floats(1.01, 0.99 * c * c / (a * a)))
+        ua, va, uc, vc = 1.0 / lams[a], 1.0 / (a * a * lams[a]), 1.0 / lams[c], 1.0 / (c * c * lams[c])
+        s = (ua / (b * b) - va) / ((vc - va) - (uc - ua) / (b * b))
+        lams[b] = 1.0 / (ua + s * (uc - ua))
+    return n, lams
 
 
 class TestMaximize1D:
@@ -80,6 +137,20 @@ class TestMaximize2D:
         assert scaled_1d.achieved_fi == pytest.approx(3.0 * base_1d.achieved_fi, rel=1e-12)
         for b, s in zip(base.allocation.entries, scaled.allocation.entries):
             assert s.amplitude**2 / 3.0 == pytest.approx(b.amplitude**2, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spectrum=torus_spectra(), power=st.sampled_from([1.0, 2.5]))
+    def test_matches_brute_force_edge_enumeration(self, spectrum, power):
+        decomp = decompose(kernel_from_spectrum(*spectrum))
+        expected_fi, expected_method = torus_search_oracle(decomp, power)
+        result = maximize_fisher_2d(decomp, power)
+        assert result.achieved_fi == pytest.approx(expected_fi, rel=1e-12, abs=0.0)
+        assert result.method == expected_method
+
+    def test_nonpositive_paired_eigenvalue_rejected(self):
+        decomp = decompose(kernel_from_spectrum(6, [1.0, 0.8, 0.0, 0.5]))
+        with pytest.raises(SingularCovarianceError):
+            maximize_fisher_2d(decomp, 1.0)
 
 
 class TestCheckCondition:

@@ -17,6 +17,7 @@ from ringfisher.errors import (
 from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
+    SpectralDecomposition,
     TorusCorrelation,
     apply_inverse,
     decompose,
@@ -65,6 +66,16 @@ class TestDecompose:
         freqs = [m.frequency for m in n6_decomp.modes]
         assert freqs == sorted(freqs) == [0, 1, 2, 3]
         assert sum(m.multiplicity for m in n6_decomp.modes) == 6
+
+    @pytest.mark.parametrize("frequency", [-1, 4])
+    def test_mode_out_of_range_raises_key_error(self, n6_decomp, frequency):
+        with pytest.raises(KeyError):
+            n6_decomp.mode(frequency)
+
+    def test_modes_out_of_order_rejected(self, n6_decomp):
+        modes = n6_decomp.modes
+        with pytest.raises(MalformedKernelError):
+            SpectralDecomposition(n6_decomp.kernel, (modes[0], modes[2], modes[1], modes[3]))
 
     @pytest.mark.parametrize("values", [(1.0, 0.5), (1.0, 0.5, 0.25, 0.1)])
     def test_wrong_value_count_rejected(self, values):

@@ -263,7 +263,7 @@ class TestFiringField:
         assert np.all(field == 0.0)
         assert count_toroidal_maxima(field) == 0
 
-    @pytest.mark.parametrize("resolution", [8, 15, 5000])
+    @pytest.mark.parametrize("resolution", [7, 5000])
     def test_resolution_range(self, n4_decomp, resolution):
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
         with pytest.raises(ResolutionOutOfRangeError):
