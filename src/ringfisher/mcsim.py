@@ -2,13 +2,15 @@
 
 Noise is drawn spectrally: independent standard normals per eigen-mode scaled
 by the square root of the eigenvalue reproduce the circulant covariance
-exactly, with no dense factorization. Two estimators are provided: the local
-linear estimator (reads the response change along the derivative direction,
-needs the reference position) and a phase readout for single-frequency
-populations (projects onto the mode's eigenvector pair, reference-free up to
-the mode's angular ambiguity). Variance conventions differ by snapshot model:
-one noisy snapshot against a known mean bounds at 1/I, two noisy snapshots at
-2/I.
+exactly, with no dense factorization. The normals are laid out like the
+eigenbasis columns (cos0, cos1, sin1, ...), mapped onto rfft bins and
+synthesized with one ``irfft`` per axis, O(n log n) per draw. Two estimators
+are provided: the local linear estimator (reads the response change along the
+derivative direction, needs the reference position) and a phase readout for
+single-frequency populations (projects onto the mode's eigenvector pair,
+reference-free up to the mode's angular ambiguity). Variance conventions
+differ by snapshot model: one noisy snapshot against a known mean bounds at
+1/I, two noisy snapshots at 2/I.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from .errors import (
     NotPositiveSemidefiniteError,
 )
 from .fisher import fisher_1d_spectral
-from .spectral import TWO_PI, PSD_TOLERANCE, SpectralDecomposition, TorusCorrelation, apply_inverse
+from .spectral import (
+    TWO_PI,
+    PSD_TOLERANCE,
+    SpectralDecomposition,
+    TorusCorrelation,
+    _columns_to_bins,
+    apply_inverse,
+)
 from .tuning import TuningPopulation1D, mean_derivative, mean_response
 
 Mode = Literal["known_reference", "two_snapshot"]
@@ -57,7 +66,7 @@ class NoiseModel:
         return self.decomp
 
     def _sqrt_eigenvalues(self) -> np.ndarray:
-        lams = self._axis().column_eigenvalues
+        lams = self._axis().eigenvalues
         if lams.min() < -PSD_TOLERANCE:
             raise NotPositiveSemidefiniteError(
                 f"cannot sample: eigenvalue {lams.min():.6g} below zero"
@@ -67,15 +76,15 @@ class NoiseModel:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` noise vectors: shape (size, n) on the ring, (size, n^2) on the torus."""
         axis = self._axis()
-        basis = axis.basis_matrix
+        n = axis.n
         sigma = self.scale * self._sqrt_eigenvalues()
+        # the normals go in as a temporary, freed before irfft allocates its output
         if isinstance(self.decomp, TorusCorrelation):
-            n = axis.n
-            z = rng.standard_normal((size, n, n)) * np.outer(sigma, sigma)
-            draws = np.einsum("ab,tbc,dc->tad", basis, z, basis)
-            return draws.reshape(size, n * n)
-        z = rng.standard_normal((size, axis.n))
-        return (z * sigma) @ basis.T
+            # B (z * sigma sigma^T) B^T: synthesize along the last axis, then along the other one.
+            rows = np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n, n)), sigma), n)
+            both = np.fft.irfft(_columns_to_bins(rows.swapaxes(1, 2), sigma), n)
+            return both.swapaxes(1, 2).reshape(size, n * n)
+        return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
 
 def sample_response(

@@ -4,16 +4,20 @@ A kernel assigns a covariance to every ring distance between two of the n
 uniformly placed neurons. The induced n x n matrix is circulant and symmetric,
 so its eigenvectors are sampled cosines and sines: every interior frequency k
 carries a (cos, sin) eigenvector pair sharing one eigenvalue, while k = 0 and
-(for even n) the alternating k = n/2 mode are singletons. Eigenvalues follow
-from a closed-form cosine sum over distances, which keeps the decomposition
-exact and makes inversion, sampling, and pattern rotation O(n) per mode.
+(for even n) the alternating k = n/2 mode are singletons. The DFT diagonalizes
+the matrix, so the eigenvalues are the real rfft of its first row, and
+inversion, synthesis from eigen-coefficients and projection onto them are one
+``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
+Arrays of eigen-coefficients follow the column order of the orthonormal
+eigenbasis, cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for even n);
+``_columns_to_bins`` and ``_bins_to_columns`` map that layout to and from
+rfft bins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,17 +42,62 @@ DENSE_SIZE_LIMIT = 4096
 
 
 def _closed_form_eigenvalues(n: int, values: np.ndarray) -> np.ndarray:
-    """Eigenvalues for frequencies 0..floor(n/2) via the cosine sum over distances."""
-    half = n // 2
-    ks = np.arange(half + 1)
-    interior = np.arange(1, (n + 1) // 2)  # distances with two ring realizations
-    lams = np.full(half + 1, values[0], dtype=float)
-    if interior.size:
-        angles = TWO_PI * np.outer(ks, interior) / n
-        lams = lams + 2.0 * (np.cos(angles) @ values[interior])
+    """Eigenvalues for frequencies 0..floor(n/2): the real rfft of the mirrored first row.
+
+    ``values`` are c_0..c_{floor(n/2)}; the first row of the circulant matrix
+    is c_0, c_1, ..., c_{floor(n/2)}, ..., c_1.
+    """
+    values = np.asarray(values, dtype=float)
+    row = np.concatenate([values, values[1 : (n + 1) // 2][::-1]])
+    return np.fft.rfft(row).real
+
+
+def _column_weights(n: int) -> np.ndarray:
+    """Factor from each eigen-coefficient column to its entry among the rfft bins.
+
+    Columns are ordered cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for
+    even n). The factor is sqrt(n) for the singletons (k = 0 and, for even n,
+    k = n/2) and sqrt(n/2) for pairs; a cosine weight is the real part of bin k,
+    a sine weight the negative imaginary part.
+    """
+    w = np.full(n, math.sqrt(n / 2.0))
+    w[2::2] *= -1.0
+    w[0] = math.sqrt(n)
     if n % 2 == 0:
-        lams = lams + values[half] * np.where(ks % 2 == 0, 1.0, -1.0)
-    return lams
+        w[-1] = math.sqrt(n)
+    return w
+
+
+def _columns_to_bins(cols: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
+    """rfft bins, along the last axis, of B diag(gain) c for each row c of ``cols``.
+
+    ``cols`` (..., n) holds eigen-coefficients in the ``_column_weights``
+    layout and ``gain`` one factor per frequency 0..floor(n/2). The columns
+    after the first line up with the interleaved (real, imaginary) bin
+    entries after bin 0's, so one multiply fills them. ``irfft(bins, n)`` is
+    the synthesized vector.
+    """
+    n = cols.shape[-1]
+    w = _column_weights(n)
+    if gain is not None:
+        w *= gain[(np.arange(n) + 1) // 2]
+    parts = np.empty(cols.shape[:-1] + (2 * (n // 2 + 1),))  # re0, im0, re1, im1, ...
+    parts[..., 0] = cols[..., 0] * w[0]
+    parts[..., 1] = 0.0
+    np.multiply(cols[..., 1:], w[1:], out=parts[..., 2 : n + 1])
+    if n % 2 == 0:
+        parts[..., -1] = 0.0
+    return parts.view(complex)
+
+
+def _bins_to_columns(bins: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``_columns_to_bins``: eigen-coefficients (..., n) of rfft bins (..., n//2 + 1)."""
+    parts = np.ascontiguousarray(bins).view(float)
+    w = _column_weights(n)
+    cols = np.empty(bins.shape[:-1] + (n,))
+    cols[..., 0] = parts[..., 0] / w[0]
+    np.divide(parts[..., 2 : n + 1], w[1:], out=cols[..., 1:])
+    return cols
 
 
 @dataclass(frozen=True)
@@ -156,11 +205,16 @@ class SpectralDecomposition:
     kernel: CorrelationKernel
     modes: tuple[EigenMode, ...]
 
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if sum(m.multiplicity for m in self.modes) != self.kernel.n:
             raise MalformedKernelError("mode multiplicities must span the whole space")
         if [m.frequency for m in self.modes] != list(range(self.kernel.n // 2 + 1)):
             raise MalformedKernelError("modes must list frequencies 0..n/2 in order")
+        lams = np.array([m.eigenvalue for m in self.modes])
+        lams.flags.writeable = False
+        object.__setattr__(self, "_eigenvalues", lams)
 
     @property
     def n(self) -> int:
@@ -168,7 +222,8 @@ class SpectralDecomposition:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return np.array([m.eigenvalue for m in self.modes])
+        """Read-only eigenvalues at frequencies 0..floor(n/2), built once."""
+        return self._eigenvalues
 
     @property
     def paired_frequencies(self) -> tuple[int, ...]:
@@ -198,29 +253,6 @@ class SpectralDecomposition:
             raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
         idx = np.arange(self.n)
         return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
-
-    @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal eigenvector matrix (columns) and per-column eigenvalues."""
-        cols = []
-        lams = []
-        for m in self.modes:
-            cols.append(self.cos_vector(m.frequency))
-            lams.append(m.eigenvalue)
-            if m.paired:
-                cols.append(self.sin_vector(m.frequency))
-                lams.append(m.eigenvalue)
-        basis = np.column_stack(cols)
-        basis.flags.writeable = False
-        return basis, np.array(lams)
-
-    @property
-    def basis_matrix(self) -> np.ndarray:
-        return self._basis[0]
-
-    @property
-    def column_eigenvalues(self) -> np.ndarray:
-        return self._basis[1]
 
     def min_paired_eigenvalue(self) -> float:
         paired = [m.eigenvalue for m in self.modes if m.paired]
@@ -293,21 +325,33 @@ def materialize_dense(kernel: CorrelationKernel, size_limit: int = DENSE_SIZE_LI
     return np.asarray(kernel.values)[dist]
 
 
+def _ring_vectors(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
+    """``v`` as floats, checked to hold vectors of length n along its last axis."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (decomp.n,):
+        raise ValueError(f"expected length-{decomp.n} vectors on the last axis, got shape {v.shape}")
+    return v
+
+
 def apply_inverse(
     decomp: SpectralDecomposition, v: np.ndarray, tol: float = PSD_TOLERANCE
 ) -> np.ndarray:
-    """Multiply by the inverse correlation matrix in the eigenbasis.
+    """Multiply by the inverse correlation matrix: ``irfft(rfft(v) / lambda)``.
 
     Accepts a single vector of length n or a stack shaped (..., n). Raises
     SingularCovarianceError unless every eigenvalue exceeds ``tol``.
     """
-    basis, lams = decomp._basis
+    lams = decomp.eigenvalues
     if lams.min() <= tol:
         raise SingularCovarianceError(
             f"covariance is singular at tolerance {tol}: min eigenvalue {lams.min():.6g}"
         )
-    v = np.asarray(v, dtype=float)
-    return ((v @ basis) / lams) @ basis.T
+    return np.fft.irfft(np.fft.rfft(_ring_vectors(decomp, v)) / lams, decomp.n)
+
+
+def _cos_column(k: int) -> int:
+    """Column of frequency k's cosine coefficient; its sine, if paired, is the next one."""
+    return max(2 * k - 1, 0)
 
 
 def mode_coefficients(decomp: SpectralDecomposition, v: np.ndarray) -> dict[int, tuple[float, float]]:
@@ -315,26 +359,26 @@ def mode_coefficients(decomp: SpectralDecomposition, v: np.ndarray) -> dict[int,
 
     Singleton frequencies report a zero sine coefficient.
     """
-    v = np.asarray(v, dtype=float)
+    cols = _bins_to_columns(np.fft.rfft(_ring_vectors(decomp, v)), decomp.n)
     out: dict[int, tuple[float, float]] = {}
     for m in decomp.modes:
-        a = float(decomp.cos_vector(m.frequency) @ v)
-        b = float(decomp.sin_vector(m.frequency) @ v) if m.paired else 0.0
-        out[m.frequency] = (a, b)
+        c = _cos_column(m.frequency)
+        out[m.frequency] = (float(cols[c]), float(cols[c + 1]) if m.paired else 0.0)
     return out
 
 
 def synthesize(decomp: SpectralDecomposition, coeffs: Mapping[int, tuple[float, float]]) -> np.ndarray:
     """Rebuild a vector from per-frequency (cos, sin) coefficients."""
-    v = np.zeros(decomp.n)
+    cols = np.zeros(decomp.n)
     for k, (a, b) in coeffs.items():
-        mode = decomp.mode(k)
-        v += a * decomp.cos_vector(k)
-        if mode.paired:
-            v += b * decomp.sin_vector(k)
+        paired = decomp.mode(k).paired
+        c = _cos_column(k)
+        cols[c] = a
+        if paired:
+            cols[c + 1] = b
         elif b != 0.0:
             raise UnpairedModeError(f"frequency {k} has no sine eigenvector to weight")
-    return v
+    return np.fft.irfft(_columns_to_bins(cols), decomp.n)
 
 
 def rotate_pattern(
@@ -381,12 +425,7 @@ class TorusCorrelation:
 
     def inverse_dense(self, tol: float = PSD_TOLERANCE) -> np.ndarray:
         """Kronecker product of the spectrally-inverted axis matrix with itself."""
-        basis, lams = self.axis._basis
-        if lams.min() <= tol:
-            raise SingularCovarianceError(
-                f"axis covariance singular at tolerance {tol}: min eigenvalue {lams.min():.6g}"
-            )
-        axis_inv = (basis / lams) @ basis.T
+        axis_inv = apply_inverse(self.axis, np.eye(self.n), tol=tol)
         return np.kron(axis_inv, axis_inv)
 
 

@@ -29,12 +29,24 @@ def dense_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
     return np.linalg.eigvalsh(dense_ring_matrix(kernel))
 
 
+def dense_basis(decomp: SpectralDecomposition) -> np.ndarray:
+    """Dense oracle: orthonormal eigenvectors as columns cos0, cos1, sin1, ..., cos n/2 (even n)."""
+    cols = []
+    for m in decomp.modes:
+        cols.append(decomp.cos_vector(m.frequency))
+        if m.paired:
+            cols.append(decomp.sin_vector(m.frequency))
+    return np.column_stack(cols)
+
+
+def column_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
+    """Eigenvalue of each ``dense_basis`` column."""
+    return np.array([m.eigenvalue for m in decomp.modes for _ in range(m.multiplicity)])
+
+
 def eigenvalue_multiset(decomp: SpectralDecomposition) -> np.ndarray:
     """Closed-form eigenvalues repeated by multiplicity, sorted ascending."""
-    values = []
-    for m in decomp.modes:
-        values.extend([m.eigenvalue] * m.multiplicity)
-    return np.sort(values)
+    return np.sort(column_eigenvalues(decomp))
 
 
 def random_psd_kernel(
@@ -68,6 +80,23 @@ def n6_kernel() -> CorrelationKernel:
 @pytest.fixture
 def n6_decomp(n6_kernel):
     return decompose(n6_kernel)
+
+
+def cosine_sum_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
+    """Independent oracle: lambda_k = sum over all n ring offsets d of c(d) cos(2 pi k d / n)."""
+    n = kernel.n
+    return np.array(
+        [
+            sum(kernel.value_at_distance(d) * np.cos(2.0 * np.pi * k * d / n) for d in range(n))
+            for k in range(n // 2 + 1)
+        ]
+    )
+
+
+def assert_close_relative(actual, expected, rel: float = 1e-12) -> None:
+    """Entrywise agreement within ``rel`` times the largest magnitude of ``expected``."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rel * np.max(np.abs(expected)))
 
 
 def white_kernel(n: int, sigma_sq: float = 1.0) -> CorrelationKernel:

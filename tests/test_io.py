@@ -1,12 +1,15 @@
 """File formats: kernel parsing, CSV roundtrips, graymap output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringfisher
 from ringfisher import io as rio
 from ringfisher.errors import MalformedKernelError
 from ringfisher.spectral import decompose
@@ -89,8 +92,12 @@ class TestPgm:
 
 
 def test_module_entry_point_help():
+    # the child interpreter imports the same package as this one, installed or not
+    package_root = str(Path(ringfisher.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "ringfisher", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "ringfisher", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "decompose" in proc.stdout and "simulate" in proc.stdout

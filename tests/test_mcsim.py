@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringfisher.errors import MultiModePopulationError
 from ringfisher.mcsim import (
@@ -20,7 +23,9 @@ from ringfisher.mcsim import (
 from ringfisher.spectral import (
     CorrelationKernel,
     TorusCorrelation,
+    apply_inverse,
     decompose,
+    exponential_kernel,
 )
 from ringfisher.tuning import (
     AllocationEntry,
@@ -30,7 +35,14 @@ from ringfisher.tuning import (
     optimal_tuning_1d,
 )
 
-from conftest import dense_ring_matrix, white_kernel
+from conftest import (
+    assert_close_relative,
+    column_eigenvalues,
+    dense_basis,
+    dense_ring_matrix,
+    random_psd_kernel,
+    white_kernel,
+)
 from test_tuning import single_mode_pop
 
 
@@ -71,6 +83,69 @@ class TestNoiseModel:
     def test_zero_scale_is_deterministic(self, n4_decomp):
         draws = NoiseModel(n4_decomp, scale=0.0).sample(make_rng(0), 10)
         assert np.all(draws == 0.0)
+
+
+class TestSampleMatchesDenseOracle:
+    """Fixed-seed rfft draws equal the dense eigenbasis synthesis of the same normals."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 3.0))
+    def test_ring_sample(self, n, seed, scale):
+        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
+        sigma = scale * np.sqrt(column_eigenvalues(decomp))
+        z = make_rng(seed).standard_normal((5, n))
+        expected = (z * sigma) @ dense_basis(decomp).T
+        assert_close_relative(NoiseModel(decomp, scale=scale).sample(make_rng(seed), 5), expected)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    def test_torus_sample(self, n, seed):
+        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
+        basis = dense_basis(decomp)
+        sigma = np.sqrt(column_eigenvalues(decomp))
+        z = make_rng(seed).standard_normal((3, n, n)) * np.outer(sigma, sigma)
+        expected = (basis @ z @ basis.T).reshape(3, n * n)
+        draws = NoiseModel(TorusCorrelation(decomp)).sample(make_rng(seed), 3)
+        assert_close_relative(draws, expected)
+
+
+def _peak_traced_mb(func) -> float:
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """No n x n matrix on the hot paths: one would be 128 MB at n = 4096."""
+
+    N = 4096
+
+    @pytest.fixture
+    def big_decomp(self):
+        return decompose(exponential_kernel(self.N))
+
+    def test_sample_peak_under_16_mb(self, big_decomp):
+        noise = NoiseModel(big_decomp)
+        assert _peak_traced_mb(lambda: noise.sample(make_rng(0), 64)) < 16.0
+
+    def test_apply_inverse_peak_under_16_mb(self, big_decomp):
+        stack = np.random.default_rng(0).normal(size=(64, self.N))
+        assert _peak_traced_mb(lambda: apply_inverse(big_decomp, stack)) < 16.0
+
+
+class TestLinearizationLead:
+    def test_optimal_population_at_n1024_attains_bound_despite_warning(self):
+        # the exponential kernel puts k* = n/2 - 1 = 511, so k* * delta_theta = 0.511 > 0.1
+        decomp = decompose(exponential_kernel(1024))
+        pop = optimal_tuning_1d(decomp, 1.0)
+        assert pop.allocation.max_frequency() == 511
+        with pytest.warns(UserWarning, match="linearization"):
+            config = SimConfig(population=pop, trials=2000, seed=5)
+        result = run_displacement_trials(config)
+        assert abs(result.empirical_variance - result.crb_reference) < 5.0 * result.variance_stderr
 
 
 class TestLocalEstimator:

@@ -33,6 +33,10 @@ from ringfisher.spectral import (
 )
 
 from conftest import (
+    assert_close_relative,
+    column_eigenvalues,
+    cosine_sum_eigenvalues,
+    dense_basis,
     dense_eigenvalues,
     dense_ring_matrix,
     eigenvalue_multiset,
@@ -162,6 +166,14 @@ class TestApplyInverse:
         with pytest.raises(SingularCovarianceError):
             apply_inverse(decomp, np.ones(4))
 
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_wrong_length_rejected(self, n6_decomp, length):
+        # a length-7 rfft has as many bins as a length-6 one
+        with pytest.raises(ValueError):
+            apply_inverse(n6_decomp, np.ones(length))
+        with pytest.raises(ValueError):
+            mode_coefficients(n6_decomp, np.ones(length))
+
 
 class TestRotatePattern:
     def test_thirty_degree_weights(self, n6_decomp):
@@ -268,13 +280,14 @@ class TestSpectralProperties:
     @pytest.mark.parametrize("n", [4, 7, 16, 64])
     def test_orthonormal_basis(self, n, rng):
         decomp = decompose(random_psd_kernel(rng, n))
-        gram = decomp.basis_matrix.T @ decomp.basis_matrix
+        basis = dense_basis(decomp)
+        gram = basis.T @ basis
         np.testing.assert_allclose(gram, np.eye(n), atol=1e-10)
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_spectral_reconstruction(self, n, rng):
         decomp = decompose(random_psd_kernel(rng, n))
-        basis, lams = decomp.basis_matrix, decomp.column_eigenvalues
+        basis, lams = dense_basis(decomp), column_eigenvalues(decomp)
         rebuilt = (basis * lams) @ basis.T
         np.testing.assert_allclose(rebuilt, dense_ring_matrix(decomp.kernel), atol=1e-10)
 
@@ -291,6 +304,78 @@ class TestSpectralProperties:
             lams = rng.uniform(0.1, 3.0, size=n // 2 + 1)
             decomp = decompose(kernel_from_spectrum(n, lams))
             np.testing.assert_allclose(decomp.eigenvalues, lams, atol=1e-12)
+
+
+ORACLE_SIZES = st.integers(4, 64)
+SEEDS = st.integers(0, 2**32 - 1)
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestFftMatchesDenseOracle:
+    """Each rfft/irfft path against the dense eigenbasis, odd and even n in 4..64."""
+
+    @ORACLE_SETTINGS
+    @given(n=ORACLE_SIZES, seed=SEEDS)
+    def test_eigenvalues_match_cosine_sum(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, size=n // 2 + 1)
+        values[0] = 1.0 + abs(values[0])
+        kernel = CorrelationKernel(n, tuple(values))
+        assert_close_relative(decompose(kernel).eigenvalues, cosine_sum_eigenvalues(kernel))
+
+    @ORACLE_SETTINGS
+    @given(n=ORACLE_SIZES, seed=SEEDS)
+    def test_apply_inverse_matches_dense_solve(self, n, seed):
+        rng = np.random.default_rng(seed)
+        decomp = decompose(random_psd_kernel(rng, n))
+        vs = rng.normal(size=(3, n))
+        expected = np.linalg.solve(dense_ring_matrix(decomp.kernel), vs.T).T
+        assert_close_relative(apply_inverse(decomp, vs), expected)
+
+    @ORACLE_SETTINGS
+    @given(n=ORACLE_SIZES, seed=SEEDS)
+    def test_mode_coefficients_match_dot_products(self, n, seed):
+        rng = np.random.default_rng(seed)
+        decomp = decompose(random_psd_kernel(rng, n))
+        v = rng.normal(size=n)
+        expected = dense_basis(decomp).T @ v
+        coeffs = mode_coefficients(decomp, v)
+        got = [c for m in decomp.modes for c in coeffs[m.frequency][: m.multiplicity]]
+        assert_close_relative(got, expected)
+        for m in decomp.modes:
+            if not m.paired:
+                assert coeffs[m.frequency][1] == 0.0
+
+    @ORACLE_SETTINGS
+    @given(n=ORACLE_SIZES, seed=SEEDS)
+    def test_synthesize_matches_weighted_columns(self, n, seed):
+        rng = np.random.default_rng(seed)
+        decomp = decompose(random_psd_kernel(rng, n))
+        coeffs = {
+            m.frequency: (rng.normal(), rng.normal() if m.paired else 0.0)
+            for m in decomp.modes
+            if rng.random() < 0.7
+        }
+        expected = np.zeros(n)
+        for k, (a, b) in coeffs.items():
+            expected += a * decomp.cos_vector(k)
+            if decomp.is_paired(k):
+                expected += b * decomp.sin_vector(k)
+        assert_close_relative(synthesize(decomp, coeffs), expected)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_sine_weight_on_singleton_rejected(self, n):
+        decomp = decompose(white_kernel(n))
+        singletons = [m.frequency for m in decomp.modes if not m.paired]
+        for k in singletons:
+            with pytest.raises(UnpairedModeError):
+                synthesize(decomp, {k: (1.0, 0.5)})
+
+    def test_eigenvalues_read_only_and_shared(self, n6_decomp):
+        lams = n6_decomp.eigenvalues
+        assert lams is n6_decomp.eigenvalues
+        with pytest.raises(ValueError):
+            lams[0] = 0.0
 
 
 class TestKernelFamilies:
