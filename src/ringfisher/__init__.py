@@ -14,7 +14,6 @@ from .errors import (
     ConditionViolatedError,
     MalformedKernelError,
     MultiModePopulationError,
-    NoPairedModeError,
     NonpositiveInformationError,
     NotPositiveSemidefiniteError,
     ResolutionOutOfRangeError,
@@ -47,7 +46,6 @@ from .tuning import (
     TuningPopulation1D,
     TuningPopulation2D,
     count_toroidal_maxima,
-    firing_field_2d,
     mean_derivative,
     mean_response,
     optimal_tuning_1d,

@@ -16,15 +16,12 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from . import io as rio
 from .errors import (
     ConditionViolatedError,
     MalformedKernelError,
     MultiModePopulationError,
-    NoPairedModeError,
     NotPositiveSemidefiniteError,
     ResolutionOutOfRangeError,
     SingularCovarianceError,
@@ -38,13 +35,13 @@ from .fisher import (
 )
 from .mcsim import SimConfig, run_displacement_trials
 from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
-from .spectral import TWO_PI, decompose, validate_psd
+from .spectral import decompose, validate_psd
 from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
-    check_field_resolution,
-    neuron_curve,
+    _paired_arrays,
+    _ties,
     optimal_tuning_1d,
     optimal_tuning_2d,
     sample_firing_field,
@@ -72,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=None, help="override the run seed (default: command or config specific)")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap; results are identical for any value (default: 1)")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="base directory for relative output paths (default: .)")
     parser.add_argument(
         "--offset",
@@ -148,7 +144,6 @@ def _write_manifest(
         "command": args.command,
         "version": __version__,
         "seed": seed,
-        "threads": args.threads,
         "settings": settings,
         "inputs": {str(p): rio.sha256_file(p) for p in inputs},
         "outputs": {str(p): rio.sha256_file(p) for p in outputs},
@@ -166,6 +161,13 @@ def _require_paired(decomp, frequency: int) -> None:
         raise ParameterRangeError(
             f"frequency {frequency} is not a paired mode of the n={decomp.n} ring "
             f"(paired: {list(decomp.paired_frequencies)})"
+        )
+
+
+def _require_neuron(decomp, neuron: tuple[int, int]) -> None:
+    if not all(0 <= index < decomp.n for index in neuron):
+        raise ParameterRangeError(
+            f"torus neuron {list(neuron)} outside 0..{decomp.n - 1} on the n={decomp.n} ring"
         )
 
 
@@ -190,16 +192,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spectrum_tied(decomp) -> bool:
-    lams = sorted(decomp.mode(k).eigenvalue for k in decomp.paired_frequencies)
-    return len(lams) > 1 and lams[1] - lams[0] <= 1e-12
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(decomp)
-    if _spectrum_tied(decomp):
+    if _ties(*_paired_arrays(decomp)).size > 1:
         _warn("degenerate spectrum: eigenvalue tie broken toward the smallest frequency")
     if args.dim == 1:
         search = maximize_fisher_1d(decomp, args.power, audit_trials=args.audit_trials, seed=seed)
@@ -216,7 +213,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             )
         search = maximize_fisher_2d(decomp, args.power, audit_trials=args.audit_trials, seed=seed)
         pop2d = TuningPopulation2D.from_axis(TuningPopulation1D(decomp, search.allocation))
-        fi_section = fisher_2d(pop2d, decomp).to_dict()
+        fi_section = fisher_2d(pop2d).to_dict()
     payload = {
         "search": search.to_dict(),
         "condition": condition.to_dict(),
@@ -248,13 +245,13 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
     else:
         pop = optimal_tuning_1d(decomp, args.power)
-    report = fisher_report_1d(pop, decomp, theta_samples=args.theta_samples)
+    report = fisher_report_1d(pop, theta_samples=args.theta_samples)
     payload = report.to_dict()
     payload["ordering_condition"] = check_condition(decomp).to_dict()
     payload.update({"i_x": None, "i_y": None, "i_xy": None})
     if args.dim == 2:
         pop2d = TuningPopulation2D.from_axis(pop)
-        payload.update(fisher_2d(pop2d, decomp).to_dict())
+        payload.update(fisher_2d(pop2d).to_dict())
     out = _resolve(args, args.out)
     rio.write_json(payload, out)
     _write_manifest(
@@ -265,26 +262,15 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 
 def _cmd_field2d(args: argparse.Namespace) -> int:
-    check_field_resolution(args.res)
     decomp = _load_decomposition(args.kernel)
+    _require_neuron(decomp, args.neuron)
     if args.optimal:
         pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)
     else:
         _require_paired(decomp, args.k)
         pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
         pop2d = TuningPopulation2D.from_axis(pop, phase_shift=args.phase_shift)
-    neuron = tuple(args.neuron)
-    if args.offset is None:
-        # display default: lift each axis curve to nonnegative rates
-        field = sample_firing_field(pop2d, neuron, args.res, nonnegative=True)
-    elif args.offset == 0.0:
-        field = sample_firing_field(pop2d, neuron, args.res, nonnegative=False)
-    else:
-        # an explicit offset shifts each axis curve, keeping the field separable
-        thetas = TWO_PI * np.arange(args.res) / args.res
-        cx = neuron_curve(pop2d.x, neuron[0], thetas) + args.offset
-        cy = neuron_curve(pop2d.y, neuron[1], thetas) + args.offset
-        field = np.outer(cx, cy)
+    field = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
     out_pgm = _resolve(args, args.out_pgm)
     out_csv = _resolve(args, args.out_csv)
     rio.write_pgm(field, out_pgm)
@@ -380,7 +366,6 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
     (MalformedKernelError, EXIT_MALFORMED_INPUT),
     (NotPositiveSemidefiniteError, EXIT_INVALID_COVARIANCE),
     (SingularCovarianceError, EXIT_INVALID_COVARIANCE),
-    (NoPairedModeError, EXIT_INFEASIBLE_OPTIMIZATION),
     (ConditionViolatedError, EXIT_INFEASIBLE_OPTIMIZATION),
     (ResolutionOutOfRangeError, EXIT_BAD_PARAMETER),
     (SizeLimitError, EXIT_BAD_PARAMETER),
@@ -392,9 +377,6 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
     try:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - translated to documented exit codes

@@ -25,10 +25,6 @@ class UnpairedModeError(RingFisherError):
     """Coefficient rotation targeted a frequency without a sine partner."""
 
 
-class NoPairedModeError(RingFisherError):
-    """Decomposition exposes no paired mode to allocate signal power to."""
-
-
 class ConditionViolatedError(RingFisherError):
     """The two spectral orderings disagree; single-mode concentration invalid."""
 

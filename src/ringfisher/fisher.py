@@ -6,6 +6,11 @@ it is independent of position; its position derivative vanishes identically.
 On the separable torus the information splits into a product of two one-axis
 quadratic forms per direction plus a cross term that vanishes for the
 zero-integration-constant populations built here.
+
+Every function reads the spectrum from the population's own decomposition
+(``pop.decomp``), so a population and its covariance cannot be mismatched.
+The spectral forms sum T_k^2 / (k^p lambda_k) over the active frequencies:
+p = 0 gives the ring information, p = 2 the torus factor.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisMismatchError, NonpositiveInformationError
+from .errors import NonpositiveInformationError
 from .spectral import TWO_PI, SpectralDecomposition, apply_inverse
 from .tuning import (
     PowerAllocation,
@@ -39,33 +44,24 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _resolve_decomp(
-    pop: TuningPopulation1D, decomp: SpectralDecomposition | None
-) -> SpectralDecomposition:
-    if decomp is None:
-        return pop.decomp
-    if decomp.kernel != pop.decomp.kernel:
-        raise AxisMismatchError("population was built against a different kernel")
-    return decomp
-
-
-def fisher_1d(
-    pop: TuningPopulation1D,
-    decomp: SpectralDecomposition | None = None,
-    theta: float = 0.0,
-) -> float:
+def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     """Quadratic-form Fisher information at one position."""
-    decomp = _resolve_decomp(pop, decomp)
     d = mean_derivative(pop, theta)
-    return float(d @ apply_inverse(decomp, d))
+    return float(d @ apply_inverse(pop.decomp, d))
+
+
+def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p: int) -> float:
+    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k)."""
+    lams = decomp.eigenvalues
+    total = 0.0
+    for e in allocation.entries:
+        total += e.amplitude**2 / (e.frequency**p * lams[e.frequency])
+    return float(total)
 
 
 def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecomposition) -> float:
     """Position-free spectral form: sum of squared amplitudes over eigenvalues."""
-    total = 0.0
-    for e in allocation.entries:
-        total += e.amplitude**2 / decomp.mode(e.frequency).eigenvalue
-    return total
+    return _spectral_sum(allocation, decomp, 0)
 
 
 def fisher_max_bound(decomp: SpectralDecomposition, power: float) -> float:
@@ -73,19 +69,14 @@ def fisher_max_bound(decomp: SpectralDecomposition, power: float) -> float:
     return power / decomp.min_paired_eigenvalue()
 
 
-def fisher_derivative(
-    pop: TuningPopulation1D,
-    decomp: SpectralDecomposition | None = None,
-    theta: float = 0.0,
-) -> float:
+def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     """Position derivative of the information: twice the second-derivative form.
 
     Vanishes identically for the populations built here; computed honestly so
     that deviations would surface.
     """
-    decomp = _resolve_decomp(pop, decomp)
     dd = mean_second_derivative(pop, theta)
-    return float(2.0 * (dd @ apply_inverse(decomp, mean_derivative(pop, theta))))
+    return float(2.0 * (dd @ apply_inverse(pop.decomp, mean_derivative(pop, theta))))
 
 
 def crb(fi: float) -> float:
@@ -113,21 +104,16 @@ class FisherReport1D:
         }
 
 
-def fisher_report_1d(
-    pop: TuningPopulation1D,
-    decomp: SpectralDecomposition | None = None,
-    theta_samples: int = 64,
-) -> FisherReport1D:
+def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> FisherReport1D:
     """Evaluate the quadratic form on a uniform grid next to its spectral value."""
-    decomp = _resolve_decomp(pop, decomp)
     thetas = TWO_PI * np.arange(theta_samples) / theta_samples
-    values = tuple(fisher_1d(pop, decomp, t) for t in thetas)
-    spectral = fisher_1d_spectral(pop.allocation, decomp)
+    values = tuple(fisher_1d(pop, t) for t in thetas)
+    spectral = fisher_1d_spectral(pop.allocation, pop.decomp)
     return FisherReport1D(
         theta_samples=tuple(float(t) for t in thetas),
         fi_values=values,
         fi_spectral=spectral,
-        fi_max_bound=fisher_max_bound(decomp, pop.allocation.power),
+        fi_max_bound=fisher_max_bound(pop.decomp, pop.allocation.power),
         crb=crb(spectral) if spectral > 0 else float("inf"),
     )
 
@@ -151,9 +137,7 @@ class FisherReport2D:
 
 
 def fisher_2d(
-    pop2d: TuningPopulation2D,
-    decomp: SpectralDecomposition | None = None,
-    theta: tuple[float, float] = (0.0, 0.0),
+    pop2d: TuningPopulation2D, theta: tuple[float, float] = (0.0, 0.0)
 ) -> FisherReport2D:
     """Directional information on the torus via separable quadratic forms.
 
@@ -163,7 +147,7 @@ def fisher_2d(
     (sum T^2/lambda) * (sum T^2/(k^2 lambda)), and ``minimum_variance`` the
     x-variance bound from inverting the 2x2 information matrix.
     """
-    decomp = _resolve_decomp(pop2d.x, decomp)
+    decomp = pop2d.x.decomp
     theta_x, theta_y = theta
     gx = mean_derivative(pop2d.x, theta_x)
     fx = mean_response(pop2d.x, theta_x)
@@ -174,11 +158,8 @@ def fisher_2d(
     i_x = float((gx @ dgx) * (fy @ dfy))
     i_y = float((fx @ dfx) * (gy @ dgy))
     i_xy = float((gx @ dfx) * (fy @ dgy))
-    spectral_g = fisher_1d_spectral(pop2d.x.allocation, decomp)
-    spectral_f = 0.0
-    for e in pop2d.x.allocation.entries:
-        lam = decomp.mode(e.frequency).eigenvalue
-        spectral_f += e.amplitude**2 / (e.frequency**2 * lam)
+    spectral_g = _spectral_sum(pop2d.x.allocation, decomp, 0)
+    spectral_f = _spectral_sum(pop2d.x.allocation, decomp, 2)
     det = i_x * i_y - i_xy * i_xy
     minimum_variance = i_y / det if det > 0 else float("inf")
     return FisherReport2D(

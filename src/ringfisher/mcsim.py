@@ -10,7 +10,9 @@ derivative direction, needs the reference position) and a phase readout for
 single-frequency populations (projects onto the mode's eigenvector pair,
 reference-free up to the mode's angular ambiguity). Variance conventions
 differ by snapshot model: one noisy snapshot against a known mean bounds at
-1/I, two noisy snapshots at 2/I.
+1/I, two noisy snapshots at 2/I. Estimators read the covariance from the
+population's decomposition, and ``SimConfig`` and ``run_path_integration``
+accept the same modes, estimators and trial counts (at least 100).
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ def sample_response(
 
 def estimate_local(
     pop: TuningPopulation1D,
-    decomp: SpectralDecomposition,
     theta_ref: float,
     r_minus: np.ndarray,
     r_plus: np.ndarray,
@@ -119,7 +120,7 @@ def estimate_local(
     Accepts stacked (trials, n) inputs.
     """
     d = mean_derivative(pop, theta_ref)
-    weighted = apply_inverse(decomp, d)
+    weighted = apply_inverse(pop.decomp, d)
     info = float(d @ weighted)
     delta = np.asarray(r_plus, dtype=float) - np.asarray(r_minus, dtype=float)
     est = delta @ weighted / info
@@ -135,9 +136,7 @@ def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
     return e.frequency, e.amplitude, e.phase
 
 
-def estimate_phase(
-    pop: TuningPopulation1D, decomp: SpectralDecomposition, r: np.ndarray
-) -> np.ndarray | float:
+def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float:
     """Position estimate modulo 2 pi / k for a single-frequency population.
 
     Projects the response onto the frequency's (cos, sin) eigenvector pair and
@@ -146,8 +145,8 @@ def estimate_phase(
     """
     k, _, phase = _single_frequency(pop)
     r = np.asarray(r, dtype=float)
-    a = r @ decomp.cos_vector(k)
-    b = r @ decomp.sin_vector(k)
+    a = r @ pop.decomp.cos_vector(k)
+    b = r @ pop.decomp.sin_vector(k)
     theta = (np.arctan2(a, -b) - phase) / k
     out = np.mod(theta, TWO_PI / k)
     return float(out) if np.ndim(out) == 0 else out
@@ -155,6 +154,16 @@ def estimate_phase(
 
 def _wrap_signed(delta: np.ndarray, period: float) -> np.ndarray:
     return (delta + period / 2.0) % period - period / 2.0
+
+
+def _check_experiment(trials: int, mode: str, estimator: str) -> None:
+    """Raise ValueError unless trials >= 100 and mode and estimator are known names."""
+    if trials < 100:
+        raise ValueError(f"trials must be >= 100, got {trials}")
+    if mode not in ("known_reference", "two_snapshot"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if estimator not in ("local_linear", "phase"):
+        raise ValueError(f"unknown estimator {estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -171,12 +180,7 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.trials < 100:
-            raise ValueError(f"trials must be >= 100, got {self.trials}")
-        if self.mode not in ("known_reference", "two_snapshot"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.estimator not in ("local_linear", "phase"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        _check_experiment(self.trials, self.mode, self.estimator)
         k_max = self.population.allocation.max_frequency()
         if k_max * abs(self.delta_theta) > SMALL_DISPLACEMENT_LIMIT:
             warnings.warn(
@@ -231,7 +235,6 @@ def _estimate_step(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One batch of displacement estimates with fresh noise."""
-    decomp = pop.decomp
     f_ref = mean_response(pop, theta_ref)
     f_plus = mean_response(pop, theta_ref + delta_theta)
     r_plus = f_plus + noise.sample(rng, trials)
@@ -240,13 +243,13 @@ def _estimate_step(
     else:
         r_ref = np.broadcast_to(f_ref, r_plus.shape)
     if estimator == "local_linear":
-        return np.asarray(estimate_local(pop, decomp, theta_ref, r_ref, r_plus))
+        return np.asarray(estimate_local(pop, theta_ref, r_ref, r_plus))
     k, _, _ = _single_frequency(pop)
-    theta_plus = np.asarray(estimate_phase(pop, decomp, r_plus))
+    theta_plus = np.asarray(estimate_phase(pop, r_plus))
     if mode == "two_snapshot":
-        theta_minus = np.asarray(estimate_phase(pop, decomp, r_ref))
+        theta_minus = np.asarray(estimate_phase(pop, r_ref))
     else:
-        theta_minus = np.asarray(estimate_phase(pop, decomp, f_ref))
+        theta_minus = np.asarray(estimate_phase(pop, f_ref))
     return _wrap_signed(theta_plus - theta_minus, TWO_PI / k)
 
 
@@ -259,8 +262,7 @@ def run_displacement_trials(
     aggregate result (for dump-style exports).
     """
     pop = config.population
-    decomp = pop.decomp
-    noise = NoiseModel(decomp, scale=config.noise_scale)
+    noise = NoiseModel(pop.decomp, scale=config.noise_scale)
     rng = make_rng(config.seed)
     estimates = _estimate_step(
         pop,
@@ -272,7 +274,7 @@ def run_displacement_trials(
         noise,
         rng,
     )
-    info = fisher_1d_spectral(pop.allocation, decomp)
+    info = fisher_1d_spectral(pop.allocation, pop.decomp)
     snapshots = 2.0 if config.mode == "two_snapshot" else 1.0
     crb_ref = snapshots * config.noise_scale**2 / info
     mean = float(np.mean(estimates))
@@ -338,6 +340,7 @@ def run_path_integration(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_experiment(trials, mode, estimator)
     noise = NoiseModel(pop.decomp, scale=noise_scale)
     rng = make_rng(seed)
     cumulative = np.zeros(trials)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SingularCovarianceError
 from .spectral import PSD_TOLERANCE, SpectralDecomposition
-from .tuning import ORDER_TIE_TOL, PowerAllocation, _paired_arrays, _tie_argmin
+from .tuning import ORDER_TIE_TOL, PowerAllocation, _k2_weighted, _paired_arrays, _tie_argmin
 
 Objective = Literal["fi1d", "fi2d_x"]
 
@@ -89,7 +89,7 @@ def _strictly_decreasing(scores: np.ndarray) -> bool:
 def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
     """Evaluate both spectral orderings over paired frequencies (ascending k)."""
     freqs, lams = _paired_arrays(decomp)
-    weighted = freqs.astype(float) ** 2 * lams
+    weighted = _k2_weighted(freqs, lams)
     argmin_lambda = _tie_argmin(freqs, lams)
     argmin_weighted = _tie_argmin(freqs, weighted)
     return ConditionReport(
@@ -101,9 +101,19 @@ def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
     )
 
 
+def _objective_coefficients(
+    decomp: SpectralDecomposition,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paired frequencies with u_k = 1/lambda_k and v_k = u_k/k^2."""
+    freqs, lams = _paired_arrays(decomp)
+    u = 1.0 / lams
+    return freqs, u, u / freqs.astype(float) ** 2
+
+
 def _objective_values(
     weights: np.ndarray, u: np.ndarray, v: np.ndarray, objective: Objective
 ) -> np.ndarray:
+    """Objective at each weight vector (rows of ``weights``, or one vector)."""
     if objective == "fi1d":
         return weights @ u
     return (weights @ u) * (weights @ v)
@@ -131,9 +141,7 @@ def audit_random_allocations(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    freqs, lams = _paired_arrays(decomp)
-    u = 1.0 / lams
-    v = u / freqs.astype(float) ** 2
+    freqs, u, v = _objective_coefficients(decomp)
     rng = np.random.Generator(np.random.Philox(seed))
     weights = power * rng.dirichlet(np.ones(freqs.size), size=trials)
     values = _objective_values(weights, u, v, objective)
@@ -202,17 +210,16 @@ def maximize_fisher_2d(
     each such hull edge in closed form, so the result is exact. Raises
     SingularCovarianceError unless every paired eigenvalue is positive.
     """
-    freqs, lams = _paired_arrays(decomp)
-    if lams.min() <= PSD_TOLERANCE:
+    lam_min = decomp.min_paired_eigenvalue()
+    if lam_min <= PSD_TOLERANCE:
         raise SingularCovarianceError(
-            f"torus allocation search needs positive paired eigenvalues, min is {lams.min():.6g}"
+            f"torus allocation search needs positive paired eigenvalues, min is {lam_min:.6g}"
         )
-    u = 1.0 / lams
-    v = u / freqs.astype(float) ** 2
+    freqs, u, v = _objective_coefficients(decomp)
     m = freqs.size
 
     def value(w: np.ndarray) -> float:
-        return float((w @ u) * (w @ v))
+        return float(_objective_values(w, u, v, "fi2d_x"))
 
     best_w = np.zeros(m)
     best_w[int(np.argmax(u * v))] = power

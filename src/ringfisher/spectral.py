@@ -5,8 +5,10 @@ uniformly placed neurons. The induced n x n matrix is circulant and symmetric,
 so its eigenvectors are sampled cosines and sines: every interior frequency k
 carries a (cos, sin) eigenvector pair sharing one eigenvalue, while k = 0 and
 (for even n) the alternating k = n/2 mode are singletons. The DFT diagonalizes
-the matrix, so the eigenvalues are the real rfft of its first row, and
-inversion, synthesis from eigen-coefficients and projection onto them are one
+the matrix, so the eigenvalues are the real rfft of its first row. That
+read-only array, one entry per frequency 0..floor(n/2), is the whole
+decomposition: ``SpectralDecomposition`` stores nothing else, and its modes,
+pairing (0 < k < n/2) and PSD report are read off the array and n. Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
 Arrays of eigen-coefficients follow the column order of the orthonormal
 eigenbasis, cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for even n);
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import (
     MalformedKernelError,
-    NoPairedModeError,
     NotPositiveSemidefiniteError,
     SingularCovarianceError,
     SizeLimitError,
@@ -196,43 +197,43 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full analytic eigensystem of a circulant symmetric kernel.
+    """Analytic eigensystem of a circulant symmetric kernel.
 
-    ``modes`` holds frequencies 0..floor(n/2) in order, so frequency k is
-    ``modes[k]``.
+    The read-only ``eigenvalues`` array (frequencies 0..floor(n/2), computed
+    once) is the whole decomposition: the modes, their pairing and the PSD
+    report are read off it and n.
     """
 
     kernel: CorrelationKernel
-    modes: tuple[EigenMode, ...]
-
-    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if sum(m.multiplicity for m in self.modes) != self.kernel.n:
-            raise MalformedKernelError("mode multiplicities must span the whole space")
-        if [m.frequency for m in self.modes] != list(range(self.kernel.n // 2 + 1)):
-            raise MalformedKernelError("modes must list frequencies 0..n/2 in order")
-        lams = np.array([m.eigenvalue for m in self.modes])
+        lams = _closed_form_eigenvalues(self.kernel.n, np.asarray(self.kernel.values))
         lams.flags.writeable = False
-        object.__setattr__(self, "_eigenvalues", lams)
+        object.__setattr__(self, "eigenvalues", lams)
 
     @property
     def n(self) -> int:
         return self.kernel.n
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """Read-only eigenvalues at frequencies 0..floor(n/2), built once."""
-        return self._eigenvalues
+    def paired_frequencies(self) -> tuple[int, ...]:
+        """Frequencies 0 < k < n/2, each carrying a (cos, sin) eigenvector pair."""
+        return tuple(range(1, (self.n + 1) // 2))
 
     @property
-    def paired_frequencies(self) -> tuple[int, ...]:
-        return tuple(m.frequency for m in self.modes if m.paired)
+    def modes(self) -> tuple[EigenMode, ...]:
+        """Every frequency 0..floor(n/2) in order, so frequency k is ``modes[k]``."""
+        return tuple(self.mode(k) for k in range(self.n // 2 + 1))
 
     def mode(self, frequency: int) -> EigenMode:
-        if not 0 <= frequency < len(self.modes):
+        if not 0 <= frequency <= self.n // 2:
             raise KeyError(f"no mode at frequency {frequency}")
-        return self.modes[frequency]
+        return EigenMode(
+            frequency=int(frequency),
+            eigenvalue=float(self.eigenvalues[frequency]),
+            paired=0 < frequency < (self.n + 1) // 2,
+        )
 
     def is_paired(self, frequency: int) -> bool:
         return self.mode(frequency).paired
@@ -255,25 +256,13 @@ class SpectralDecomposition:
         return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
 
     def min_paired_eigenvalue(self) -> float:
-        paired = [m.eigenvalue for m in self.modes if m.paired]
-        if not paired:
-            raise NoPairedModeError("decomposition has no paired mode")
-        return min(paired)
+        """Smallest eigenvalue over the paired frequencies (k = 1 is always one, as n >= 4)."""
+        return float(self.eigenvalues[1 : (self.n + 1) // 2].min())
 
 
 def decompose(kernel: CorrelationKernel) -> SpectralDecomposition:
-    """Spectrally decompose a kernel using the closed-form cosine sums."""
-    n = kernel.n
-    lams = _closed_form_eigenvalues(n, np.asarray(kernel.values))
-    modes = tuple(
-        EigenMode(
-            frequency=int(k),
-            eigenvalue=float(lams[k]),
-            paired=0 < k < (n + 1) // 2,
-        )
-        for k in range(n // 2 + 1)
-    )
-    return SpectralDecomposition(kernel=kernel, modes=modes)
+    """Spectrally decompose a kernel: its eigenvalues are the rfft of its first row."""
+    return SpectralDecomposition(kernel)
 
 
 @dataclass(frozen=True)
@@ -300,10 +289,10 @@ def validate_psd(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> P
     """Report the smallest eigenvalue and whether the kernel is (strictly) PSD."""
     lams = decomp.eigenvalues
     k_min = int(np.argmin(lams))
-    negative = tuple(int(m.frequency) for m in decomp.modes if m.eigenvalue < -tol)
+    negative = tuple(int(k) for k in np.flatnonzero(lams < -tol))
     return PsdReport(
         min_eigenvalue=float(lams[k_min]),
-        min_frequency=int(decomp.modes[k_min].frequency),
+        min_frequency=k_min,
         valid=not negative,
         strictly_positive=bool(lams.min() > tol),
         negative_frequencies=negative,

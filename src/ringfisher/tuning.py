@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AxisMismatchError,
-    ConditionViolatedError,
-    NoPairedModeError,
-    ResolutionOutOfRangeError,
-)
+from .errors import AxisMismatchError, ConditionViolatedError, ResolutionOutOfRangeError
 from .spectral import TWO_PI, SpectralDecomposition
 
 POWER_CONSISTENCY_TOL = 1e-10
@@ -254,16 +249,23 @@ def signal_power(pop: TuningPopulation1D, theta) -> float:
 
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Paired frequencies (ascending) and their eigenvalues."""
-    freqs = np.array(decomp.paired_frequencies, dtype=int)
-    if freqs.size == 0:
-        raise NoPairedModeError(f"no paired mode available on the n={decomp.n} ring")
+    freqs = np.array(decomp.paired_frequencies)
     return freqs, decomp.eigenvalues[freqs]
 
 
+def _k2_weighted(freqs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Torus ordering scores k^2 lambda_k."""
+    return freqs.astype(float) ** 2 * lams
+
+
+def _ties(freqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Frequencies whose score ties the minimum within ORDER_TIE_TOL."""
+    return freqs[scores <= scores.min() + ORDER_TIE_TOL]
+
+
 def _tie_argmin(freqs: np.ndarray, scores: np.ndarray) -> int:
-    """Smallest frequency whose score ties the minimum within ORDER_TIE_TOL."""
-    ties = freqs[scores <= scores.min() + ORDER_TIE_TOL]
-    return int(ties.min())
+    """Smallest frequency whose score ties the minimum."""
+    return int(_ties(freqs, scores).min())
 
 
 def optimal_tuning_1d(decomp: SpectralDecomposition, power: float) -> TuningPopulation1D:
@@ -287,7 +289,7 @@ def optimal_tuning_2d(
     """
     freqs, lams = _paired_arrays(decomp)
     k_lam = _tie_argmin(freqs, lams)
-    k_klam = _tie_argmin(freqs, freqs.astype(float) ** 2 * lams)
+    k_klam = _tie_argmin(freqs, _k2_weighted(freqs, lams))
     if k_lam != k_klam:
         raise ConditionViolatedError(
             f"eigenvalue minimizer {k_lam} and weighted minimizer {k_klam} disagree; "
@@ -301,41 +303,32 @@ def sample_firing_field(
     pop2d: TuningPopulation2D,
     neuron: tuple[int, int],
     resolution: int,
-    nonnegative: bool = False,
+    offset: float | None = None,
 ) -> np.ndarray:
-    """Outer product of the two axis curves on a resolution^2 torus grid.
+    """One torus neuron's firing field: the outer product of its two axis curves.
 
-    With ``nonnegative`` each axis curve is lifted by its own minimum before
-    multiplying, which renders the positive-bump lattice (display convention);
-    callers range-check the resolution with ``check_field_resolution``.
+    The curves are sampled at ``resolution`` angles per axis, which must lie
+    in FIELD_RESOLUTION_MIN..FIELD_RESOLUTION_MAX (else
+    ResolutionOutOfRangeError). With ``offset`` None each curve is lifted by
+    its own minimum before multiplying, which renders the positive-bump
+    lattice (display convention); a number is added to each curve instead,
+    so 0 keeps the signed product.
     """
-    i, j = neuron
-    thetas = TWO_PI * np.arange(resolution) / resolution
-    cx = neuron_curve(pop2d.x, i, thetas)
-    cy = neuron_curve(pop2d.y, j, thetas)
-    if nonnegative:
-        cx = cx - cx.min()
-        cy = cy - cy.min()
-    return np.outer(cx, cy)
-
-
-def check_field_resolution(resolution: int) -> None:
-    """Raise ResolutionOutOfRangeError unless samples per axis lie in the supported range."""
     if not FIELD_RESOLUTION_MIN <= resolution <= FIELD_RESOLUTION_MAX:
         raise ResolutionOutOfRangeError(
             f"resolution {resolution} outside [{FIELD_RESOLUTION_MIN}, {FIELD_RESOLUTION_MAX}]"
         )
-
-
-def firing_field_2d(
-    pop2d: TuningPopulation2D,
-    neuron: tuple[int, int],
-    resolution: int,
-    nonnegative: bool = False,
-) -> np.ndarray:
-    """Sampled firing field of one torus neuron; see ``sample_firing_field``."""
-    check_field_resolution(resolution)
-    return sample_firing_field(pop2d, neuron, resolution, nonnegative=nonnegative)
+    i, j = neuron
+    thetas = TWO_PI * np.arange(resolution) / resolution
+    cx = neuron_curve(pop2d.x, i, thetas)
+    cy = neuron_curve(pop2d.y, j, thetas)
+    if offset is None:
+        cx = cx - cx.min()
+        cy = cy - cy.min()
+    else:
+        cx = cx + offset
+        cy = cy + offset
+    return np.outer(cx, cy)
 
 
 _NEIGHBOR_SHIFTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]

@@ -189,6 +189,24 @@ class TestField2dCommand:
         assert code == 0
         assert count_toroidal_maxima(rio.read_field_csv(csv_out)) == 2
 
+    def test_explicit_offset_shifts_each_axis_curve(self, tmp_path, n4_kernel_file):
+        pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
+        argv = ["--offset", "2.5", "field2d", str(n4_kernel_file), str(pgm), str(csv_out)]
+        assert main(argv + ["--k", "1", "--res", "16", "--neuron", "1", "2"]) == 0
+        # oracle: at k = 1 and unit power, neuron i's curve is sqrt(2/n) sin(theta - 2 pi i / n)
+        thetas = 2.0 * np.pi * np.arange(16) / 16
+        fx = np.sqrt(2.0 / 4) * np.sin(thetas - 2.0 * np.pi * 1 / 4) + 2.5
+        fy = np.sqrt(2.0 / 4) * np.sin(thetas - 2.0 * np.pi * 2 / 4) + 2.5
+        np.testing.assert_allclose(rio.read_field_csv(csv_out), np.outer(fx, fy), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("neuron", [["4", "0"], ["0", "4"], ["-1", "0"]], ids=["n-0", "0-n", "minus1-0"])
+    def test_neuron_out_of_range_exit_5(self, tmp_path, n4_kernel_file, neuron):
+        code = main(
+            ["field2d", str(n4_kernel_file), str(tmp_path / "f.pgm"), str(tmp_path / "f.csv"), "--k", "1", "--neuron", *neuron]
+        )
+        assert code == 5
+        assert not (tmp_path / "f.pgm").exists()
+
     def test_resolution_out_of_range_exit_5(self, tmp_path, n4_kernel_file):
         code = main(
             ["field2d", str(n4_kernel_file), str(tmp_path / "f.pgm"), str(tmp_path / "f.csv"), "--k", "1", "--res", "7"]
@@ -221,11 +239,15 @@ class TestSimulateCommand:
         assert payload["efficiency"] >= 0.95
         assert payload["mode"] == "known_reference"
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["--threads", "1", "simulate", demo_config_path(), str(out1)]) == 0
-        assert main(["--threads", "8", "simulate", demo_config_path(), str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_fixed_seed_rerun_reproduces_bytes(self, tmp_path):
+        out, dump = tmp_path / "r.json", tmp_path / "trials.csv"
+        manifest = tmp_path / "r.json.manifest.json"
+        argv = ["--seed", "11", "simulate", demo_config_path(), str(out), "--dump-trials", str(dump)]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append((out.read_bytes(), dump.read_bytes(), manifest.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_seed_override_changes_results(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -323,11 +345,14 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit):
             main(["--help"])
         text = capsys.readouterr().out
-        for flag in ("--seed", "--threads", "--out-dir", "--offset"):
+        for flag in ("--seed", "--out-dir", "--offset"):
             assert flag in text
+        assert "--threads" not in text
 
-    def test_bad_thread_count(self, n4_kernel_file, tmp_path):
-        assert main(["--threads", "0", "decompose", str(n4_kernel_file), str(tmp_path / "o.csv")]) == 5
+    def test_threads_flag_rejected(self, n4_kernel_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--threads", "1", "decompose", str(n4_kernel_file), str(tmp_path / "o.csv")])
+        assert excinfo.value.code == 2
 
     def test_out_dir_prefixes_relative_paths(self, tmp_path, n4_kernel_file, monkeypatch):
         outdir = tmp_path / "artifacts"

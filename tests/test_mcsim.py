@@ -153,7 +153,7 @@ class TestLocalEstimator:
         pop = single_mode_pop(n4_decomp)
         delta = 1e-4
         estimate = estimate_local(
-            pop, n4_decomp, 0.0, mean_response(pop, 0.0), mean_response(pop, delta)
+            pop, 0.0, mean_response(pop, 0.0), mean_response(pop, delta)
         )
         # the linear readout of an exact response change is sin(k d)/k
         assert estimate == pytest.approx(math.sin(delta) / 1.0, rel=1e-12)
@@ -178,13 +178,13 @@ class TestPhaseEstimator:
     def test_noiseless_inversion(self, n4_decomp):
         pop = single_mode_pop(n4_decomp)
         theta0 = 0.7
-        estimate = estimate_phase(pop, n4_decomp, mean_response(pop, theta0))
+        estimate = estimate_phase(pop, mean_response(pop, theta0))
         assert estimate == pytest.approx(theta0, abs=1e-9)
 
     def test_frequency_two_ambiguity(self, n6_decomp):
         pop = single_mode_pop(n6_decomp, frequency=2)
         theta0 = 0.7
-        estimate = estimate_phase(pop, n6_decomp, mean_response(pop, theta0))
+        estimate = estimate_phase(pop, mean_response(pop, theta0))
         assert 0.0 <= estimate < math.pi
         assert estimate == pytest.approx(theta0, abs=1e-9)
 
@@ -194,7 +194,7 @@ class TestPhaseEstimator:
         )
         pop = TuningPopulation1D(n6_decomp, alloc)
         with pytest.raises(MultiModePopulationError):
-            estimate_phase(pop, n6_decomp, np.zeros(6))
+            estimate_phase(pop, np.zeros(6))
 
     def test_small_noise_variance_matches_local_bound(self):
         # scale the kernel down so the phase linearization error is negligible
@@ -306,3 +306,16 @@ class TestPathIntegration:
         pop = optimal_tuning_1d(n4_decomp, 1.0)
         with pytest.raises(ValueError):
             run_path_integration(pop, steps=0, trials=200, seed=0)
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"estimator": "Phase"}, {"mode": "two-snapshot"}, {"trials": 1}, {"trials": 99}],
+        ids=["estimator-Phase", "mode-two-snapshot", "trials-1", "trials-99"],
+    )
+    def test_rejects_what_sim_config_rejects(self, n4_decomp, override):
+        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        settings = {"trials": 200, "seed": 0, **override}
+        with pytest.raises(ValueError):
+            SimConfig(population=pop, **settings)
+        with pytest.raises(ValueError):
+            run_path_integration(pop, steps=2, **settings)

@@ -17,7 +17,6 @@ from ringfisher.errors import (
 from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
-    SpectralDecomposition,
     TorusCorrelation,
     apply_inverse,
     decompose,
@@ -75,11 +74,6 @@ class TestDecompose:
     def test_mode_out_of_range_raises_key_error(self, n6_decomp, frequency):
         with pytest.raises(KeyError):
             n6_decomp.mode(frequency)
-
-    def test_modes_out_of_order_rejected(self, n6_decomp):
-        modes = n6_decomp.modes
-        with pytest.raises(MalformedKernelError):
-            SpectralDecomposition(n6_decomp.kernel, (modes[0], modes[2], modes[1], modes[3]))
 
     @pytest.mark.parametrize("values", [(1.0, 0.5), (1.0, 0.5, 0.25, 0.1)])
     def test_wrong_value_count_rejected(self, values):

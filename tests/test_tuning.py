@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ringfisher.errors import (
-    ConditionViolatedError,
-    NoPairedModeError,
-    ResolutionOutOfRangeError,
-)
+from ringfisher.errors import ConditionViolatedError, ResolutionOutOfRangeError
 from ringfisher.spectral import TWO_PI, decompose, kernel_from_spectrum
 from ringfisher.tuning import (
     AllocationEntry,
@@ -18,12 +14,12 @@ from ringfisher.tuning import (
     TuningPopulation2D,
     count_toroidal_maxima,
     curves_shift_report,
-    firing_field_2d,
     mean_derivative,
     mean_response,
     neuron_curve,
     optimal_tuning_1d,
     optimal_tuning_2d,
+    sample_firing_field,
     shifted_copy_check,
     signal_power,
 )
@@ -187,15 +183,6 @@ class TestOptimalTuning1D:
         pop = optimal_tuning_1d(decomp, 1.0)
         assert pop.allocation.entries[0].frequency == expected
 
-    def test_no_paired_mode_guard(self, n4_decomp):
-        class Degenerate:
-            n = 4
-            modes = tuple(m for m in n4_decomp.modes if not m.paired)
-            paired_frequencies = ()
-
-        with pytest.raises(NoPairedModeError):
-            optimal_tuning_1d(Degenerate(), 1.0)
-
 
 class TestOptimalTuning2D:
     def test_n4_rectangular_grid(self, n4_decomp):
@@ -238,7 +225,7 @@ class TestOptimalTuning2D:
 class TestFiringField:
     def test_separability_exact(self, n4_decomp):
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
-        field = firing_field_2d(pop2d, (0, 0), 64)
+        field = sample_firing_field(pop2d, (0, 0), 64, offset=0.0)
         thetas = TWO_PI * np.arange(64) / 64
         # oracle: axis curves read straight off the mean population responses
         fx = mean_response(pop2d.x, thetas)[:, 0]
@@ -250,16 +237,16 @@ class TestFiringField:
         lams[2] = 0.01
         decomp = decompose(kernel_from_spectrum(12, lams))
         pop2d = optimal_tuning_2d(decomp, 1.0)
-        lifted = firing_field_2d(pop2d, (0, 0), 128, nonnegative=True)
+        lifted = sample_firing_field(pop2d, (0, 0), 128)
         assert count_toroidal_maxima(lifted) == 4
         # the signed product interleaves a second lattice of equal-height bumps
-        signed = firing_field_2d(pop2d, (0, 0), 128)
+        signed = sample_firing_field(pop2d, (0, 0), 128, offset=0.0)
         assert count_toroidal_maxima(signed) == 8
 
     def test_zero_allocation_field(self, n6_decomp):
         empty = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
         pop2d = TuningPopulation2D(x=empty, y=empty)
-        field = firing_field_2d(pop2d, (0, 0), 32)
+        field = sample_firing_field(pop2d, (0, 0), 32, offset=0.0)
         assert np.all(field == 0.0)
         assert count_toroidal_maxima(field) == 0
 
@@ -267,7 +254,7 @@ class TestFiringField:
     def test_resolution_range(self, n4_decomp, resolution):
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
         with pytest.raises(ResolutionOutOfRangeError):
-            firing_field_2d(pop2d, (0, 0), resolution)
+            sample_firing_field(pop2d, (0, 0), resolution)
 
     def test_neuron_curve_matches_population_column(self, n6_decomp, rng):
         pop = random_population(rng, n6_decomp)
