@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -171,6 +172,16 @@ def _require_neuron(decomp, neuron: tuple[int, int]) -> None:
         )
 
 
+def _require_power(power: float) -> None:
+    if not (math.isfinite(power) and power > 0.0):
+        raise ParameterRangeError(f"--power must be positive and finite, got {power}")
+
+
+def _require_count(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ParameterRangeError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -194,6 +205,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
+    _require_power(args.power)
+    _require_count("--audit-trials", args.audit_trials, 0)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(decomp)
     if _ties(*_paired_arrays(decomp)).size > 1:
@@ -240,6 +253,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
+    _require_power(args.power)
+    _require_count("--theta-samples", args.theta_samples, 1)
     if args.k is not None:
         _require_paired(decomp, args.k)
         pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
@@ -263,6 +278,7 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 def _cmd_field2d(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
+    _require_power(args.power)
     _require_neuron(decomp, args.neuron)
     if args.optimal:
         pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)

@@ -3,16 +3,23 @@
 Noise is drawn spectrally: independent standard normals per eigen-mode scaled
 by the square root of the eigenvalue reproduce the circulant covariance
 exactly, with no dense factorization. The normals are laid out like the
-eigenbasis columns (cos0, cos1, sin1, ...), mapped onto rfft bins and
-synthesized with one ``irfft`` per axis, O(n log n) per draw. Two estimators
-are provided: the local linear estimator (reads the response change along the
-derivative direction, needs the reference position) and a phase readout for
-single-frequency populations (projects onto the mode's eigenvector pair,
-reference-free up to the mode's angular ambiguity). Variance conventions
-differ by snapshot model: one noisy snapshot against a known mean bounds at
-1/I, two noisy snapshots at 2/I. Estimators read the covariance from the
-population's decomposition, and ``SimConfig`` and ``run_path_integration``
-accept the same modes, estimators and trial counts (at least 100).
+eigenbasis columns (cos0, cos1, sin1, ...). ``NoiseModel.sample`` maps them
+onto rfft bins and synthesizes responses with one ``irfft`` per axis,
+O(n log n) per draw. The Monte Carlo runs never synthesize a response: both
+estimators read it through at most two fixed vectors, so
+``NoiseModel.project`` maps those readouts once into eigen-coefficient space
+and projects blocks of normals onto them, drawn one after another from the
+same generator (the normals of one ``sample`` call) into one reused buffer.
+Memory is then one block plus the trial-length estimate vectors, whatever
+the trial count. Two estimators are provided: the local linear estimator
+(reads the response change along the derivative direction, needs the
+reference position) and a phase readout for single-frequency populations
+(projects onto the mode's eigenvector pair, reference-free up to the mode's
+angular ambiguity). Variance conventions differ by snapshot model: one noisy
+snapshot against a known mean bounds at 1/I, two noisy snapshots at 2/I.
+Estimators read the covariance from the population's decomposition, and
+``SimConfig`` and ``run_path_integration`` accept the same modes, estimators,
+trial counts (at least 100) and noise scales (finite, nonnegative).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .spectral import (
     PSD_TOLERANCE,
     SpectralDecomposition,
     TorusCorrelation,
+    _bins_to_columns,
     _columns_to_bins,
     apply_inverse,
 )
@@ -44,6 +52,9 @@ Estimator = Literal["local_linear", "phase"]
 
 #: Linearization guard: warn when max frequency times displacement exceeds this.
 SMALL_DISPLACEMENT_LIMIT = 0.1
+
+#: Standard normals per block drawn by ``NoiseModel.project`` (8 MB of float64).
+_BLOCK_VALUES = 2**20
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -88,6 +99,31 @@ class NoiseModel:
             return both.swapaxes(1, 2).reshape(size, n * n)
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
+    def project(self, rng: np.random.Generator, size: int, readout: np.ndarray) -> np.ndarray:
+        """``sample(rng, size) @ readout`` for an (n, m) ring readout, without the (size, n) draws.
+
+        The noise is B diag(sigma) z, so its projection on a readout column v
+        is z . (sigma * B^T v): the readout is mapped once into eigen-coefficient
+        space and the normals are drawn in consecutive blocks into one reused
+        buffer. The normals are those of ``sample(rng, size)``. Returns (size, m).
+        """
+        if isinstance(self.decomp, TorusCorrelation):
+            raise TypeError("project reads ring noise; torus noise is drawn by sample")
+        n = self.decomp.n
+        readout = np.asarray(readout, dtype=float)
+        if readout.ndim != 2 or readout.shape[0] != n:
+            raise ValueError(f"expected an ({n}, m) readout, got shape {readout.shape}")
+        sigma = self.scale * self._sqrt_eigenvalues()
+        coeffs = _bins_to_columns(np.fft.rfft(readout.T) * sigma, n).T
+        out = np.empty((size, readout.shape[1]))
+        rows = max(1, _BLOCK_VALUES // n)
+        block = np.empty((min(rows, size), n))
+        for start in range(0, size, rows):
+            z = block[: min(rows, size - start)]
+            rng.standard_normal(out=z)
+            np.matmul(z, coeffs, out=out[start : start + len(z)])
+        return out
+
 
 def sample_response(
     pop: TuningPopulation1D,
@@ -106,6 +142,13 @@ def sample_response(
     return mean + noise.sample(rng, size)
 
 
+def _local_readout(pop: TuningPopulation1D, theta_ref: float) -> tuple[np.ndarray, float]:
+    """The local estimator's readout C^-1 f'(theta_ref) and the information f' . C^-1 f'."""
+    d = mean_derivative(pop, theta_ref)
+    weighted = apply_inverse(pop.decomp, d)
+    return weighted, float(d @ weighted)
+
+
 def estimate_local(
     pop: TuningPopulation1D,
     theta_ref: float,
@@ -119,9 +162,7 @@ def estimate_local(
     the exact mean response (known-reference paradigm) or a noisy snapshot.
     Accepts stacked (trials, n) inputs.
     """
-    d = mean_derivative(pop, theta_ref)
-    weighted = apply_inverse(pop.decomp, d)
-    info = float(d @ weighted)
+    weighted, info = _local_readout(pop, theta_ref)
     delta = np.asarray(r_plus, dtype=float) - np.asarray(r_minus, dtype=float)
     est = delta @ weighted / info
     return float(est) if np.ndim(est) == 0 else est
@@ -136,6 +177,18 @@ def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
     return e.frequency, e.amplitude, e.phase
 
 
+def _phase_readout(pop: TuningPopulation1D) -> np.ndarray:
+    """The single frequency's (cos, sin) eigenvector pair as the columns of an (n, 2) readout."""
+    k, _, _ = _single_frequency(pop)
+    return np.column_stack([pop.decomp.cos_vector(k), pop.decomp.sin_vector(k)])
+
+
+def _phase_angle(pop: TuningPopulation1D, a, b):
+    """Position modulo 2 pi / k whose (cos, sin) projections are (a, b)."""
+    k, _, phase = _single_frequency(pop)
+    return np.mod((np.arctan2(a, -b) - phase) / k, TWO_PI / k)
+
+
 def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float:
     """Position estimate modulo 2 pi / k for a single-frequency population.
 
@@ -143,12 +196,8 @@ def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float
     reads the angle; no reference position is needed, so differencing two calls
     gives a reference-free displacement estimate.
     """
-    k, _, phase = _single_frequency(pop)
-    r = np.asarray(r, dtype=float)
-    a = r @ pop.decomp.cos_vector(k)
-    b = r @ pop.decomp.sin_vector(k)
-    theta = (np.arctan2(a, -b) - phase) / k
-    out = np.mod(theta, TWO_PI / k)
+    ab = np.asarray(r, dtype=float) @ _phase_readout(pop)
+    out = _phase_angle(pop, ab[..., 0], ab[..., 1])
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -156,10 +205,12 @@ def _wrap_signed(delta: np.ndarray, period: float) -> np.ndarray:
     return (delta + period / 2.0) % period - period / 2.0
 
 
-def _check_experiment(trials: int, mode: str, estimator: str) -> None:
-    """Raise ValueError unless trials >= 100 and mode and estimator are known names."""
+def _check_experiment(trials: int, mode: str, estimator: str, noise_scale: float) -> None:
+    """Raise ValueError unless trials >= 100, mode and estimator are known and noise_scale is finite and >= 0."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     if mode not in ("known_reference", "two_snapshot"):
         raise ValueError(f"unknown mode {mode!r}")
     if estimator not in ("local_linear", "phase"):
@@ -180,7 +231,7 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_experiment(self.trials, self.mode, self.estimator)
+        _check_experiment(self.trials, self.mode, self.estimator, self.noise_scale)
         k_max = self.population.allocation.max_frequency()
         if k_max * abs(self.delta_theta) > SMALL_DISPLACEMENT_LIMIT:
             warnings.warn(
@@ -234,23 +285,29 @@ def _estimate_step(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One batch of displacement estimates with fresh noise."""
+    """One batch of displacement estimates with fresh noise.
+
+    Only the noise projections on the estimator's readout are drawn: the plus
+    snapshot's for every trial, then, in two_snapshot mode, the reference
+    snapshot's, the order in which ``sample`` would draw the two responses.
+    """
     f_ref = mean_response(pop, theta_ref)
     f_plus = mean_response(pop, theta_ref + delta_theta)
-    r_plus = f_plus + noise.sample(rng, trials)
-    if mode == "two_snapshot":
-        r_ref = f_ref + noise.sample(rng, trials)
-    else:
-        r_ref = np.broadcast_to(f_ref, r_plus.shape)
+    two_snapshot = mode == "two_snapshot"
     if estimator == "local_linear":
-        return np.asarray(estimate_local(pop, theta_ref, r_ref, r_plus))
+        weighted, info = _local_readout(pop, theta_ref)
+        readout = weighted[:, None]
+        change = noise.project(rng, trials, readout)[:, 0]
+        if two_snapshot:
+            change -= noise.project(rng, trials, readout)[:, 0]
+        return ((f_plus - f_ref) @ weighted + change) / info
+    readout = _phase_readout(pop)
+    plus = f_plus @ readout + noise.project(rng, trials, readout)
+    ref = f_ref @ readout
+    if two_snapshot:
+        ref = ref + noise.project(rng, trials, readout)
     k, _, _ = _single_frequency(pop)
-    theta_plus = np.asarray(estimate_phase(pop, r_plus))
-    if mode == "two_snapshot":
-        theta_minus = np.asarray(estimate_phase(pop, r_ref))
-    else:
-        theta_minus = np.asarray(estimate_phase(pop, f_ref))
-    return _wrap_signed(theta_plus - theta_minus, TWO_PI / k)
+    return _wrap_signed(_phase_angle(pop, *plus.T) - _phase_angle(pop, *ref.T), TWO_PI / k)
 
 
 def run_displacement_trials(
@@ -340,7 +397,7 @@ def run_path_integration(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_experiment(trials, mode, estimator)
+    _check_experiment(trials, mode, estimator, noise_scale)
     noise = NoiseModel(pop.decomp, scale=noise_scale)
     rng = make_rng(seed)
     cumulative = np.zeros(trials)

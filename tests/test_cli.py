@@ -303,6 +303,53 @@ class TestSimulateCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("scale", [-1.0, float("inf")], ids=["minus1", "inf"])
+    def test_bad_noise_scale_exit_6(self, tmp_path, capsys, scale):
+        config = {
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "allocation": "optimal",
+            "trials": 200,
+            "noise_scale": scale,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+        assert "noise_scale" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestParameterRanges:
+    """Counts and powers outside their documented ranges exit 5 before any output is written."""
+
+    OUTPUTS = {"optimize": ["o.json"], "fisher": ["f.json"], "field2d": ["f.pgm", "f.csv"]}
+    REQUIRED = {"field2d": ["--k", "1"]}
+
+    def run(self, tmp_path, kernel_file, command, *flags):
+        outputs = [tmp_path / name for name in self.OUTPUTS[command]]
+        argv = [command, str(kernel_file), *map(str, outputs), *self.REQUIRED.get(command, []), *flags]
+        code = main(argv)
+        assert not any(path.exists() for path in outputs)
+        return code
+
+    @pytest.mark.parametrize("power", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command", ["optimize", "fisher", "field2d"])
+    def test_nonpositive_power_exit_5(self, tmp_path, n4_kernel_file, capsys, command, power):
+        assert self.run(tmp_path, n4_kernel_file, command, f"--power={power}") == 5
+        assert "--power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_theta_samples_below_one_exit_5(self, tmp_path, n4_kernel_file, capsys, samples):
+        assert self.run(tmp_path, n4_kernel_file, "fisher", f"--theta-samples={samples}") == 5
+        assert "--theta-samples" in capsys.readouterr().err
+
+    def test_negative_audit_trials_exit_5(self, tmp_path, n4_kernel_file, capsys):
+        assert self.run(tmp_path, n4_kernel_file, "optimize", "--audit-trials=-5") == 5
+        assert "--audit-trials" in capsys.readouterr().err
+
+    def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
+        out = tmp_path / "o.json"
+        assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
+
 
 class TestManifests:
     def test_outputs_listed_with_digests(self, tmp_path, n4_kernel_file):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringfisher import mcsim
 from ringfisher.errors import MultiModePopulationError
 from ringfisher.mcsim import (
     NoiseModel,
@@ -118,6 +119,95 @@ def _peak_traced_mb(func) -> float:
         tracemalloc.stop()
 
 
+def _random_population(seed: int, n: int, estimator: str) -> TuningPopulation1D:
+    """Strictly positive random kernel; one to three active modes for local_linear, one strong mode for phase."""
+    g = np.random.default_rng(seed)
+    decomp = decompose(random_psd_kernel(g, n))
+    paired = list(decomp.paired_frequencies)
+    if estimator == "phase":
+        k = int(g.choice(paired))
+        # amplitude / k = 30 noise standard deviations: the readout never wraps
+        entries = (AllocationEntry(k, 30.0 * k, float(g.uniform(0.0, 6.0))),)
+    else:
+        ks = g.choice(paired, size=min(len(paired), int(g.integers(1, 4))), replace=False)
+        entries = tuple(
+            AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.0, 6.0))) for k in ks
+        )
+    return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
+
+
+class TestProjectedNoise:
+    """The Monte Carlo path projects noise on the estimator readout; the oracle synthesizes every response."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 64),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 300),
+        columns=st.integers(1, 3),
+        block_rows=st.integers(1, 40),
+        scale=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    )
+    def test_project_equals_sample_times_readout(self, n, seed, size, columns, block_rows, scale):
+        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
+        readout = np.random.default_rng(seed + 1).normal(size=(n, columns))
+        noise = NoiseModel(decomp, scale=scale)
+        drawn, projected = make_rng(seed), make_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_BLOCK_VALUES", block_rows * n)
+            actual = noise.project(projected, size, readout)
+        expected = noise.sample(drawn, size) @ readout
+        assert actual.shape == (size, columns)
+        if size and scale:
+            assert_close_relative(actual, expected)
+        else:
+            assert np.all(actual == 0.0)
+        # the blocks consumed exactly the normals of one sample call
+        np.testing.assert_array_equal(projected.standard_normal(4), drawn.standard_normal(4))
+
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 64),
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(100, 400),
+        block_rows=st.integers(1, 97),
+        scale=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_estimates_equal_synthesized_responses(self, mode, estimator, n, seed, trials, block_rows, scale):
+        pop = _random_population(seed, n, estimator)
+        theta0 = 0.3
+        delta = 0.05 / pop.allocation.max_frequency()
+        config = SimConfig(
+            population=pop, delta_theta=delta, trials=trials, seed=seed, mode=mode,
+            estimator=estimator, theta0=theta0, noise_scale=scale,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_BLOCK_VALUES", block_rows * n)
+            _, actual = run_displacement_trials(config, with_estimates=True)
+
+        noise, rng = NoiseModel(pop.decomp, scale=scale), make_rng(seed)
+        f_ref = mean_response(pop, theta0)
+        r_plus = mean_response(pop, theta0 + delta) + noise.sample(rng, trials)
+        r_ref = f_ref + noise.sample(rng, trials) if mode == "two_snapshot" else f_ref
+        if estimator == "local_linear":
+            expected = estimate_local(pop, theta0, r_ref, r_plus)
+        else:
+            period = 2.0 * math.pi / pop.allocation.max_frequency()
+            change = estimate_phase(pop, r_plus) - estimate_phase(pop, r_ref)
+            expected = (change + period / 2.0) % period - period / 2.0
+        assert_close_relative(actual, expected)
+
+    def test_torus_noise_is_not_projected(self, n4_decomp):
+        with pytest.raises(TypeError):
+            NoiseModel(TorusCorrelation(n4_decomp)).project(make_rng(0), 3, np.ones((16, 1)))
+
+    def test_readout_must_be_n_by_m(self, n4_decomp):
+        with pytest.raises(ValueError):
+            NoiseModel(n4_decomp).project(make_rng(0), 3, np.ones(4))
+
+
 class TestMemoryBound:
     """No n x n matrix on the hot paths: one would be 128 MB at n = 4096."""
 
@@ -134,6 +224,14 @@ class TestMemoryBound:
     def test_apply_inverse_peak_under_16_mb(self, big_decomp):
         stack = np.random.default_rng(0).normal(size=(64, self.N))
         assert _peak_traced_mb(lambda: apply_inverse(big_decomp, stack)) < 16.0
+
+    @pytest.mark.parametrize("trials", [2000, 20_000])
+    def test_monte_carlo_peak_flat_in_trials(self, big_decomp, trials):
+        # one (trials, n) array would be 64 MB at 2000 trials and 640 MB at 20 000
+        config = SimConfig(
+            population=optimal_tuning_1d(big_decomp, 1.0), delta_theta=1e-5, trials=trials, seed=3
+        )
+        assert _peak_traced_mb(lambda: run_displacement_trials(config)) < 16.0
 
 
 class TestLinearizationLead:
@@ -280,12 +378,14 @@ class TestRunDisplacementTrials:
 class TestPathIntegration:
     def test_single_step_equals_displacement_run(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
-        direct = run_displacement_trials(
-            SimConfig(population=pop, trials=5000, seed=21, mode="two_snapshot")
+        direct, estimates = run_displacement_trials(
+            SimConfig(population=pop, trials=5000, seed=21, mode="two_snapshot"), with_estimates=True
         )
         path = run_path_integration(pop, steps=1, trials=5000, seed=21, mode="two_snapshot")
-        assert path.single_step_variance == direct.empirical_variance
-        assert path.final_error_variance == direct.empirical_variance
+        # the path reports var(estimate - delta), the displacement run var(estimate)
+        assert path.single_step_variance == np.var(estimates - direct.delta_theta, ddof=1)
+        assert path.final_error_variance == path.single_step_variance
+        assert path.single_step_variance == pytest.approx(direct.empirical_variance, rel=1e-12)
 
     def test_variance_grows_linearly(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
@@ -309,8 +409,24 @@ class TestPathIntegration:
 
     @pytest.mark.parametrize(
         "override",
-        [{"estimator": "Phase"}, {"mode": "two-snapshot"}, {"trials": 1}, {"trials": 99}],
-        ids=["estimator-Phase", "mode-two-snapshot", "trials-1", "trials-99"],
+        [
+            {"estimator": "Phase"},
+            {"mode": "two-snapshot"},
+            {"trials": 1},
+            {"trials": 99},
+            {"noise_scale": -1.0},
+            {"noise_scale": float("nan")},
+            {"noise_scale": float("inf")},
+        ],
+        ids=[
+            "estimator-Phase",
+            "mode-two-snapshot",
+            "trials-1",
+            "trials-99",
+            "noise_scale-minus1",
+            "noise_scale-nan",
+            "noise_scale-inf",
+        ],
     )
     def test_rejects_what_sim_config_rejects(self, n4_decomp, override):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
