@@ -83,7 +83,6 @@ from .mcsim import (
     estimate_phase,
     run_displacement_trials,
     run_path_integration,
-    sample_response,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

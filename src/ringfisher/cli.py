@@ -207,6 +207,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
     _require_power(args.power)
     _require_count("--audit-trials", args.audit_trials, 0)
+    _require_count("--curves-samples", args.curves_samples, 1)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(decomp)
     if _ties(*_paired_arrays(decomp)).size > 1:

@@ -6,20 +6,21 @@ exactly, with no dense factorization. The normals are laid out like the
 eigenbasis columns (cos0, cos1, sin1, ...). ``NoiseModel.sample`` maps them
 onto rfft bins and synthesizes responses with one ``irfft`` per axis,
 O(n log n) per draw. The Monte Carlo runs never synthesize a response: both
-estimators read it through at most two fixed vectors, so
-``NoiseModel.project`` maps those readouts once into eigen-coefficient space
-and projects blocks of normals onto them, drawn one after another from the
-same generator (the normals of one ``sample`` call) into one reused buffer.
-Memory is then one block plus the trial-length estimate vectors, whatever
-the trial count. Two estimators are provided: the local linear estimator
-(reads the response change along the derivative direction, needs the
-reference position) and a phase readout for single-frequency populations
-(projects onto the mode's eigenvector pair, reference-free up to the mode's
-angular ambiguity). Variance conventions differ by snapshot model: one noisy
-snapshot against a known mean bounds at 1/I, two noisy snapshots at 2/I.
-Estimators read the covariance from the population's decomposition, and
-``SimConfig`` and ``run_path_integration`` accept the same modes, estimators,
-trial counts (at least 100) and noise scales (finite, nonnegative).
+estimators read it through m <= 2 fixed vectors, and the projections of one
+snapshot on them are Gaussian with an m x m covariance. ``NoiseModel.project``
+maps the readout once into eigen-coefficient space, forms that covariance and
+draws the projections directly: m normals per trial through a square-root
+factor, whatever n. Memory is then the trial-length estimate vectors. Two
+estimators are provided: the local linear estimator (reads the response
+change along the derivative direction, needs the reference position) and a
+phase readout for single-frequency populations (projects onto the mode's
+eigenvector pair, reference-free up to the mode's angular ambiguity).
+Variance conventions differ by snapshot model: one noisy snapshot against a
+known mean bounds at 1/I, two noisy snapshots at 2/I. Estimators read the
+covariance from the population's decomposition, and ``SimConfig`` and
+``run_path_integration`` accept the same modes, estimators, trial counts (at
+least 100), noise scales (finite, nonnegative) and finite displacements and
+start positions.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ Estimator = Literal["local_linear", "phase"]
 
 #: Linearization guard: warn when max frequency times displacement exceeds this.
 SMALL_DISPLACEMENT_LIMIT = 0.1
-
-#: Standard normals per block drawn by ``NoiseModel.project`` (8 MB of float64).
-_BLOCK_VALUES = 2**20
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -100,12 +98,14 @@ class NoiseModel:
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
     def project(self, rng: np.random.Generator, size: int, readout: np.ndarray) -> np.ndarray:
-        """``sample(rng, size) @ readout`` for an (n, m) ring readout, without the (size, n) draws.
+        """Noise projections on an (n, m) ring readout: ``size`` draws, shape (size, m).
 
-        The noise is B diag(sigma) z, so its projection on a readout column v
-        is z . (sigma * B^T v): the readout is mapped once into eigen-coefficient
-        space and the normals are drawn in consecutive blocks into one reused
-        buffer. The normals are those of ``sample(rng, size)``. Returns (size, m).
+        The noise is B diag(sigma) z, so its projections on the readout columns
+        are z . c with c = sigma * B^T readout, exactly Gaussian with the m x m
+        covariance c^T c = readout^T C readout. The readout is mapped once into
+        eigen-coefficient space, a square-root factor F of c^T c is taken (from
+        its eigendecomposition, clipped at 0, so a singular one gives zeros), and
+        each draw is m standard normals times F^T: size * m normals, not size * n.
         """
         if isinstance(self.decomp, TorusCorrelation):
             raise TypeError("project reads ring noise; torus noise is drawn by sample")
@@ -115,31 +115,9 @@ class NoiseModel:
             raise ValueError(f"expected an ({n}, m) readout, got shape {readout.shape}")
         sigma = self.scale * self._sqrt_eigenvalues()
         coeffs = _bins_to_columns(np.fft.rfft(readout.T) * sigma, n).T
-        out = np.empty((size, readout.shape[1]))
-        rows = max(1, _BLOCK_VALUES // n)
-        block = np.empty((min(rows, size), n))
-        for start in range(0, size, rows):
-            z = block[: min(rows, size - start)]
-            rng.standard_normal(out=z)
-            np.matmul(z, coeffs, out=out[start : start + len(z)])
-        return out
-
-
-def sample_response(
-    pop: TuningPopulation1D,
-    theta: float,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Mean response at theta plus spectral Gaussian noise.
-
-    Returns one n-vector, or a (size, n) stack when ``size`` is given.
-    """
-    mean = mean_response(pop, theta)
-    if size is None:
-        return mean + noise.sample(rng, 1)[0]
-    return mean + noise.sample(rng, size)
+        variances, axes = np.linalg.eigh(coeffs.T @ coeffs)
+        factor = axes * np.sqrt(np.clip(variances, 0.0, None))
+        return rng.standard_normal((size, readout.shape[1])) @ factor.T
 
 
 def _local_readout(pop: TuningPopulation1D, theta_ref: float) -> tuple[np.ndarray, float]:
@@ -205,12 +183,18 @@ def _wrap_signed(delta: np.ndarray, period: float) -> np.ndarray:
     return (delta + period / 2.0) % period - period / 2.0
 
 
-def _check_experiment(trials: int, mode: str, estimator: str, noise_scale: float) -> None:
-    """Raise ValueError unless trials >= 100, mode and estimator are known and noise_scale is finite and >= 0."""
+def _check_experiment(
+    trials: int, mode: str, estimator: str, noise_scale: float, **positions: float
+) -> None:
+    """Raise ValueError unless trials >= 100, mode and estimator are known, noise_scale is
+    finite and >= 0, and every named position (displacement, start) is finite."""
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
         raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    for name, value in positions.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if mode not in ("known_reference", "two_snapshot"):
         raise ValueError(f"unknown mode {mode!r}")
     if estimator not in ("local_linear", "phase"):
@@ -231,7 +215,14 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_experiment(self.trials, self.mode, self.estimator, self.noise_scale)
+        _check_experiment(
+            self.trials,
+            self.mode,
+            self.estimator,
+            self.noise_scale,
+            delta_theta=self.delta_theta,
+            theta0=self.theta0,
+        )
         k_max = self.population.allocation.max_frequency()
         if k_max * abs(self.delta_theta) > SMALL_DISPLACEMENT_LIMIT:
             warnings.warn(
@@ -289,7 +280,7 @@ def _estimate_step(
 
     Only the noise projections on the estimator's readout are drawn: the plus
     snapshot's for every trial, then, in two_snapshot mode, the reference
-    snapshot's, the order in which ``sample`` would draw the two responses.
+    snapshot's.
     """
     f_ref = mean_response(pop, theta_ref)
     f_plus = mean_response(pop, theta_ref + delta_theta)
@@ -397,7 +388,7 @@ def run_path_integration(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_experiment(trials, mode, estimator, noise_scale)
+    _check_experiment(trials, mode, estimator, noise_scale, step_delta=step_delta, theta0=theta0)
     noise = NoiseModel(pop.decomp, scale=noise_scale)
     rng = make_rng(seed)
     cumulative = np.zeros(trials)

@@ -317,6 +317,20 @@ class TestSimulateCommand:
         assert "noise_scale" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("field", ["delta_theta", "theta0"])
+    def test_non_finite_position_exit_6(self, tmp_path, capsys, field):
+        config = {
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "allocation": "optimal",
+            "trials": 200,
+            field: float("nan"),
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestParameterRanges:
     """Counts and powers outside their documented ranges exit 5 before any output is written."""
@@ -345,6 +359,14 @@ class TestParameterRanges:
     def test_negative_audit_trials_exit_5(self, tmp_path, n4_kernel_file, capsys):
         assert self.run(tmp_path, n4_kernel_file, "optimize", "--audit-trials=-5") == 5
         assert "--audit-trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_curves_samples_below_one_exit_5(self, tmp_path, n4_kernel_file, capsys, samples):
+        curves = tmp_path / "c.csv"
+        flags = ("--curves-out", str(curves), f"--curves-samples={samples}")
+        assert self.run(tmp_path, n4_kernel_file, "optimize", *flags) == 5
+        assert "--curves-samples" in capsys.readouterr().err
+        assert not curves.exists()
 
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringfisher import mcsim
 from ringfisher.errors import MultiModePopulationError
 from ringfisher.mcsim import (
     NoiseModel,
@@ -19,7 +18,6 @@ from ringfisher.mcsim import (
     make_rng,
     run_displacement_trials,
     run_path_integration,
-    sample_response,
 )
 from ringfisher.spectral import (
     CorrelationKernel,
@@ -27,6 +25,7 @@ from ringfisher.spectral import (
     apply_inverse,
     decompose,
     exponential_kernel,
+    kernel_from_spectrum,
 )
 from ringfisher.tuning import (
     AllocationEntry,
@@ -45,6 +44,20 @@ from conftest import (
     white_kernel,
 )
 from test_tuning import single_mode_pop
+
+
+def sample_response(
+    pop: TuningPopulation1D,
+    theta: float,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+    size: int | None = None,
+) -> np.ndarray:
+    """Mean response at theta plus spectral Gaussian noise: one n-vector, or (size, n) when ``size`` is given."""
+    mean = mean_response(pop, theta)
+    if size is None:
+        return mean + noise.sample(rng, 1)[0]
+    return mean + noise.sample(rng, size)
 
 
 class TestNoiseModel:
@@ -136,68 +149,110 @@ def _random_population(seed: int, n: int, estimator: str) -> TuningPopulation1D:
     return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
 
 
+def _estimates(config: SimConfig) -> np.ndarray:
+    return run_displacement_trials(config, with_estimates=True)[1]
+
+
+def _read_responses(config: SimConfig, r_ref: np.ndarray, r_plus: np.ndarray) -> np.ndarray:
+    """Oracle: the configured estimator applied to whole responses with ``estimate_*``."""
+    pop = config.population
+    if config.estimator == "local_linear":
+        return estimate_local(pop, config.theta0, r_ref, r_plus)
+    period = 2.0 * math.pi / pop.allocation.max_frequency()
+    change = estimate_phase(pop, r_plus) - estimate_phase(pop, r_ref)
+    return (change + period / 2.0) % period - period / 2.0
+
+
+def _synthesized_estimates(config: SimConfig, seed: int) -> np.ndarray:
+    """Oracle: synthesize every noisy response with ``sample`` and read it with ``estimate_*``."""
+    pop, theta0 = config.population, config.theta0
+    noise, rng = NoiseModel(pop.decomp, scale=config.noise_scale), make_rng(seed)
+    f_ref = mean_response(pop, theta0)
+    r_plus = mean_response(pop, theta0 + config.delta_theta) + noise.sample(rng, config.trials)
+    r_ref = f_ref + noise.sample(rng, config.trials) if config.mode == "two_snapshot" else f_ref
+    return _read_responses(config, r_ref, r_plus)
+
+
+def _small_config(mode, estimator, n, seed, trials, scale) -> SimConfig:
+    pop = _random_population(seed, n, estimator)
+    return SimConfig(
+        population=pop, delta_theta=0.05 / pop.allocation.max_frequency(), trials=trials,
+        seed=seed, mode=mode, estimator=estimator, theta0=0.3, noise_scale=scale,
+    )
+
+
 class TestProjectedNoise:
-    """The Monte Carlo path projects noise on the estimator readout; the oracle synthesizes every response."""
+    """The Monte Carlo path draws the noise projections on the estimator readout directly."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(4, 64),
         seed=st.integers(0, 2**32 - 1),
-        size=st.integers(0, 300),
+        size=st.integers(8, 300),
         columns=st.integers(1, 3),
-        block_rows=st.integers(1, 40),
         scale=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
     )
-    def test_project_equals_sample_times_readout(self, n, seed, size, columns, block_rows, scale):
+    def test_projection_factor_matches_dense_covariance(self, n, seed, size, columns, scale):
         decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
         readout = np.random.default_rng(seed + 1).normal(size=(n, columns))
-        noise = NoiseModel(decomp, scale=scale)
-        drawn, projected = make_rng(seed), make_rng(seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_BLOCK_VALUES", block_rows * n)
-            actual = noise.project(projected, size, readout)
-        expected = noise.sample(drawn, size) @ readout
+        projected, reference = make_rng(seed), make_rng(seed)
+        actual = NoiseModel(decomp, scale=scale).project(projected, size, readout)
         assert actual.shape == (size, columns)
-        if size and scale:
-            assert_close_relative(actual, expected)
-        else:
-            assert np.all(actual == 0.0)
-        # the blocks consumed exactly the normals of one sample call
-        np.testing.assert_array_equal(projected.standard_normal(4), drawn.standard_normal(4))
+        # the same normals, redrawn: actual = z @ F^T for the factor F that project chose
+        z = reference.standard_normal((size, columns))
+        factor = np.linalg.lstsq(z, actual, rcond=None)[0].T
+        assert_close_relative(z @ factor.T, actual, rel=1e-10)
+        expected = scale**2 * readout.T @ dense_ring_matrix(decomp.kernel) @ readout
+        assert_close_relative(factor @ factor.T, expected, rel=1e-10)
+        # exactly size * m normals were consumed, never size * n
+        np.testing.assert_array_equal(projected.standard_normal(4), reference.standard_normal(4))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 3))
+    def test_empirical_covariance_within_five_standard_errors(self, n, seed, columns):
+        draws = 200_000
+        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
+        readout = np.random.default_rng(seed + 1).normal(size=(n, columns))
+        projections = NoiseModel(decomp).project(make_rng(seed), draws, readout)
+        expected = readout.T @ dense_ring_matrix(decomp.kernel) @ readout
+        empirical = np.cov(projections, rowvar=False).reshape(columns, columns)
+        # Var of a Gaussian sample covariance entry: (S_ii S_jj + S_ij^2) / (N - 1)
+        d = np.diag(expected)
+        stderr = np.sqrt((np.outer(d, d) + expected**2) / (draws - 1))
+        assert np.all(np.abs(empirical - expected) <= 5.0 * stderr)
 
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(4, 64),
-        seed=st.integers(0, 2**32 - 1),
-        trials=st.integers(100, 400),
-        block_rows=st.integers(1, 97),
-        scale=st.sampled_from([0.0, 0.5, 1.0]),
-    )
-    def test_estimates_equal_synthesized_responses(self, mode, estimator, n, seed, trials, block_rows, scale):
-        pop = _random_population(seed, n, estimator)
-        theta0 = 0.3
-        delta = 0.05 / pop.allocation.max_frequency()
-        config = SimConfig(
-            population=pop, delta_theta=delta, trials=trials, seed=seed, mode=mode,
-            estimator=estimator, theta0=theta0, noise_scale=scale,
-        )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_BLOCK_VALUES", block_rows * n)
-            _, actual = run_displacement_trials(config, with_estimates=True)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    def test_zero_noise_estimates_read_the_mean_responses(self, mode, estimator, n, seed):
+        config = _small_config(mode, estimator, n, seed, trials=100, scale=0.0)
+        pop, theta0 = config.population, config.theta0
+        f_ref, f_plus = mean_response(pop, theta0), mean_response(pop, theta0 + config.delta_theta)
+        expected = _read_responses(config, f_ref, f_plus)
+        np.testing.assert_allclose(_estimates(config), expected, rtol=0, atol=1e-12)
 
-        noise, rng = NoiseModel(pop.decomp, scale=scale), make_rng(seed)
-        f_ref = mean_response(pop, theta0)
-        r_plus = mean_response(pop, theta0 + delta) + noise.sample(rng, trials)
-        r_ref = f_ref + noise.sample(rng, trials) if mode == "two_snapshot" else f_ref
-        if estimator == "local_linear":
-            expected = estimate_local(pop, theta0, r_ref, r_plus)
-        else:
-            period = 2.0 * math.pi / pop.allocation.max_frequency()
-            change = estimate_phase(pop, r_plus) - estimate_phase(pop, r_ref)
-            expected = (change + period / 2.0) % period - period / 2.0
-        assert_close_relative(actual, expected)
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
+    def test_estimates_distributed_like_synthesized_responses(self, mode, estimator, n, seed):
+        # z = 5 on the difference of two independent sample means and of two sample variances
+        trials = 20_000
+        config = _small_config(mode, estimator, n, seed, trials=trials, scale=1.0)
+        actual = _estimates(config)
+        oracle = _synthesized_estimates(config, seed=seed + 1)
+        v1, v2 = np.var(actual, ddof=1), np.var(oracle, ddof=1)
+        assert abs(np.mean(actual) - np.mean(oracle)) <= 5.0 * math.sqrt((v1 + v2) / trials)
+        assert abs(v1 - v2) <= 5.0 * math.sqrt(2.0 / (trials - 1)) * math.hypot(v1, v2)
+
+    def test_readout_on_noiseless_modes_projects_to_zero(self):
+        # sigma vanishes at k = 2, so the Gram matrix of the (cos 2, sin 2) readout is singular
+        decomp = decompose(kernel_from_spectrum(8, np.array([1.0, 0.5, 0.0, 0.3, 0.2])))
+        readout = np.column_stack([decomp.cos_vector(2), decomp.sin_vector(2)])
+        projections = NoiseModel(decomp).project(make_rng(0), 500, readout)
+        assert projections.shape == (500, 2)
+        assert np.max(np.abs(projections)) <= 1e-12
 
     def test_torus_noise_is_not_projected(self, n4_decomp):
         with pytest.raises(TypeError):
@@ -435,3 +490,14 @@ class TestPathIntegration:
             SimConfig(population=pop, **settings)
         with pytest.raises(ValueError):
             run_path_integration(pop, steps=2, **settings)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("position", ["delta", "theta0"])
+    def test_rejects_non_finite_positions(self, n4_decomp, position, value):
+        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        config = {"delta_theta": value} if position == "delta" else {"theta0": value}
+        path = {"step_delta": value} if position == "delta" else {"theta0": value}
+        with pytest.raises(ValueError, match="must be finite"):
+            SimConfig(population=pop, trials=200, seed=0, **config)
+        with pytest.raises(ValueError, match="must be finite"):
+            run_path_integration(pop, steps=2, trials=200, seed=0, **path)
