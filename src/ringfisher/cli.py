@@ -371,8 +371,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         dump = _resolve(args, args.dump_trials)
         with open(dump, "w", newline="") as handle:
             handle.write("trial,estimate\n")
-            for i, value in enumerate(estimates):
-                handle.write(f"{i},{float(value)!r}\n")
+            for i, value in enumerate(estimates.tolist()):
+                handle.write(f"{i},{value!r}\n")
         outputs.append(dump)
     _write_manifest(args, out, [args.config], outputs, {"config": str(args.config)}, config.seed)
     print(rio.dumps_json(result.to_dict()))

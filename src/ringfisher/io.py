@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -19,6 +18,8 @@ from .spectral import (
     gaussian_kernel,
 )
 from .tuning import TuningPopulation1D, mean_response
+
+_HASH_CHUNK_BYTES = 1 << 20
 
 
 def kernel_from_dict(definition: dict) -> CorrelationKernel:
@@ -60,13 +61,21 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
     return kernel_from_dict(definition)
 
 
+def _write_rows(handle, rows: np.ndarray) -> None:
+    """One CSV line per row of a 2-D float array: shortest round-trip reprs, CRLF.
+
+    Rows are converted one at a time, so memory stays bounded by a row.
+    """
+    for row in rows:
+        handle.write(",".join(map(repr, row.tolist())) + "\r\n")
+
+
 def write_decomposition_csv(decomp: SpectralDecomposition, path: str | Path) -> None:
     """Columns k, lambda, paired; one row per frequency."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "lambda", "paired"])
+        handle.write("k,lambda,paired\r\n")
         for m in decomp.modes:
-            writer.writerow([m.frequency, repr(m.eigenvalue), str(m.paired).lower()])
+            handle.write(f"{m.frequency},{m.eigenvalue!r},{str(m.paired).lower()}\r\n")
 
 
 def write_curves_csv(
@@ -79,23 +88,14 @@ def write_curves_csv(
     thetas = TWO_PI * np.arange(samples) / samples
     curves = mean_response(pop, thetas) + offset
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta"] + [f"neuron_{i}" for i in range(pop.n)])
-        for t, row in zip(thetas, curves):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        handle.write(",".join(["theta"] + [f"neuron_{i}" for i in range(pop.n)]) + "\r\n")
+        _write_rows(handle, np.column_stack((thetas, curves)))
 
 
 def write_field_csv(field: np.ndarray, path: str | Path) -> None:
     """Matrix of field samples; row = first axis angle, column = second axis angle."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in np.asarray(field, dtype=float):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_field_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as handle:
-        return np.array([[float(v) for v in row] for row in csv.reader(handle)])
+        _write_rows(handle, np.asarray(field, dtype=float))
 
 
 def write_pgm(field: np.ndarray, path: str | Path) -> None:
@@ -105,7 +105,12 @@ def write_pgm(field: np.ndarray, path: str | Path) -> None:
     if math.isclose(lo, hi):
         pixels = np.zeros_like(f, dtype=np.uint8)
     else:
-        pixels = np.rint(255.0 * (f - lo) / (hi - lo)).astype(np.uint8)
+        # rint(255.0 * (f - lo) / (hi - lo)) in that operation order, so the
+        # pixels stay byte-identical, in one working array, not a temporary per step
+        scaled = f - lo
+        scaled *= 255.0
+        scaled /= hi - lo
+        pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     rows, cols = pixels.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
@@ -122,6 +127,9 @@ def dumps_json(payload: dict) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB chunks."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(_HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
     return digest.hexdigest()

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ringfisher.spectral import (
+    TWO_PI,
     CorrelationKernel,
     SpectralDecomposition,
     decompose,
     kernel_from_spectrum,
 )
+from ringfisher.tuning import TuningPopulation1D, mean_response
 
 
 def dense_ring_matrix(kernel: CorrelationKernel) -> np.ndarray:
@@ -101,3 +106,30 @@ def assert_close_relative(actual, expected, rel: float = 1e-12) -> None:
 
 def white_kernel(n: int, sigma_sq: float = 1.0) -> CorrelationKernel:
     return CorrelationKernel(n, (sigma_sq,) + (0.0,) * (n // 2))
+
+
+def read_field_csv(path: str | Path) -> np.ndarray:
+    """Parse a field CSV back into a float matrix."""
+    with open(path, newline="") as handle:
+        return np.array([[float(v) for v in row] for row in csv.reader(handle)])
+
+
+def csv_module_field_csv(field: np.ndarray, path: str | Path) -> None:
+    """Byte oracle for ``io.write_field_csv``: csv.writer over ``repr(float(v))``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        for row in np.asarray(field, dtype=float):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def csv_module_curves_csv(
+    pop: TuningPopulation1D, path: str | Path, samples: int = 256, offset: float = 0.0
+) -> None:
+    """Byte oracle for ``io.write_curves_csv``: csv.writer over ``repr(float(v))``."""
+    thetas = TWO_PI * np.arange(samples) / samples
+    curves = mean_response(pop, thetas) + offset
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["theta"] + [f"neuron_{i}" for i in range(pop.n)])
+        for t, row in zip(thetas, curves):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

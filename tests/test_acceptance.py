@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from ringfisher import io as rio
 from ringfisher.cli import main
 from ringfisher.mcsim import SimConfig, run_displacement_trials
 from ringfisher.optimal import maximize_fisher_1d
@@ -36,7 +35,7 @@ from ringfisher.tuning import (
 from ringfisher.fisher import fisher_1d, fisher_2d, fisher_derivative
 from test_fisher import dense_fisher_2d_oracle
 from test_tuning import random_population, single_mode_pop
-from conftest import random_psd_kernel
+from conftest import random_psd_kernel, read_field_csv
 
 
 def test_criterion_1_one_dimensional_optimum(rng):
@@ -186,7 +185,7 @@ def test_criterion_7_grid_field_geometry(tmp_path):
             ["field2d", str(kernel_file), str(pgm), str(csv_out), "--optimal", "--res", "128"]
         )
         assert code == 0
-        field = rio.read_field_csv(csv_out)
+        field = read_field_csv(csv_out)
         assert count_toroidal_maxima(field) == k * k
     print("PASS criterion 7: optimal frequency-k fields show k^2 toroidal maxima, k in 1..4")
 

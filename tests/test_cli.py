@@ -1,5 +1,6 @@
 """CLI surface: artifacts, exit codes, warnings, manifests, determinism."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -10,6 +11,8 @@ from ringfisher import io as rio
 from ringfisher.cli import main
 from ringfisher.spectral import decompose, exponential_kernel
 from ringfisher.tuning import count_toroidal_maxima
+
+from conftest import read_field_csv
 
 
 def write_kernel(path, n, values):
@@ -160,7 +163,7 @@ class TestField2dCommand:
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
         code = main(["field2d", str(n4_kernel_file), str(pgm), str(csv_out), "--k", "1", "--res", "64"])
         assert code == 0
-        field = rio.read_field_csv(csv_out)
+        field = read_field_csv(csv_out)
         assert field.shape == (64, 64)
         assert count_toroidal_maxima(field) == 1
 
@@ -171,7 +174,7 @@ class TestField2dCommand:
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
         code = main(["field2d", str(kernel_file), str(pgm), str(csv_out), "--k", "3", "--res", "128"])
         assert code == 0
-        assert count_toroidal_maxima(rio.read_field_csv(csv_out)) == 9
+        assert count_toroidal_maxima(read_field_csv(csv_out)) == 9
 
     def test_tiny_resolution_header(self, tmp_path, n4_kernel_file):
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
@@ -187,7 +190,7 @@ class TestField2dCommand:
             ["--offset", "0", "field2d", str(n4_kernel_file), str(pgm), str(csv_out), "--k", "1", "--res", "64"]
         )
         assert code == 0
-        assert count_toroidal_maxima(rio.read_field_csv(csv_out)) == 2
+        assert count_toroidal_maxima(read_field_csv(csv_out)) == 2
 
     def test_explicit_offset_shifts_each_axis_curve(self, tmp_path, n4_kernel_file):
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
@@ -197,7 +200,7 @@ class TestField2dCommand:
         thetas = 2.0 * np.pi * np.arange(16) / 16
         fx = np.sqrt(2.0 / 4) * np.sin(thetas - 2.0 * np.pi * 1 / 4) + 2.5
         fy = np.sqrt(2.0 / 4) * np.sin(thetas - 2.0 * np.pi * 2 / 4) + 2.5
-        np.testing.assert_allclose(rio.read_field_csv(csv_out), np.outer(fx, fy), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(read_field_csv(csv_out), np.outer(fx, fy), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("neuron", [["4", "0"], ["0", "4"], ["-1", "0"]], ids=["n-0", "0-n", "minus1-0"])
     def test_neuron_out_of_range_exit_5(self, tmp_path, n4_kernel_file, neuron):
@@ -389,6 +392,71 @@ class TestManifests:
         first = (tmp_path / "opt.json.manifest.json").read_text()
         main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "500"])
         assert (tmp_path / "opt.json.manifest.json").read_text() == first
+
+
+class TestGoldenOutputs:
+    """Output bytes pinned by SHA-256 digests of the csv-module writers' outputs.
+
+    Small fixed inputs (n <= 16, res 16). The digests change only if a number
+    or its text form changes; a deliberate change of either updates them.
+    """
+
+    # n = 15, the spectrum 1.3, 1.4, 0.3, 0.9, ... rounded to six decimals:
+    # lambda_2 is the smallest paired eigenvalue, so --optimal renders frequency 2
+    TORUS_VALUES = [1.046667, -0.065216, 0.114345, 0.111989, 0.100123, 0.026667, -0.051989, -0.109253]
+
+    CASES = {
+        "decompose": (
+            ["decompose", "{exp16}", "{out}/decomp.csv"],
+            {"decomp.csv": "b7474adc210a35de7efbb514df37b3d214463964786b28e9838ce61204110c48"},
+        ),
+        "optimize-curves": (
+            ["--offset", "0.5", "optimize", "{torus15}", "{out}/opt.json",
+             "--curves-out", "{out}/curves.csv", "--curves-samples", "16"],
+            {"curves.csv": "79c75250a96ef630c801d199783e7e945d96b77bb323c6794f4d0c91d3365fcc"},
+        ),
+        "field2d-optimal": (
+            ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],
+            {
+                "f.pgm": "2a1059dc57fcaad8475d1d3a211527e949cc0efd65073ec44794263e6be6e3e5",
+                "f.csv": "4e55e98f486574242eac63ce78d0b8b16054593e8db69bc856a6f56c191960e1",
+            },
+        ),
+        "field2d-signed": (
+            ["--offset", "0", "field2d", "{ring8}", "{out}/s.pgm", "{out}/s.csv",
+             "--k", "2", "--res", "16", "--neuron", "3", "5"],
+            {
+                "s.pgm": "fbe831992112303bbf4923d76088c08ad3674482d2901aad57868ea1c5072243",
+                "s.csv": "3fde2c60a8eb816515442121b43863e0559ed4f7bf2fcb0eadd04e59cf0dd03d",
+            },
+        ),
+        "simulate-dump": (
+            ["simulate", "{sim}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
+            {"trials.csv": "1891b2b843be4254eb975c5301e17583116872a63be4c3b7a096a11e5844a159"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_digests(self, tmp_path, capsys, case):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        paths = {
+            "exp16": inputs / "exp16.json",
+            "torus15": write_kernel(inputs / "torus15.json", 15, self.TORUS_VALUES),
+            "ring8": write_kernel(inputs / "ring8.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05]),
+            "sim": inputs / "sim.json",
+            "out": tmp_path,
+        }
+        paths["exp16"].write_text(
+            json.dumps({"n": 16, "family": "exponential", "params": {"c0": 1.0, "rho": 0.6}})
+        )
+        paths["sim"].write_text(
+            json.dumps({"kernel_file": "ring8.json", "allocation": "optimal", "trials": 100, "seed": 5})
+        )
+        argv, digests = self.CASES[case]
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestCliPlumbing:

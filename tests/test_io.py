@@ -1,19 +1,58 @@
 """File formats: kernel parsing, CSV roundtrips, graymap output."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import conftest
 import ringfisher
 from ringfisher import io as rio
 from ringfisher.errors import MalformedKernelError
 from ringfisher.spectral import decompose
 from ringfisher.tuning import optimal_tuning_1d
+
+from conftest import csv_module_curves_csv, csv_module_field_csv, read_field_csv
+
+#: Values whose text form is easy to get wrong: signed zeros, infinities, nan,
+#: subnormals, the repr switch to exponent notation, and integral floats.
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225e-308,
+    1e-5, 1e-4, 1e16, 1e22, -1e22, 1e16 + 2.0, 3.0, -7.0, 2.0**53, 0.1,
+]
+
+float_elements = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)
+)
+matrix_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+byte_oracle_settings = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak traced allocation while ``call()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestKernelFiles:
@@ -52,7 +91,7 @@ class TestCsvFormats:
         field = rng.normal(size=(9, 9))
         path = tmp_path / "field.csv"
         rio.write_field_csv(field, path)
-        np.testing.assert_array_equal(rio.read_field_csv(path), field)
+        np.testing.assert_array_equal(read_field_csv(path), field)
 
     def test_curves_header_and_offset(self, tmp_path, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
@@ -72,6 +111,73 @@ class TestCsvFormats:
         assert lines[2].endswith(",true")
 
 
+class TestCsvBytes:
+    """The CSV writers emit the bytes of the csv-module writers they replaced."""
+
+    @byte_oracle_settings
+    @given(field=hnp.arrays(np.float64, matrix_shapes, elements=float_elements))
+    def test_field_bytes_equal_csv_module(self, tmp_path, field):
+        rio.write_field_csv(field, tmp_path / "fast.csv")
+        csv_module_field_csv(field, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @byte_oracle_settings
+    @given(
+        curves=hnp.arrays(np.float64, matrix_shapes, elements=float_elements),
+        offset=float_elements,
+    )
+    def test_curves_bytes_equal_csv_module(self, tmp_path, curves, offset):
+        # both writers read the same sampled curves, so only the formatting is compared
+        def sampled(pop, thetas):
+            assert thetas.shape == (curves.shape[0],)
+            return curves
+
+        pop = SimpleNamespace(n=curves.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rio, "mean_response", sampled)
+            mp.setattr(conftest, "mean_response", sampled)
+            with np.errstate(invalid="ignore"):
+                rio.write_curves_csv(pop, tmp_path / "fast.csv", len(curves), offset)
+                csv_module_curves_csv(pop, tmp_path / "oracle.csv", len(curves), offset)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_population_curves_bytes_equal_csv_module(self, tmp_path, n6_decomp):
+        pop = optimal_tuning_1d(n6_decomp, 2.0)
+        rio.write_curves_csv(pop, tmp_path / "fast.csv", samples=33, offset=-0.25)
+        csv_module_curves_csv(pop, tmp_path / "oracle.csv", samples=33, offset=-0.25)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_rows_end_in_crlf_with_shortest_repr(self, tmp_path):
+        path = tmp_path / "field.csv"
+        rio.write_field_csv(np.array([[0.1, -0.0, 1e16], [math.inf, math.nan, 5e-324]]), path)
+        assert path.read_bytes() == b"0.1,-0.0,1e+16\r\ninf,nan,5e-324\r\n"
+
+
+class TestBoundedMemory:
+    def test_field_csv_peak_bounded_by_a_row(self, tmp_path, rng):
+        # 512 x 2048 samples: 8 MiB as float64, about 33 MiB as one nested list
+        field = rng.normal(size=(512, 2048))
+        peak = traced_peak_bytes(lambda: rio.write_field_csv(field, tmp_path / "field.csv"))
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_sha256_file_reads_in_chunks(self, tmp_path, rng):
+        path = tmp_path / "blob.bin"
+        data = rng.bytes(32 * 2**20)
+        path.write_bytes(data)
+        expected = hashlib.sha256(data).hexdigest()
+        del data
+        digest = []
+        peak = traced_peak_bytes(lambda: digest.append(rio.sha256_file(path)))
+        assert digest == [expected]
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_pgm_scales_in_one_working_array(self, tmp_path, rng):
+        # one scaled copy plus the 8-bit raster; out-of-place scaling holds two copies
+        field = rng.normal(size=(512, 512))
+        peak = traced_peak_bytes(lambda: rio.write_pgm(field, tmp_path / "field.pgm"))
+        assert peak < 1.5 * field.nbytes, f"peak {peak / field.nbytes:.2f} x the field"
+
+
 class TestPgm:
     def test_header_and_range(self, tmp_path, rng):
         field = rng.normal(size=(16, 32))
@@ -89,6 +195,27 @@ class TestPgm:
         rio.write_pgm(np.ones((8, 8)), path)
         raster = path.read_bytes().split(b"255\n", 1)[1]
         assert set(raster) == {0}
+
+    @byte_oracle_settings
+    @given(
+        field=hnp.arrays(
+            np.float64,
+            matrix_shapes,
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 3.0]), st.floats(-1e6, 1e6)
+            ),
+        )
+    )
+    def test_pixels_equal_out_of_place_scaling(self, tmp_path, field):
+        path = tmp_path / "field.pgm"
+        rio.write_pgm(field, path)
+        raster = path.read_bytes().split(b"255\n", 1)[1]
+        lo, hi = float(field.min()), float(field.max())
+        if math.isclose(lo, hi):
+            expected = np.zeros_like(field, dtype=np.uint8)
+        else:
+            expected = np.rint(255.0 * (field - lo) / (hi - lo)).astype(np.uint8)
+        assert raster == expected.tobytes()
 
 
 def test_module_entry_point_help():
