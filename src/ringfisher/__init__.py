@@ -19,7 +19,6 @@ from .errors import (
     ResolutionOutOfRangeError,
     RingFisherError,
     SingularCovarianceError,
-    SizeLimitError,
     UnpairedModeError,
 )
 from .spectral import (
@@ -33,11 +32,9 @@ from .spectral import (
     exponential_kernel,
     gaussian_kernel,
     kernel_from_spectrum,
-    materialize_dense,
     mode_coefficients,
     rotate_pattern,
     synthesize,
-    torus_inverse_check,
     validate_psd,
 )
 from .tuning import (
@@ -45,18 +42,14 @@ from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
-    count_toroidal_maxima,
     mean_derivative,
     mean_response,
     optimal_tuning_1d,
     optimal_tuning_2d,
-    shifted_copy_check,
-    signal_power,
 )
 from .fisher import (
     FisherReport1D,
     FisherReport2D,
-    Tolerances,
     crb,
     fisher_1d,
     fisher_1d_spectral,

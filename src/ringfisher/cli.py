@@ -26,7 +26,6 @@ from .errors import (
     NotPositiveSemidefiniteError,
     ResolutionOutOfRangeError,
     SingularCovarianceError,
-    SizeLimitError,
 )
 from .fisher import (
     crb,
@@ -38,6 +37,7 @@ from .mcsim import SimConfig, run_displacement_trials
 from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
 from .spectral import decompose, validate_psd
 from .tuning import (
+    AllocationEntry,
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
@@ -319,24 +319,25 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
         raise MalformedKernelError("simulation config must hold a JSON object")
     if "kernel" in definition:
         kernel = rio.kernel_from_dict(definition["kernel"])
-    elif "kernel_file" in definition:
+    elif isinstance(definition.get("kernel_file"), str):
         kernel = rio.load_kernel(Path(path).parent / definition["kernel_file"])
     else:
-        raise MalformedKernelError("simulation config needs 'kernel' or 'kernel_file'")
+        raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
     decomp = decompose(kernel)
-    power = float(definition.get("power", 1.0))
+    power = rio.json_number(definition, "power", 1.0)
     allocation = definition.get("allocation", "optimal")
     if allocation == "optimal":
         pop = optimal_tuning_1d(decomp, power)
     elif isinstance(allocation, list):
-        from .tuning import AllocationEntry
-
+        entries = [rio.json_object(e, "allocation entry") for e in allocation]
         alloc = PowerAllocation(
             entries=tuple(
                 AllocationEntry(
-                    int(e["frequency"]), float(e["amplitude"]), float(e.get("phase", 0.0))
+                    rio.json_integer(e, "frequency"),
+                    rio.json_number(e, "amplitude"),
+                    rio.json_number(e, "phase", 0.0),
                 )
-                for e in allocation
+                for e in entries
             )
         )
         pop = TuningPopulation1D(decomp, alloc)
@@ -344,16 +345,16 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
         raise MalformedKernelError(
             "allocation must be 'optimal' or a list of {frequency, amplitude, phase}"
         )
-    seed = int(definition.get("seed", 0)) if seed_override is None else seed_override
+    seed = rio.json_integer(definition, "seed", 0) if seed_override is None else seed_override
     return SimConfig(
         population=pop,
-        delta_theta=float(definition.get("delta_theta", 1e-3)),
-        trials=int(definition.get("trials", 100_000)),
+        delta_theta=rio.json_number(definition, "delta_theta", 1e-3),
+        trials=rio.json_integer(definition, "trials", 100_000),
         seed=seed,
         mode=definition.get("mode", "known_reference"),
         estimator=definition.get("estimator", "local_linear"),
-        theta0=float(definition.get("theta0", 0.0)),
-        noise_scale=float(definition.get("noise_scale", 1.0)),
+        theta0=rio.json_number(definition, "theta0", 0.0),
+        noise_scale=rio.json_number(definition, "noise_scale", 1.0),
     )
 
 
@@ -385,7 +386,6 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
     (SingularCovarianceError, EXIT_INVALID_COVARIANCE),
     (ConditionViolatedError, EXIT_INFEASIBLE_OPTIMIZATION),
     (ResolutionOutOfRangeError, EXIT_BAD_PARAMETER),
-    (SizeLimitError, EXIT_BAD_PARAMETER),
     (ParameterRangeError, EXIT_BAD_PARAMETER),
     (MultiModePopulationError, EXIT_SIMULATION_FAILURE),
 )

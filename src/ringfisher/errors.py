@@ -17,10 +17,6 @@ class SingularCovarianceError(RingFisherError):
     """Covariance cannot be inverted: an eigenvalue is at or below tolerance."""
 
 
-class SizeLimitError(RingFisherError):
-    """Dense materialization refused above the configured size cap."""
-
-
 class UnpairedModeError(RingFisherError):
     """Coefficient rotation targeted a frequency without a sine partner."""
 

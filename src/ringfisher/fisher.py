@@ -15,7 +15,7 @@ p = 0 gives the ring information, p = 2 the torus factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,19 +29,6 @@ from .tuning import (
     mean_response,
     mean_second_derivative,
 )
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances for identity and consistency checks."""
-
-    identity_rel: float = 1e-9
-    finite_difference_rel: float = 1e-6
-    cross_term_abs: float = 1e-9
-    singular: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
@@ -127,13 +114,7 @@ class FisherReport2D:
     minimum_variance: float
 
     def to_dict(self) -> dict:
-        return {
-            "i_x": self.i_x,
-            "i_y": self.i_y,
-            "i_xy": self.i_xy,
-            "product_form": self.product_form,
-            "minimum_variance": self.minimum_variance,
-        }
+        return asdict(self)
 
 
 def fisher_2d(

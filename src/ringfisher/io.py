@@ -22,25 +22,65 @@ from .tuning import TuningPopulation1D, mean_response
 _HASH_CHUNK_BYTES = 1 << 20
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedKernelError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def json_object(value, name: str) -> dict:
+    """``value`` itself; MalformedKernelError unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise MalformedKernelError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _field(definition: dict, key: str, default):
+    if key in definition:
+        return definition[key]
+    if default is None:
+        raise MalformedKernelError(f"missing field {key!r}")
+    return default
+
+
+def json_number(definition: dict, key: str, default: float | None = None) -> float:
+    """``definition[key]`` as a float, or ``default`` when the key is absent.
+
+    Raises MalformedKernelError when a key without default is absent or the
+    value is not a JSON number (null, a string, a boolean, a list, an object).
+    """
+    return _number(_field(definition, key, default), key)
+
+
+def json_integer(definition: dict, key: str, default: int | None = None) -> int:
+    """Like ``json_number`` for an int; integral floats such as 3.0 are accepted."""
+    value = _field(definition, key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not _number(value, key).is_integer():
+        raise MalformedKernelError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def kernel_from_dict(definition: dict) -> CorrelationKernel:
     """Build a kernel from its definition mapping (see ``load_kernel``)."""
     try:
         n = definition["n"]
         family = definition["family"]
-        params = definition.get("params", {})
     except (TypeError, KeyError) as exc:
         raise MalformedKernelError(f"kernel definition missing field: {exc}") from exc
+    params = json_object(definition.get("params", {}), "params")
     if not isinstance(n, int):
         raise MalformedKernelError(f"n must be an integer, got {n!r}")
     if family == "explicit":
         values = params.get("values")
         if not isinstance(values, list):
             raise MalformedKernelError("explicit kernel needs params.values as a list")
-        return CorrelationKernel(n, tuple(float(v) for v in values))
+        return CorrelationKernel(n, tuple(_number(v, "params.values entry") for v in values))
     if family == "exponential":
-        return exponential_kernel(n, c0=float(params.get("c0", 1.0)), rho=float(params["rho"]))
+        return exponential_kernel(n, c0=json_number(params, "c0", 1.0), rho=json_number(params, "rho"))
     if family == "gaussian":
-        return gaussian_kernel(n, c0=float(params.get("c0", 1.0)), length=float(params["length"]))
+        return gaussian_kernel(n, c0=json_number(params, "c0", 1.0), length=json_number(params, "length"))
     raise MalformedKernelError(f"unknown kernel family {family!r}")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
@@ -56,7 +56,7 @@ SMALL_DISPLACEMENT_LIMIT = 0.1
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; streams for (seed, index) pairs never collide."""
+    """Philox generator keyed by the seed: the same seed gives the same stream."""
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -250,20 +250,7 @@ class SimResult:
     delta_theta: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_estimate": self.mean_estimate,
-            "empirical_variance": self.empirical_variance,
-            "bias": self.bias,
-            "crb_reference": self.crb_reference,
-            "efficiency": self.efficiency,
-            "variance_stderr": self.variance_stderr,
-            "fisher_information": self.fisher_information,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "estimator": self.estimator,
-            "delta_theta": self.delta_theta,
-        }
+        return asdict(self)
 
 
 def _estimate_step(
@@ -358,16 +345,7 @@ class PathIntegrationReport:
     variance_by_step: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "trials": self.trials,
-            "step_delta": self.step_delta,
-            "mean_final_error": self.mean_final_error,
-            "final_error_variance": self.final_error_variance,
-            "single_step_variance": self.single_step_variance,
-            "linear_growth_ratio": self.linear_growth_ratio,
-            "variance_by_step": list(self.variance_by_step),
-        }
+        return asdict(self)
 
 
 def run_path_integration(

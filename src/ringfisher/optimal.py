@@ -16,7 +16,7 @@ brute-force optimality oracle for both objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
@@ -39,13 +39,7 @@ class ConditionReport:
     concentration_valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_order_ok": self.lambda_order_ok,
-            "k2lambda_order_ok": self.k2lambda_order_ok,
-            "argmin_lambda": self.argmin_lambda,
-            "argmin_k2lambda": self.argmin_k2lambda,
-            "concentration_valid": self.concentration_valid,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -56,12 +50,7 @@ class AllocationSearchResult:
     audit_margin: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "allocation": self.allocation.to_dict(),
-            "achieved_fi": self.achieved_fi,
-            "method": self.method,
-            "audit_margin": self.audit_margin,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -73,13 +62,7 @@ class AuditReport:
     best_allocation: PowerAllocation
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_objective": self.max_objective,
-            "best_allocation": self.best_allocation.to_dict(),
-        }
+        return asdict(self)
 
 
 def _strictly_decreasing(scores: np.ndarray) -> bool:

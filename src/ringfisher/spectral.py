@@ -19,7 +19,7 @@ rfft bins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import (
     MalformedKernelError,
     NotPositiveSemidefiniteError,
     SingularCovarianceError,
-    SizeLimitError,
     UnpairedModeError,
 )
 
@@ -37,9 +36,6 @@ TWO_PI = 2.0 * math.pi
 #: Eigenvalues above -PSD_TOLERANCE are accepted as nonnegative; strictly
 #: positive means above +PSD_TOLERANCE (required for inversion).
 PSD_TOLERANCE = 1e-12
-
-#: Refuse dense materialization above this many neurons unless overridden.
-DENSE_SIZE_LIMIT = 4096
 
 
 def _closed_form_eigenvalues(n: int, values: np.ndarray) -> np.ndarray:
@@ -127,13 +123,6 @@ class CorrelationKernel:
             raise MalformedKernelError(f"c_0 must be positive, got {vals[0]}")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def max_distance(self) -> int:
-        return self.n // 2
-
-    def value_at_distance(self, d: int) -> float:
-        return self.values[min(d % self.n, self.n - d % self.n)]
-
 
 def exponential_kernel(n: int, c0: float = 1.0, rho: float = 0.5) -> CorrelationKernel:
     """Geometric decay c_d = c0 * rho**d over ring distance, PSD-checked."""
@@ -189,10 +178,6 @@ class EigenMode:
     frequency: int
     eigenvalue: float
     paired: bool
-
-    @property
-    def multiplicity(self) -> int:
-        return 2 if self.paired else 1
 
 
 @dataclass(frozen=True)
@@ -276,13 +261,7 @@ class PsdReport:
     negative_frequencies: tuple[int, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_frequency": self.min_frequency,
-            "valid": self.valid,
-            "strictly_positive": self.strictly_positive,
-            "negative_frequencies": list(self.negative_frequencies),
-        }
+        return asdict(self)
 
 
 def validate_psd(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> PsdReport:
@@ -297,21 +276,6 @@ def validate_psd(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> P
         strictly_positive=bool(lams.min() > tol),
         negative_frequencies=negative,
     )
-
-
-def materialize_dense(kernel: CorrelationKernel, size_limit: int = DENSE_SIZE_LIMIT) -> np.ndarray:
-    """Dense n x n matrix with entry (i, j) = c at ring distance of i, j.
-
-    Intended for test oracles and small-n checks; refuses to allocate above
-    ``size_limit`` neurons.
-    """
-    n = kernel.n
-    if n > size_limit:
-        raise SizeLimitError(f"n={n} exceeds dense materialization limit {size_limit}")
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(dist, n - dist)
-    return np.asarray(kernel.values)[dist]
 
 
 def _ring_vectors(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
@@ -398,8 +362,9 @@ def rotate_pattern(
 class TorusCorrelation:
     """Separable torus covariance: the same ring kernel on both axes.
 
-    Entry ((i, j), (k, l)) equals C[i, k] * C[j, l]; the inverse factorizes the
-    same way, which ``torus_inverse_check`` verifies against a dense oracle.
+    Entry ((i, j), (k, l)) equals C[i, k] * C[j, l], and the inverse factorizes
+    the same way: on an (..., n, n) view of torus vectors it is
+    ``apply_inverse`` along each axis, so no n^2 x n^2 matrix is needed.
     """
 
     axis: SpectralDecomposition
@@ -407,35 +372,3 @@ class TorusCorrelation:
     @property
     def n(self) -> int:
         return self.axis.n
-
-    def dense(self, size_limit: int = 64) -> np.ndarray:
-        c = materialize_dense(self.axis.kernel, size_limit=size_limit)
-        return np.kron(c, c)
-
-    def inverse_dense(self, tol: float = PSD_TOLERANCE) -> np.ndarray:
-        """Kronecker product of the spectrally-inverted axis matrix with itself."""
-        axis_inv = apply_inverse(self.axis, np.eye(self.n), tol=tol)
-        return np.kron(axis_inv, axis_inv)
-
-
-@dataclass(frozen=True)
-class TorusInverseReport:
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-
-
-def torus_inverse_check(
-    decomp: SpectralDecomposition, tol: float = 1e-8
-) -> TorusInverseReport:
-    """Compare the separable torus inverse against dense n^2 x n^2 inversion.
-
-    Only sensible at dense-oracle scale (n <= 16).
-    """
-    if decomp.n > 16:
-        raise SizeLimitError(f"torus inverse check is a dense oracle, n={decomp.n} > 16")
-    torus = TorusCorrelation(axis=decomp)
-    dense_inverse = np.linalg.inv(torus.dense())
-    separable = torus.inverse_dense()
-    err = float(np.max(np.abs(dense_inverse - separable)))
-    return TorusInverseReport(max_abs_error=err, tolerance=tol, passed=err <= tol)

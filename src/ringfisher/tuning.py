@@ -12,7 +12,7 @@ on the torus the two axes share one spectrum and multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,41 +76,18 @@ class PowerAllocation:
         return cls(entries=(AllocationEntry(frequency, math.sqrt(power), phase),))
 
     @classmethod
-    def from_powers(
-        cls, powers: dict[int, float], phases: dict[int, float] | None = None
-    ) -> "PowerAllocation":
+    def from_powers(cls, powers: dict[int, float]) -> "PowerAllocation":
         """Build entries from per-frequency power shares (amplitudes are square roots)."""
-        phases = phases or {}
         entries = tuple(
-            AllocationEntry(k, math.sqrt(p), phases.get(k, 0.0))
-            for k, p in sorted(powers.items())
-            if p > 0.0
+            AllocationEntry(k, math.sqrt(p)) for k, p in sorted(powers.items()) if p > 0.0
         )
         return cls(entries=entries)
-
-    @property
-    def frequencies(self) -> tuple[int, ...]:
-        return tuple(e.frequency for e in self.entries)
 
     def max_frequency(self) -> int:
         return max((e.frequency for e in self.entries), default=0)
 
-    def scaled(self, amplitude_factor: float) -> "PowerAllocation":
-        return PowerAllocation(
-            entries=tuple(
-                AllocationEntry(e.frequency, e.amplitude * amplitude_factor, e.phase)
-                for e in self.entries
-            )
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "entries": [
-                {"frequency": e.frequency, "amplitude": e.amplitude, "phase": e.phase}
-                for e in self.entries
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -241,12 +218,6 @@ def neuron_curve(pop: TuningPopulation1D, neuron: int, thetas: np.ndarray) -> np
     return _entry_sum(pop, _as_theta_array(thetas)[0], 0, neuron)
 
 
-def signal_power(pop: TuningPopulation1D, theta) -> float:
-    """Squared norm of the derivative profile; equals the power budget at any theta."""
-    d = mean_derivative(pop, theta)
-    return float(d @ d)
-
-
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Paired frequencies (ascending) and their eigenvalues."""
     freqs = np.array(decomp.paired_frequencies)
@@ -330,74 +301,3 @@ def sample_firing_field(
         cy = cy + offset
     return np.outer(cx, cy)
 
-
-_NEIGHBOR_SHIFTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-
-
-def count_toroidal_maxima(field: np.ndarray) -> int:
-    """Count local maxima of a 2D field with wrap-around (toroidal) adjacency.
-
-    A maximum is a connected plateau of equal values that dominates all eight
-    neighbors of each of its pixels; a constant field has none.
-    """
-    f = np.asarray(field, dtype=float)
-    if f.ndim != 2:
-        raise ValueError("field must be 2D")
-    if np.all(f == f.flat[0]):
-        return 0
-    candidate = np.ones_like(f, dtype=bool)
-    for di, dj in _NEIGHBOR_SHIFTS:
-        candidate &= f >= np.roll(np.roll(f, di, axis=0), dj, axis=1)
-    rows, cols = f.shape
-    seen = np.zeros_like(candidate)
-    count = 0
-    for i, j in zip(*np.nonzero(candidate)):
-        if seen[i, j]:
-            continue
-        count += 1
-        stack = [(i, j)]
-        seen[i, j] = True
-        while stack:
-            a, b = stack.pop()
-            for di, dj in _NEIGHBOR_SHIFTS:
-                na, nb = (a + di) % rows, (b + dj) % cols
-                if candidate[na, nb] and not seen[na, nb]:
-                    seen[na, nb] = True
-                    stack.append((na, nb))
-    return count
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """Outcome of checking that neighboring tuning curves are shifted copies."""
-
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-
-
-def curves_shift_report(curves: np.ndarray, tol: float = 1e-9) -> ShiftReport:
-    """Check a sampled curve table (thetas x neurons) for the shifted-copy property.
-
-    The theta grid must be uniform over a full revolution with a multiple of n
-    samples so the inter-neuron spacing is an integer number of grid steps; the
-    check wraps around cyclically (last neuron against the first).
-    """
-    samples, n = curves.shape
-    if samples % n != 0:
-        raise ValueError(f"theta samples ({samples}) must be a multiple of n ({n})")
-    step = samples // n
-    err = 0.0
-    for j in range(n):
-        expected = np.roll(curves[:, j], step)
-        err = max(err, float(np.max(np.abs(curves[:, (j + 1) % n] - expected))))
-    return ShiftReport(max_abs_error=err, tolerance=tol, passed=err <= tol)
-
-
-def shifted_copy_check(
-    pop: TuningPopulation1D, samples_per_neuron: int = 32, tol: float = 1e-9
-) -> ShiftReport:
-    """Verify each neuron's curve is its predecessor's shifted by one spacing."""
-    grid = samples_per_neuron * pop.n
-    thetas = TWO_PI * np.arange(grid) / grid
-    return curves_shift_report(mean_response(pop, thetas), tol=tol)

@@ -12,6 +12,7 @@ from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
     SpectralDecomposition,
+    apply_inverse,
     decompose,
     kernel_from_spectrum,
 )
@@ -27,6 +28,21 @@ def dense_ring_matrix(kernel: CorrelationKernel) -> np.ndarray:
             d = abs(i - j)
             out[i, j] = kernel.values[min(d, n - d)]
     return out
+
+
+def dense_torus_matrix(kernel: CorrelationKernel) -> np.ndarray:
+    """Dense n^2 x n^2 torus covariance: entry (i n + j, k n + l) is C[i, k] C[j, l]."""
+    c = dense_ring_matrix(kernel)
+    return np.kron(c, c)
+
+
+def separable_torus_inverse(decomp: SpectralDecomposition) -> np.ndarray:
+    """The torus inverse as the package applies it: ``apply_inverse`` along both
+    axes of each identity column viewed as an n x n grid, never an n^2 x n^2 solve."""
+    n = decomp.n
+    grids = apply_inverse(decomp, np.eye(n * n).reshape(n * n, n, n))
+    grids = apply_inverse(decomp, grids.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return grids.reshape(n * n, n * n)
 
 
 def dense_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
@@ -46,7 +62,7 @@ def dense_basis(decomp: SpectralDecomposition) -> np.ndarray:
 
 def column_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
     """Eigenvalue of each ``dense_basis`` column."""
-    return np.array([m.eigenvalue for m in decomp.modes for _ in range(m.multiplicity)])
+    return np.array([m.eigenvalue for m in decomp.modes for _ in range(2 if m.paired else 1)])
 
 
 def eigenvalue_multiset(decomp: SpectralDecomposition) -> np.ndarray:
@@ -90,11 +106,9 @@ def n6_decomp(n6_kernel):
 def cosine_sum_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
     """Independent oracle: lambda_k = sum over all n ring offsets d of c(d) cos(2 pi k d / n)."""
     n = kernel.n
+    c = [kernel.values[min(d, n - d)] for d in range(n)]
     return np.array(
-        [
-            sum(kernel.value_at_distance(d) * np.cos(2.0 * np.pi * k * d / n) for d in range(n))
-            for k in range(n // 2 + 1)
-        ]
+        [sum(c[d] * np.cos(2.0 * np.pi * k * d / n) for d in range(n)) for k in range(n // 2 + 1)]
     )
 
 
@@ -106,6 +120,40 @@ def assert_close_relative(actual, expected, rel: float = 1e-12) -> None:
 
 def white_kernel(n: int, sigma_sq: float = 1.0) -> CorrelationKernel:
     return CorrelationKernel(n, (sigma_sq,) + (0.0,) * (n // 2))
+
+
+_NEIGHBOR_SHIFTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+
+
+def count_toroidal_maxima(field: np.ndarray) -> int:
+    """Count local maxima of a 2D field with wrap-around (toroidal) adjacency.
+
+    A maximum is a connected plateau of equal values that dominates all eight
+    neighbors of each of its pixels; a constant field has none.
+    """
+    f = np.asarray(field, dtype=float)
+    if np.all(f == f.flat[0]):
+        return 0
+    candidate = np.ones_like(f, dtype=bool)
+    for di, dj in _NEIGHBOR_SHIFTS:
+        candidate &= f >= np.roll(np.roll(f, di, axis=0), dj, axis=1)
+    rows, cols = f.shape
+    seen = np.zeros_like(candidate)
+    count = 0
+    for i, j in zip(*np.nonzero(candidate)):
+        if seen[i, j]:
+            continue
+        count += 1
+        stack = [(i, j)]
+        seen[i, j] = True
+        while stack:
+            a, b = stack.pop()
+            for di, dj in _NEIGHBOR_SHIFTS:
+                na, nb = (a + di) % rows, (b + dj) % cols
+                if candidate[na, nb] and not seen[na, nb]:
+                    seen[na, nb] = True
+                    stack.append((na, nb))
+    return count
 
 
 def read_field_csv(path: str | Path) -> np.ndarray:

@@ -22,20 +22,24 @@ from ringfisher.spectral import (
     mode_coefficients,
     rotate_pattern,
     synthesize,
-    torus_inverse_check,
 )
 from ringfisher.tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
-    count_toroidal_maxima,
     optimal_tuning_1d,
     optimal_tuning_2d,
 )
 from ringfisher.fisher import fisher_1d, fisher_2d, fisher_derivative
 from test_fisher import dense_fisher_2d_oracle
 from test_tuning import random_population, single_mode_pop
-from conftest import random_psd_kernel, read_field_csv
+from conftest import (
+    count_toroidal_maxima,
+    dense_torus_matrix,
+    random_psd_kernel,
+    read_field_csv,
+    separable_torus_inverse,
+)
 
 
 def test_criterion_1_one_dimensional_optimum(rng):
@@ -191,12 +195,15 @@ def test_criterion_7_grid_field_geometry(tmp_path):
 
 
 def test_criterion_8_kronecker_inverse(rng):
-    for n in (4, 6, 8):
-        named = decompose(random_psd_kernel(rng, n, lam_lo=0.1, lam_hi=2.0))
-        report = torus_inverse_check(named, tol=1e-8)
-        assert report.passed, f"n={n}: max error {report.max_abs_error:.3e}"
-    assert torus_inverse_check(decompose(CorrelationKernel(4, (1.0, 0.5, 0.25)))).passed
-    assert torus_inverse_check(decompose(CorrelationKernel(6, (1.0, 0.4, 0.1, 0.05)))).passed
+    decomps = [decompose(random_psd_kernel(rng, n, lam_lo=0.1, lam_hi=2.0)) for n in (4, 6, 8)]
+    decomps += [
+        decompose(CorrelationKernel(4, (1.0, 0.5, 0.25))),
+        decompose(CorrelationKernel(6, (1.0, 0.4, 0.1, 0.05))),
+    ]
+    for decomp in decomps:
+        dense_inverse = np.linalg.inv(dense_torus_matrix(decomp.kernel))
+        err = float(np.max(np.abs(separable_torus_inverse(decomp) - dense_inverse)))
+        assert err <= 1e-8, f"n={decomp.n}: max error {err:.3e}"
     print("PASS criterion 8: separable torus inverse equals dense inversion for n in 4, 6, 8")
 
 

@@ -10,9 +10,7 @@ import pytest
 from ringfisher import io as rio
 from ringfisher.cli import main
 from ringfisher.spectral import decompose, exponential_kernel
-from ringfisher.tuning import count_toroidal_maxima
-
-from conftest import read_field_csv
+from conftest import count_toroidal_maxima, read_field_csv
 
 
 def write_kernel(path, n, values):
@@ -332,6 +330,52 @@ class TestSimulateCommand:
         config_file.write_text(json.dumps(config))
         assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestMalformedFieldTypes:
+    """JSON fields of the wrong type exit 2 with a message, not a traceback or a silent cast."""
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("exponential", [1]),
+            ("exponential", None),
+            ("exponential", {"rho": None}),
+            ("exponential", {"rho": "0.5"}),
+            ("exponential", {"c0": True, "rho": 0.5}),
+            ("explicit", {"values": [1.0, None, 0.25, 0.1, 0.05]}),
+        ],
+        ids=["params-list", "params-null", "rho-null", "rho-string", "c0-bool", "value-null"],
+    )
+    def test_kernel_exit_2(self, tmp_path, capsys, family, params):
+        kernel_file = tmp_path / "kernel.json"
+        kernel_file.write_text(json.dumps({"n": 8, "family": family, "params": params}))
+        assert main(["decompose", str(kernel_file), str(tmp_path / "o.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": None},
+            {"trials": 1000.9},
+            {"seed": 2.5},
+            {"delta_theta": None},
+            {"power": "1"},
+            {"allocation": [1]},
+            {"allocation": [{"amplitude": 1.0}]},
+            {"kernel_file": 5},
+        ],
+        ids=lambda fields: "-".join(f"{k}={json.dumps(v)}" for k, v in fields.items()),
+    )
+    def test_sim_config_exit_2(self, tmp_path, capsys, fields):
+        config = {"trials": 200, **fields}
+        if "kernel_file" not in config:
+            config["kernel"] = {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}}
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 

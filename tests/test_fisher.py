@@ -7,7 +7,6 @@ import pytest
 
 from ringfisher.errors import NonpositiveInformationError
 from ringfisher.fisher import (
-    DEFAULT_TOLERANCES,
     crb,
     fisher_1d,
     fisher_1d_spectral,
@@ -30,6 +29,10 @@ from ringfisher.tuning import (
 
 from conftest import dense_ring_matrix, random_psd_kernel, white_kernel
 from test_tuning import random_population, single_mode_pop
+
+IDENTITY_REL = 1e-9
+FINITE_DIFFERENCE_REL = 1e-6
+CROSS_TERM_ABS = 1e-9
 
 
 def dense_fisher_1d_oracle(pop, theta):
@@ -118,7 +121,7 @@ class TestFisherDerivative:
                 fisher_1d(pop, theta + h) - fisher_1d(pop, theta - h)
             ) / (2.0 * h)
             scale = max(1.0, fisher_1d(pop, theta))
-            assert abs(closed - fd) < DEFAULT_TOLERANCES.finite_difference_rel * scale
+            assert abs(closed - fd) < FINITE_DIFFERENCE_REL * scale
 
     def test_zero_allocation(self, n6_decomp):
         pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
@@ -162,13 +165,13 @@ class TestFisher2D:
         decomp = decompose(random_psd_kernel(rng, 10, lam_lo=0.3))
         pop2d = TuningPopulation2D.from_axis(random_population(rng, decomp), phase_shift=1.1)
         report = fisher_2d(pop2d, theta=(0.4, 5.1))
-        assert report.i_x == pytest.approx(report.i_y, rel=DEFAULT_TOLERANCES.identity_rel)
+        assert report.i_x == pytest.approx(report.i_y, rel=IDENTITY_REL)
 
     def test_single_mode_cross_term_vanishes_any_phase(self, n6_decomp):
         pop = single_mode_pop(n6_decomp, frequency=2, phase=1.234)
         pop2d = TuningPopulation2D.from_axis(pop, phase_shift=0.77)
         report = fisher_2d(pop2d, theta=(2.2, 0.9))
-        assert abs(report.i_xy) < DEFAULT_TOLERANCES.cross_term_abs
+        assert abs(report.i_xy) < CROSS_TERM_ABS
 
 
 class TestCrb:
@@ -193,7 +196,7 @@ class TestFisherProperties:
         pop = random_population(rng, decomp)
         values = [fisher_1d(pop, t) for t in np.linspace(0.0, TWO_PI, 256, endpoint=False)]
         spread = (max(values) - min(values)) / min(values)
-        assert spread < DEFAULT_TOLERANCES.identity_rel
+        assert spread < IDENTITY_REL
 
     def test_bound_over_random_allocations(self, rng):
         decomp = decompose(random_psd_kernel(rng, 16, lam_lo=0.1))
@@ -210,7 +213,7 @@ class TestFisherProperties:
             pop = random_population(rng, decomp)
             theta = float(rng.uniform(0.0, TWO_PI))
             assert fisher_1d(pop, theta) == pytest.approx(
-                dense_fisher_1d_oracle(pop, theta), rel=DEFAULT_TOLERANCES.identity_rel
+                dense_fisher_1d_oracle(pop, theta), rel=IDENTITY_REL
             )
 
     def test_phase_independence(self, n6_decomp, rng):

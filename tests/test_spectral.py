@@ -11,23 +11,19 @@ from ringfisher.errors import (
     MalformedKernelError,
     NotPositiveSemidefiniteError,
     SingularCovarianceError,
-    SizeLimitError,
     UnpairedModeError,
 )
 from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
-    TorusCorrelation,
     apply_inverse,
     decompose,
     exponential_kernel,
     gaussian_kernel,
     kernel_from_spectrum,
-    materialize_dense,
     mode_coefficients,
     rotate_pattern,
     synthesize,
-    torus_inverse_check,
     validate_psd,
 )
 
@@ -38,8 +34,10 @@ from conftest import (
     dense_basis,
     dense_eigenvalues,
     dense_ring_matrix,
+    dense_torus_matrix,
     eigenvalue_multiset,
     random_psd_kernel,
+    separable_torus_inverse,
     white_kernel,
 )
 
@@ -68,7 +66,7 @@ class TestDecompose:
     def test_modes_sorted_and_complete(self, n6_decomp):
         freqs = [m.frequency for m in n6_decomp.modes]
         assert freqs == sorted(freqs) == [0, 1, 2, 3]
-        assert sum(m.multiplicity for m in n6_decomp.modes) == 6
+        assert sum(2 if m.paired else 1 for m in n6_decomp.modes) == 6
 
     @pytest.mark.parametrize("frequency", [-1, 4])
     def test_mode_out_of_range_raises_key_error(self, n6_decomp, frequency):
@@ -111,28 +109,18 @@ class TestValidatePsd:
 
 
 class TestMaterializeDense:
+    """The dense oracle ``dense_ring_matrix`` against hand-written rows."""
+
     def test_n4_row(self, n4_kernel):
-        np.testing.assert_allclose(materialize_dense(n4_kernel)[0], [1.0, 0.5, 0.25, 0.5])
+        np.testing.assert_allclose(dense_ring_matrix(n4_kernel)[0], [1.0, 0.5, 0.25, 0.5])
 
     def test_identity(self):
-        np.testing.assert_allclose(materialize_dense(white_kernel(4)), np.eye(4))
+        np.testing.assert_allclose(dense_ring_matrix(white_kernel(4)), np.eye(4))
 
     def test_n6_row(self, n6_kernel):
         np.testing.assert_allclose(
-            materialize_dense(n6_kernel)[0], [1.0, 0.4, 0.1, 0.05, 0.1, 0.4]
+            dense_ring_matrix(n6_kernel)[0], [1.0, 0.4, 0.1, 0.05, 0.1, 0.4]
         )
-
-    def test_matches_definition_oracle(self, n6_kernel):
-        np.testing.assert_allclose(materialize_dense(n6_kernel), dense_ring_matrix(n6_kernel))
-
-    def test_size_limit(self, n6_kernel):
-        with pytest.raises(SizeLimitError):
-            materialize_dense(n6_kernel, size_limit=4)
-
-    def test_default_size_limit(self):
-        big = white_kernel(4100)
-        with pytest.raises(SizeLimitError):
-            materialize_dense(big)
 
 
 class TestApplyInverse:
@@ -229,32 +217,26 @@ class TestRotatePattern:
 
 
 class TestTorusInverse:
+    """``apply_inverse`` along both axes of an (n^2, n, n) view against dense Kronecker inversion."""
+
     def test_n4(self, n4_decomp):
-        assert torus_inverse_check(n4_decomp).passed
+        expected = np.linalg.inv(dense_torus_matrix(n4_decomp.kernel))
+        np.testing.assert_allclose(separable_torus_inverse(n4_decomp), expected, rtol=0, atol=1e-8)
 
     def test_white_noise_diagonal(self):
         sigma_sq = 2.0
         decomp = decompose(white_kernel(4, sigma_sq=sigma_sq))
-        report = torus_inverse_check(decomp)
-        assert report.passed
         np.testing.assert_allclose(
-            TorusCorrelation(decomp).inverse_dense(),
-            np.eye(16) / sigma_sq**2,
-            atol=1e-12,
+            separable_torus_inverse(decomp), np.eye(16) / sigma_sq**2, atol=1e-12
         )
 
     def test_n6(self, n6_decomp):
-        assert torus_inverse_check(n6_decomp).passed
-
-    def test_scale_guard(self, rng):
-        decomp = decompose(random_psd_kernel(rng, 18))
-        with pytest.raises(SizeLimitError):
-            torus_inverse_check(decomp)
+        expected = np.linalg.inv(dense_torus_matrix(n6_decomp.kernel))
+        np.testing.assert_allclose(separable_torus_inverse(n6_decomp), expected, rtol=0, atol=1e-8)
 
     def test_dense_entries_separable(self, n4_kernel):
-        c = materialize_dense(n4_kernel)
-        torus = TorusCorrelation(decompose(n4_kernel))
-        dense = torus.dense()
+        c = dense_ring_matrix(n4_kernel)
+        dense = dense_torus_matrix(n4_kernel)
         for i, j, k, l in [(0, 1, 2, 3), (1, 1, 1, 1), (3, 0, 2, 1)]:
             assert dense[i * 4 + j, k * 4 + l] == pytest.approx(c[i, k] * c[j, l], abs=1e-15)
 
@@ -334,7 +316,7 @@ class TestFftMatchesDenseOracle:
         v = rng.normal(size=n)
         expected = dense_basis(decomp).T @ v
         coeffs = mode_coefficients(decomp, v)
-        got = [c for m in decomp.modes for c in coeffs[m.frequency][: m.multiplicity]]
+        got = [c for m in decomp.modes for c in coeffs[m.frequency][: 2 if m.paired else 1]]
         assert_close_relative(got, expected)
         for m in decomp.modes:
             if not m.paired:
