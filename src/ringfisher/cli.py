@@ -158,10 +158,11 @@ def _load_decomposition(path: Path):
 
 
 def _require_paired(decomp, frequency: int) -> None:
-    if frequency not in decomp.paired_frequencies:
+    paired = decomp.paired_frequencies
+    if frequency not in paired:
         raise ParameterRangeError(
             f"frequency {frequency} is not a paired mode of the n={decomp.n} ring "
-            f"(paired: {list(decomp.paired_frequencies)})"
+            f"(paired: {paired.start}..{paired.stop - 1})"
         )
 
 

@@ -2,22 +2,21 @@
 
 Noise is drawn spectrally: independent standard normals per eigen-mode scaled
 by the square root of the eigenvalue reproduce the circulant covariance
-exactly, with no dense factorization. The normals are laid out like the
-eigenbasis columns (cos0, cos1, sin1, ...). ``NoiseModel.sample`` maps them
-onto rfft bins and synthesizes responses with one ``irfft`` per axis,
-O(n log n) per draw. The Monte Carlo runs never synthesize a response: both
-estimators read it through m <= 2 fixed vectors, and the projections of one
-snapshot on them are Gaussian with an m x m covariance. ``NoiseModel.project``
-maps the readout once into eigen-coefficient space, forms that covariance and
-draws the projections directly: m normals per trial through a square-root
-factor, whatever n. Memory is then the trial-length estimate vectors. Two
-estimators are provided: the local linear estimator (reads the response
-change along the derivative direction, needs the reference position) and a
-phase readout for single-frequency populations (projects onto the mode's
-eigenvector pair, reference-free up to the mode's angular ambiguity).
-Variance conventions differ by snapshot model: one noisy snapshot against a
-known mean bounds at 1/I, two noisy snapshots at 2/I. Estimators read the
-covariance from the population's decomposition, and ``SimConfig`` and
+exactly. ``NoiseModel.sample`` lays them out like the eigenbasis columns
+(cos0, cos1, sin1, ...) and synthesizes responses with one ``irfft`` per axis,
+O(n log n) per draw. ``estimate_local`` projects a response change on
+C^-1 f'(theta_ref) and divides by the information I = sum_k T_k^2 / lambda_k;
+``estimate_phase`` projects a response on the single active frequency's
+(cos, sin) eigenvector pair and reads the angle, reference-free up to the
+mode's angular ambiguity. The Monte Carlo runs never form a response: the DFT
+diagonalizes the noise, so both readouts have closed forms in the allocation
+and the eigenvalues. The local estimate of a step delta is
+sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position, with noise
+variance sigma^2 / I per snapshot; the phase projections of f(theta) are
+(T/k)(sin psi, -cos psi) with psi = k theta + c, with noise sigma^2 lambda_k
+times the 2 x 2 identity. A snapshot costs one normal (local) or two (phase)
+per trial, whatever n. One noisy snapshot against a known mean bounds the
+variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` and
 ``run_path_integration`` accept the same modes, estimators, trial counts (at
 least 100), noise scales (finite, nonnegative) and finite displacements and
 start positions.
@@ -42,11 +41,11 @@ from .spectral import (
     PSD_TOLERANCE,
     SpectralDecomposition,
     TorusCorrelation,
-    _bins_to_columns,
     _columns_to_bins,
+    _invertible_eigenvalues,
     apply_inverse,
 )
-from .tuning import TuningPopulation1D, mean_derivative, mean_response
+from .tuning import TuningPopulation1D, mean_derivative
 
 Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
@@ -97,35 +96,6 @@ class NoiseModel:
             return both.swapaxes(1, 2).reshape(size, n * n)
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
-    def project(self, rng: np.random.Generator, size: int, readout: np.ndarray) -> np.ndarray:
-        """Noise projections on an (n, m) ring readout: ``size`` draws, shape (size, m).
-
-        The noise is B diag(sigma) z, so its projections on the readout columns
-        are z . c with c = sigma * B^T readout, exactly Gaussian with the m x m
-        covariance c^T c = readout^T C readout. The readout is mapped once into
-        eigen-coefficient space, a square-root factor F of c^T c is taken (from
-        its eigendecomposition, clipped at 0, so a singular one gives zeros), and
-        each draw is m standard normals times F^T: size * m normals, not size * n.
-        """
-        if isinstance(self.decomp, TorusCorrelation):
-            raise TypeError("project reads ring noise; torus noise is drawn by sample")
-        n = self.decomp.n
-        readout = np.asarray(readout, dtype=float)
-        if readout.ndim != 2 or readout.shape[0] != n:
-            raise ValueError(f"expected an ({n}, m) readout, got shape {readout.shape}")
-        sigma = self.scale * self._sqrt_eigenvalues()
-        coeffs = _bins_to_columns(np.fft.rfft(readout.T) * sigma, n).T
-        variances, axes = np.linalg.eigh(coeffs.T @ coeffs)
-        factor = axes * np.sqrt(np.clip(variances, 0.0, None))
-        return rng.standard_normal((size, readout.shape[1])) @ factor.T
-
-
-def _local_readout(pop: TuningPopulation1D, theta_ref: float) -> tuple[np.ndarray, float]:
-    """The local estimator's readout C^-1 f'(theta_ref) and the information f' . C^-1 f'."""
-    d = mean_derivative(pop, theta_ref)
-    weighted = apply_inverse(pop.decomp, d)
-    return weighted, float(d @ weighted)
-
 
 def estimate_local(
     pop: TuningPopulation1D,
@@ -140,9 +110,10 @@ def estimate_local(
     the exact mean response (known-reference paradigm) or a noisy snapshot.
     Accepts stacked (trials, n) inputs.
     """
-    weighted, info = _local_readout(pop, theta_ref)
+    d = mean_derivative(pop, theta_ref)
+    weighted = apply_inverse(pop.decomp, d)
     delta = np.asarray(r_plus, dtype=float) - np.asarray(r_minus, dtype=float)
-    est = delta @ weighted / info
+    est = delta @ weighted / float(d @ weighted)
     return float(est) if np.ndim(est) == 0 else est
 
 
@@ -155,15 +126,8 @@ def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
     return e.frequency, e.amplitude, e.phase
 
 
-def _phase_readout(pop: TuningPopulation1D) -> np.ndarray:
-    """The single frequency's (cos, sin) eigenvector pair as the columns of an (n, 2) readout."""
-    k, _, _ = _single_frequency(pop)
-    return np.column_stack([pop.decomp.cos_vector(k), pop.decomp.sin_vector(k)])
-
-
-def _phase_angle(pop: TuningPopulation1D, a, b):
+def _phase_angle(k: int, phase: float, a, b):
     """Position modulo 2 pi / k whose (cos, sin) projections are (a, b)."""
-    k, _, phase = _single_frequency(pop)
     return np.mod((np.arctan2(a, -b) - phase) / k, TWO_PI / k)
 
 
@@ -174,8 +138,10 @@ def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float
     reads the angle; no reference position is needed, so differencing two calls
     gives a reference-free displacement estimate.
     """
-    ab = np.asarray(r, dtype=float) @ _phase_readout(pop)
-    out = _phase_angle(pop, ab[..., 0], ab[..., 1])
+    k, _, phase = _single_frequency(pop)
+    readout = np.column_stack([pop.decomp.cos_vector(k), pop.decomp.sin_vector(k)])
+    ab = np.asarray(r, dtype=float) @ readout
+    out = _phase_angle(k, phase, ab[..., 0], ab[..., 1])
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -253,6 +219,17 @@ class SimResult:
         return asdict(self)
 
 
+def _readout_sd(pop: TuningPopulation1D, estimator: Estimator, noise: NoiseModel) -> float:
+    """Noise standard deviation of a snapshot's readout: sigma sqrt(I) on f'^T C^-1 r, which
+    needs every eigenvalue positive (SingularCovarianceError), or sigma sqrt(lambda_k) on each
+    phase projection, which needs PSD noise (NotPositiveSemidefiniteError)."""
+    if estimator == "local_linear":
+        _invertible_eigenvalues(pop.decomp)
+        return noise.scale * math.sqrt(fisher_1d_spectral(pop.allocation, pop.decomp))
+    k, _, _ = _single_frequency(pop)
+    return noise.scale * float(noise._sqrt_eigenvalues()[k])
+
+
 def _estimate_step(
     pop: TuningPopulation1D,
     theta_ref: float,
@@ -260,32 +237,35 @@ def _estimate_step(
     trials: int,
     mode: Mode,
     estimator: Estimator,
-    noise: NoiseModel,
+    readout_sd: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One batch of displacement estimates with fresh noise.
 
-    Only the noise projections on the estimator's readout are drawn: the plus
-    snapshot's for every trial, then, in two_snapshot mode, the reference
-    snapshot's.
+    The noiseless readouts come from their closed forms in the allocation and
+    the eigenvalues; the noise is ``readout_sd`` times standard normals, drawn
+    for the plus snapshot of every trial, then, in two_snapshot mode, for the
+    reference snapshot.
     """
-    f_ref = mean_response(pop, theta_ref)
-    f_plus = mean_response(pop, theta_ref + delta_theta)
     two_snapshot = mode == "two_snapshot"
     if estimator == "local_linear":
-        weighted, info = _local_readout(pop, theta_ref)
-        readout = weighted[:, None]
-        change = noise.project(rng, trials, readout)[:, 0]
+        lams = pop.decomp.eigenvalues
+        shift = 0.0
+        for e in pop.allocation.entries:
+            k = e.frequency
+            shift += e.amplitude**2 * math.sin(k * delta_theta) / (k * lams[k])
+        change = readout_sd * rng.standard_normal(trials)
         if two_snapshot:
-            change -= noise.project(rng, trials, readout)[:, 0]
-        return ((f_plus - f_ref) @ weighted + change) / info
-    readout = _phase_readout(pop)
-    plus = f_plus @ readout + noise.project(rng, trials, readout)
-    ref = f_ref @ readout
+            change -= readout_sd * rng.standard_normal(trials)
+        return (shift + change) / fisher_1d_spectral(pop.allocation, pop.decomp)
+    k, amplitude, phase = _single_frequency(pop)
+    psi = k * np.array([theta_ref + delta_theta, theta_ref]) + phase
+    plus, ref = (amplitude / k) * np.column_stack([np.sin(psi), -np.cos(psi)])
+    plus = plus + readout_sd * rng.standard_normal((trials, 2))
     if two_snapshot:
-        ref = ref + noise.project(rng, trials, readout)
-    k, _, _ = _single_frequency(pop)
-    return _wrap_signed(_phase_angle(pop, *plus.T) - _phase_angle(pop, *ref.T), TWO_PI / k)
+        ref = ref + readout_sd * rng.standard_normal((trials, 2))
+    angle_change = _phase_angle(k, phase, *plus.T) - _phase_angle(k, phase, *ref.T)
+    return _wrap_signed(angle_change, TWO_PI / k)
 
 
 def run_displacement_trials(
@@ -297,7 +277,7 @@ def run_displacement_trials(
     aggregate result (for dump-style exports).
     """
     pop = config.population
-    noise = NoiseModel(pop.decomp, scale=config.noise_scale)
+    readout_sd = _readout_sd(pop, config.estimator, NoiseModel(pop.decomp, scale=config.noise_scale))
     rng = make_rng(config.seed)
     estimates = _estimate_step(
         pop,
@@ -306,7 +286,7 @@ def run_displacement_trials(
         config.trials,
         config.mode,
         config.estimator,
-        noise,
+        readout_sd,
         rng,
     )
     info = fisher_1d_spectral(pop.allocation, pop.decomp)
@@ -367,14 +347,14 @@ def run_path_integration(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_experiment(trials, mode, estimator, noise_scale, step_delta=step_delta, theta0=theta0)
-    noise = NoiseModel(pop.decomp, scale=noise_scale)
+    readout_sd = _readout_sd(pop, estimator, NoiseModel(pop.decomp, scale=noise_scale))
     rng = make_rng(seed)
     cumulative = np.zeros(trials)
     variance_by_step = []
     for s in range(steps):
         theta_s = theta0 + s * step_delta
         cumulative = cumulative + _estimate_step(
-            pop, theta_s, step_delta, trials, mode, estimator, noise, rng
+            pop, theta_s, step_delta, trials, mode, estimator, readout_sd, rng
         )
         errors = cumulative - (s + 1) * step_delta
         variance_by_step.append(float(np.var(errors, ddof=1)))

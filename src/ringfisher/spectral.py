@@ -8,7 +8,8 @@ carries a (cos, sin) eigenvector pair sharing one eigenvalue, while k = 0 and
 the matrix, so the eigenvalues are the real rfft of its first row. That
 read-only array, one entry per frequency 0..floor(n/2), is the whole
 decomposition: ``SpectralDecomposition`` stores nothing else, and its modes,
-pairing (0 < k < n/2) and PSD report are read off the array and n. Inversion, synthesis from eigen-coefficients and projection onto them are one
+pairing (0 < k < n/2) and PSD report are read off the array and n.
+Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
 Arrays of eigen-coefficients follow the column order of the orthonormal
 eigenbasis, cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for even n);
@@ -202,9 +203,9 @@ class SpectralDecomposition:
         return self.kernel.n
 
     @property
-    def paired_frequencies(self) -> tuple[int, ...]:
+    def paired_frequencies(self) -> range:
         """Frequencies 0 < k < n/2, each carrying a (cos, sin) eigenvector pair."""
-        return tuple(range(1, (self.n + 1) // 2))
+        return range(1, (self.n + 1) // 2)
 
     @property
     def modes(self) -> tuple[EigenMode, ...]:
@@ -286,6 +287,16 @@ def _ring_vectors(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _invertible_eigenvalues(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> np.ndarray:
+    """The eigenvalues, after raising SingularCovarianceError unless every one exceeds ``tol``."""
+    lams = decomp.eigenvalues
+    if lams.min() <= tol:
+        raise SingularCovarianceError(
+            f"covariance is singular at tolerance {tol}: min eigenvalue {lams.min():.6g}"
+        )
+    return lams
+
+
 def apply_inverse(
     decomp: SpectralDecomposition, v: np.ndarray, tol: float = PSD_TOLERANCE
 ) -> np.ndarray:
@@ -294,11 +305,7 @@ def apply_inverse(
     Accepts a single vector of length n or a stack shaped (..., n). Raises
     SingularCovarianceError unless every eigenvalue exceeds ``tol``.
     """
-    lams = decomp.eigenvalues
-    if lams.min() <= tol:
-        raise SingularCovarianceError(
-            f"covariance is singular at tolerance {tol}: min eigenvalue {lams.min():.6g}"
-        )
+    lams = _invertible_eigenvalues(decomp, tol)
     return np.fft.irfft(np.fft.rfft(_ring_vectors(decomp, v)) / lams, decomp.n)
 
 

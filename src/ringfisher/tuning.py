@@ -98,9 +98,8 @@ class TuningPopulation1D:
     allocation: PowerAllocation
 
     def __post_init__(self) -> None:
-        paired = set(self.decomp.paired_frequencies)
         for e in self.allocation.entries:
-            if e.frequency not in paired:
+            if e.frequency not in self.decomp.paired_frequencies:
                 raise ValueError(
                     f"frequency {e.frequency} is not a paired mode of the n={self.decomp.n} ring"
                 )
@@ -220,7 +219,8 @@ def neuron_curve(pop: TuningPopulation1D, neuron: int, thetas: np.ndarray) -> np
 
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Paired frequencies (ascending) and their eigenvalues."""
-    freqs = np.array(decomp.paired_frequencies)
+    paired = decomp.paired_frequencies
+    freqs = np.arange(paired.start, paired.stop)
     return freqs, decomp.eigenvalues[freqs]
 
 

@@ -151,9 +151,17 @@ class TestFisherCommand:
         payload = json.loads(out.read_text())
         assert payload["i_x"] is None
 
-    def test_unpaired_frequency_exit_5(self, tmp_path, n4_kernel_file):
+    def test_unpaired_frequency_exit_5(self, tmp_path, n4_kernel_file, capsys):
         out = tmp_path / "fisher.json"
         assert main(["fisher", str(n4_kernel_file), str(out), "--k", "2"]) == 5
+        assert "(paired: 1..1)" in capsys.readouterr().err
+        # the message names the range, not each of the 2047 paired frequencies
+        big = tmp_path / "exp4096.json"
+        big.write_text(json.dumps({"n": 4096, "family": "exponential", "params": {"rho": 0.5}}))
+        assert main(["fisher", str(big), str(out), "--k", "2048"]) == 5
+        err = capsys.readouterr().err
+        assert "(paired: 1..2047)" in err
+        assert len(err) < 200
 
 
 class TestField2dCommand:
@@ -214,11 +222,12 @@ class TestField2dCommand:
         )
         assert code == 5
 
-    def test_unpaired_frequency_exit_5(self, tmp_path, n4_kernel_file):
+    def test_unpaired_frequency_exit_5(self, tmp_path, n4_kernel_file, capsys):
         code = main(
             ["field2d", str(n4_kernel_file), str(tmp_path / "f.pgm"), str(tmp_path / "f.csv"), "--k", "2"]
         )
         assert code == 5
+        assert "(paired: 1..1)" in capsys.readouterr().err
 
     def test_condition_violation_exit_4(self, tmp_path):
         kernel_file = spectrum_kernel_file(tmp_path, 6, [1.2, 1.0, 0.5, 0.8])
@@ -300,6 +309,22 @@ class TestSimulateCommand:
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(config))
         assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    def test_invalid_inline_kernel_exit_3(self, tmp_path, capsys, estimator):
+        # eigenvalues 1, 0.5, -0.1, 0.3, 0.2: singular for the local readout, not PSD for phase
+        values = [0.325, 0.1353553390593274, 0.175, 0.06464466094067263, -0.07500000000000001]
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": values}},
+            "allocation": [{"frequency": 1, "amplitude": 1.0}],
+            "trials": 200,
+            "estimator": estimator,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 3
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), str(tmp_path / "r.json")]) == 2
@@ -436,6 +461,20 @@ class TestManifests:
         first = (tmp_path / "opt.json.manifest.json").read_text()
         main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "500"])
         assert (tmp_path / "opt.json.manifest.json").read_text() == first
+        # simulate: the manifest holds the digests of the result JSON and the trial dump
+        for mode in ("known_reference", "two_snapshot"):
+            for estimator in ("local_linear", "phase"):
+                config = tmp_path / f"{mode}-{estimator}.json"
+                config.write_text(json.dumps({
+                    "kernel_file": n4_kernel_file.name, "allocation": "optimal", "trials": 300,
+                    "seed": 9, "mode": mode, "estimator": estimator,
+                }))
+                out, dump = tmp_path / "r.json", tmp_path / "trials.csv"
+                manifests = []
+                for _ in range(2):
+                    assert main(["simulate", str(config), str(out), "--dump-trials", str(dump)]) == 0
+                    manifests.append((tmp_path / "r.json.manifest.json").read_text())
+                assert manifests[0] == manifests[1], (mode, estimator)
 
 
 class TestGoldenOutputs:
@@ -476,8 +515,29 @@ class TestGoldenOutputs:
         ),
         "simulate-dump": (
             ["simulate", "{sim}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
-            {"trials.csv": "1891b2b843be4254eb975c5301e17583116872a63be4c3b7a096a11e5844a159"},
+            {"trials.csv": "571512bc33df894af94885c04c21c0d775d4cece053170ceb0e6dd166fb46ccb"},
         ),
+        "simulate-phase-known": (
+            ["simulate", "{sim_phase_known}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
+            {
+                "r.json": "fe10bcf0ce089652e3df5ae4fd76e7d91c5209de2d624e643a908f8e4fb8cce5",
+                "trials.csv": "72f714fbfc7a191054d0a7b30665daba4c383c03d178599879baeaf11bf58b51",
+            },
+        ),
+        "simulate-phase-two": (
+            ["simulate", "{sim_phase_two}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
+            {
+                "r.json": "4c2144283e3c8bda0382c11e7124fafbc8e931187dc0e40b027fea2714698a4e",
+                "trials.csv": "a9817e8506354aab603a35ac369576a34376fa3e93839247f6820d68f626f6b8",
+            },
+        ),
+    }
+
+    #: simulate configs on the ring8 kernel, by path key: extra fields over the local_linear default
+    SIM_CONFIGS = {
+        "sim": {},
+        "sim_phase_known": {"estimator": "phase"},
+        "sim_phase_two": {"estimator": "phase", "mode": "two_snapshot"},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -488,15 +548,16 @@ class TestGoldenOutputs:
             "exp16": inputs / "exp16.json",
             "torus15": write_kernel(inputs / "torus15.json", 15, self.TORUS_VALUES),
             "ring8": write_kernel(inputs / "ring8.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05]),
-            "sim": inputs / "sim.json",
             "out": tmp_path,
         }
         paths["exp16"].write_text(
             json.dumps({"n": 16, "family": "exponential", "params": {"c0": 1.0, "rho": 0.6}})
         )
-        paths["sim"].write_text(
-            json.dumps({"kernel_file": "ring8.json", "allocation": "optimal", "trials": 100, "seed": 5})
-        )
+        for key, extra in self.SIM_CONFIGS.items():
+            paths[key] = inputs / f"{key}.json"
+            paths[key].write_text(
+                json.dumps({"kernel_file": "ring8.json", "allocation": "optimal", "trials": 100, "seed": 5, **extra})
+            )
         argv, digests = self.CASES[case]
         assert main([arg.format(**paths) for arg in argv]) == 0
         for name, digest in digests.items():

@@ -3,13 +3,19 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringfisher.errors import MultiModePopulationError
+from ringfisher import mcsim
+from ringfisher.errors import (
+    MultiModePopulationError,
+    NotPositiveSemidefiniteError,
+    SingularCovarianceError,
+)
 from ringfisher.mcsim import (
     NoiseModel,
     SimConfig,
@@ -21,6 +27,7 @@ from ringfisher.mcsim import (
 )
 from ringfisher.spectral import (
     CorrelationKernel,
+    SpectralDecomposition,
     TorusCorrelation,
     apply_inverse,
     decompose,
@@ -31,6 +38,7 @@ from ringfisher.tuning import (
     AllocationEntry,
     PowerAllocation,
     TuningPopulation1D,
+    mean_derivative,
     mean_response,
     optimal_tuning_1d,
 )
@@ -181,45 +189,13 @@ def _small_config(mode, estimator, n, seed, trials, scale) -> SimConfig:
     )
 
 
+#: n = 8 kernels: eigenvalues about 2.8, 1.28, 0 (exactly), 0.72, 1.2, and 1, 0.5, -0.1, 0.3, 0.2.
+ZERO_AT_2 = CorrelationKernel(8, (1.0, 0.3, 0.5, 0.1, 0.0))
+NEGATIVE_AT_2 = kernel_from_spectrum(8, np.array([1.0, 0.5, -0.1, 0.3, 0.2]))
+
+
 class TestProjectedNoise:
     """The Monte Carlo path draws the noise projections on the estimator readout directly."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(4, 64),
-        seed=st.integers(0, 2**32 - 1),
-        size=st.integers(8, 300),
-        columns=st.integers(1, 3),
-        scale=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
-    )
-    def test_projection_factor_matches_dense_covariance(self, n, seed, size, columns, scale):
-        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
-        readout = np.random.default_rng(seed + 1).normal(size=(n, columns))
-        projected, reference = make_rng(seed), make_rng(seed)
-        actual = NoiseModel(decomp, scale=scale).project(projected, size, readout)
-        assert actual.shape == (size, columns)
-        # the same normals, redrawn: actual = z @ F^T for the factor F that project chose
-        z = reference.standard_normal((size, columns))
-        factor = np.linalg.lstsq(z, actual, rcond=None)[0].T
-        assert_close_relative(z @ factor.T, actual, rel=1e-10)
-        expected = scale**2 * readout.T @ dense_ring_matrix(decomp.kernel) @ readout
-        assert_close_relative(factor @ factor.T, expected, rel=1e-10)
-        # exactly size * m normals were consumed, never size * n
-        np.testing.assert_array_equal(projected.standard_normal(4), reference.standard_normal(4))
-
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 3))
-    def test_empirical_covariance_within_five_standard_errors(self, n, seed, columns):
-        draws = 200_000
-        decomp = decompose(random_psd_kernel(np.random.default_rng(seed), n))
-        readout = np.random.default_rng(seed + 1).normal(size=(n, columns))
-        projections = NoiseModel(decomp).project(make_rng(seed), draws, readout)
-        expected = readout.T @ dense_ring_matrix(decomp.kernel) @ readout
-        empirical = np.cov(projections, rowvar=False).reshape(columns, columns)
-        # Var of a Gaussian sample covariance entry: (S_ii S_jj + S_ij^2) / (N - 1)
-        d = np.diag(expected)
-        stderr = np.sqrt((np.outer(d, d) + expected**2) / (draws - 1))
-        assert np.all(np.abs(empirical - expected) <= 5.0 * stderr)
 
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
@@ -246,21 +222,110 @@ class TestProjectedNoise:
         assert abs(np.mean(actual) - np.mean(oracle)) <= 5.0 * math.sqrt((v1 + v2) / trials)
         assert abs(v1 - v2) <= 5.0 * math.sqrt(2.0 / (trials - 1)) * math.hypot(v1, v2)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # the bound's information is infinite
     def test_readout_on_noiseless_modes_projects_to_zero(self):
-        # sigma vanishes at k = 2, so the Gram matrix of the (cos 2, sin 2) readout is singular
-        decomp = decompose(kernel_from_spectrum(8, np.array([1.0, 0.5, 0.0, 0.3, 0.2])))
-        readout = np.column_stack([decomp.cos_vector(2), decomp.sin_vector(2)])
-        projections = NoiseModel(decomp).project(make_rng(0), 500, readout)
-        assert projections.shape == (500, 2)
-        assert np.max(np.abs(projections)) <= 1e-12
+        # lambda_2 = 0 exactly, so a phase run at k = 2 draws its noise with standard deviation 0
+        pop = TuningPopulation1D(decompose(ZERO_AT_2), PowerAllocation.single(2, 1.0, phase=0.4))
+        noisy, noiseless = (
+            _estimates(
+                SimConfig(
+                    population=pop, trials=500, seed=0, mode="two_snapshot", estimator="phase",
+                    theta0=0.3, noise_scale=scale,
+                )
+            )
+            for scale in (1.0, 0.0)
+        )
+        np.testing.assert_array_equal(noisy, noiseless)
+        np.testing.assert_allclose(noiseless, 1e-3, rtol=0, atol=1e-12)
 
-    def test_torus_noise_is_not_projected(self, n4_decomp):
-        with pytest.raises(TypeError):
-            NoiseModel(TorusCorrelation(n4_decomp)).project(make_rng(0), 3, np.ones((16, 1)))
 
-    def test_readout_must_be_n_by_m(self, n4_decomp):
-        with pytest.raises(ValueError):
-            NoiseModel(n4_decomp).project(make_rng(0), 3, np.ones(4))
+class TestCovarianceErrors:
+    """The Monte Carlo runs check the whole spectrum, not just the active frequencies."""
+
+    @pytest.mark.parametrize("kernel", [ZERO_AT_2, NEGATIVE_AT_2], ids=["zero", "negative"])
+    def test_local_linear_needs_every_eigenvalue_positive(self, kernel):
+        pop = TuningPopulation1D(decompose(kernel), PowerAllocation.single(1, 1.0))
+        with pytest.raises(SingularCovarianceError):
+            run_displacement_trials(SimConfig(population=pop, trials=200, seed=1))
+        with pytest.raises(SingularCovarianceError):
+            run_path_integration(pop, steps=2, trials=200, seed=1)
+
+    def test_phase_needs_psd_noise(self):
+        pop = TuningPopulation1D(decompose(NEGATIVE_AT_2), PowerAllocation.single(1, 1.0))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            run_displacement_trials(SimConfig(population=pop, trials=200, seed=1, estimator="phase"))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            run_path_integration(pop, steps=2, trials=200, seed=1, estimator="phase")
+
+    def test_phase_runs_with_a_zero_eigenvalue_at_an_inactive_frequency(self):
+        pop = TuningPopulation1D(decompose(ZERO_AT_2), PowerAllocation.single(1, 1.0))
+        result = run_displacement_trials(SimConfig(population=pop, trials=200, seed=1, estimator="phase"))
+        assert result.empirical_variance > 0.0
+        run_path_integration(pop, steps=2, trials=200, seed=1, estimator="phase")
+
+
+class TestMonteCarloPathStaysInModeSpace:
+    """No response vector, eigenvector, inverse or FFT on the Monte Carlo path."""
+
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
+    def test_no_n_space_work(self, monkeypatch, n6_decomp, mode, estimator):
+        pop = optimal_tuning_1d(n6_decomp, 1.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n-space work on the Monte Carlo path")
+
+        for owner, name in [
+            (SpectralDecomposition, "cos_vector"),
+            (SpectralDecomposition, "sin_vector"),
+            (np.fft, "rfft"),
+            (np.fft, "irfft"),
+            (mcsim, "apply_inverse"),
+            (mcsim, "mean_derivative"),
+        ]:
+            monkeypatch.setattr(owner, name, forbidden)
+        run_displacement_trials(
+            SimConfig(population=pop, trials=200, seed=1, mode=mode, estimator=estimator)
+        )
+        run_path_integration(pop, steps=3, trials=200, seed=1, mode=mode, estimator=estimator)
+
+
+def _multi_frequency_population(seed: int, n: int) -> TuningPopulation1D:
+    """Two or three active frequencies with random amplitudes and phases on a random kernel."""
+    g = np.random.default_rng(seed)
+    decomp = decompose(random_psd_kernel(g, n))
+    paired = list(decomp.paired_frequencies)
+    ks = g.choice(paired, size=min(len(paired), int(g.integers(2, 4))), replace=False)
+    entries = tuple(
+        AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.1, 6.0))) for k in ks
+    )
+    return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
+
+
+class TestLocalReadoutMatchesDenseGls:
+    """Zero-noise local_linear estimates equal the dense GLS readout (f+ - f0)^T C^-1 f' / f'^T C^-1 f'."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(6, 16),
+        seed=st.integers(0, 2**32 - 1),
+        theta0=st.sampled_from([0.0, 1.3, 2.0]),
+        delta=st.sampled_from([1e-3, 0.05, 0.3]),
+        mode=st.sampled_from(["known_reference", "two_snapshot"]),
+    )
+    def test_zero_noise_estimates(self, n, seed, theta0, delta, mode):
+        pop = _multi_frequency_population(seed, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k * delta may pass the linearization guard
+            config = SimConfig(
+                population=pop, delta_theta=delta, trials=100, seed=seed, mode=mode,
+                theta0=theta0, noise_scale=0.0,
+            )
+        d = mean_derivative(pop, theta0)
+        weighted = np.linalg.solve(dense_ring_matrix(pop.decomp.kernel), d)
+        change = mean_response(pop, theta0 + delta) - mean_response(pop, theta0)
+        expected = change @ weighted / (d @ weighted)
+        np.testing.assert_allclose(_estimates(config), expected, rtol=0, atol=1e-12)
 
 
 class TestMemoryBound:
