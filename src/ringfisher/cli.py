@@ -178,6 +178,11 @@ def _require_power(power: float) -> None:
         raise ParameterRangeError(f"--power must be positive and finite, got {power}")
 
 
+def _require_offset(offset: float | None) -> None:
+    if offset is not None and not math.isfinite(offset):
+        raise ParameterRangeError(f"--offset must be finite, got {offset}")
+
+
 def _require_count(flag: str, value: int, minimum: int) -> None:
     if value < minimum:
         raise ParameterRangeError(f"{flag} must be >= {minimum}, got {value}")
@@ -209,6 +214,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     _require_power(args.power)
     _require_count("--audit-trials", args.audit_trials, 0)
     _require_count("--curves-samples", args.curves_samples, 1)
+    _require_offset(args.offset)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(decomp)
     if _ties(*_paired_arrays(decomp)).size > 1:
@@ -282,6 +288,7 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
     _require_power(args.power)
     _require_neuron(decomp, args.neuron)
+    _require_offset(args.offset)
     if args.optimal:
         pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)
     else:
@@ -366,6 +373,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result, estimates = run_displacement_trials(config, with_estimates=True)
     for w in caught:
         _warn(str(w.message))
+    not_finite = [
+        f"{name} = {value}"
+        for name, value in result.to_dict().items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if not_finite:
+        raise ValueError(
+            f"result is not finite ({', '.join(not_finite)}); there is no Cramer-Rao "
+            "bound to compare with, as when the active frequency's noise eigenvalue is 0"
+        )
     out = _resolve(args, args.out)
     rio.write_json(result.to_dict(), out)
     outputs = [out]

@@ -17,7 +17,7 @@ from .spectral import (
     exponential_kernel,
     gaussian_kernel,
 )
-from .tuning import TuningPopulation1D, mean_response
+from .tuning import TuningPopulation1D, _lattice_waveform
 
 _HASH_CHUNK_BYTES = 1 << 20
 
@@ -124,12 +124,38 @@ def write_curves_csv(
     samples: int = 256,
     offset: float = 0.0,
 ) -> None:
-    """Sampled tuning curves: theta column then one column per neuron."""
+    """Sampled tuning curves: theta column then one column per neuron.
+
+    Every curve is one waveform delayed by 2 pi / n per neuron, so row s,
+    neuron i is the waveform at point (s L/S - i L/n) mod L of the
+    L = lcm(S, n) lattice, S = ``samples``. Rows s, s + b, s + 2b, ... with
+    b = L/n read the same n points (a coset), each rotated L/S neurons further
+    than the one before. So a coset is evaluated and formatted once, at its
+    first row, and a later row is two slices of its text; the text is dropped
+    after the coset's last row, so at most b cosets are held.
+    """
+    n = pop.n
+    lattice = math.lcm(samples, n)
+    row_step, cosets = lattice // samples, lattice // n
+    rows_per_coset = samples // cosets
+    neurons = np.arange(n)
+    live: dict[int, tuple[str, list[int]]] = {}
     thetas = TWO_PI * np.arange(samples) / samples
-    curves = mean_response(pop, thetas) + offset
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(["theta"] + [f"neuron_{i}" for i in range(pop.n)]) + "\r\n")
-        _write_rows(handle, np.column_stack((thetas, curves)))
+        handle.write(",".join(["theta"] + [f"neuron_{i}" for i in range(n)]) + "\r\n")
+        for s, theta in enumerate(thetas.tolist()):
+            coset, turn = s % cosets, s // cosets
+            if turn == 0:
+                index = (s * row_step - cosets * neurons) % lattice
+                cells = list(map(repr, (_lattice_waveform(pop, lattice, index) + offset).tolist()))
+                # the text is ",v_0,v_1,...": a turn starts at cell (-turn L/S) mod n
+                widths = np.fromiter(map(len, cells), np.int64, n) + 1
+                starts = np.cumsum(widths) - widths
+                cuts = starts[(-row_step * np.arange(rows_per_coset)) % n].tolist()
+                live[coset] = ("," + ",".join(cells), cuts)
+            text, cuts = live[coset] if turn < rows_per_coset - 1 else live.pop(coset)
+            cut = cuts[turn]
+            handle.write(f"{theta!r}{text[cut:]}{text[:cut]}\r\n")
 
 
 def write_field_csv(field: np.ndarray, path: str | Path) -> None:
@@ -158,12 +184,16 @@ def write_pgm(field: np.ndarray, path: str | Path) -> None:
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    Raises ValueError, before the file is opened, on a NaN or infinite value,
+    which JSON cannot hold.
+    """
+    Path(path).write_text(dumps_json(payload) + "\n")
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def sha256_file(path: str | Path) -> str:

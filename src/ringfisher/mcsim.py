@@ -222,7 +222,10 @@ class SimResult:
 def _readout_sd(pop: TuningPopulation1D, estimator: Estimator, noise: NoiseModel) -> float:
     """Noise standard deviation of a snapshot's readout: sigma sqrt(I) on f'^T C^-1 r, which
     needs every eigenvalue positive (SingularCovarianceError), or sigma sqrt(lambda_k) on each
-    phase projection, which needs PSD noise (NotPositiveSemidefiniteError)."""
+    phase projection, which needs PSD noise (NotPositiveSemidefiniteError). A population
+    with no active frequency carries no position information (ValueError)."""
+    if not pop.allocation.entries:
+        raise ValueError("the population has no active frequency, so no displacement is observable")
     if estimator == "local_linear":
         _invertible_eigenvalues(pop.decomp)
         return noise.scale * math.sqrt(fisher_1d_spectral(pop.allocation, pop.decomp))

@@ -217,6 +217,24 @@ def neuron_curve(pop: TuningPopulation1D, neuron: int, thetas: np.ndarray) -> np
     return _entry_sum(pop, _as_theta_array(thetas)[0], 0, neuron)
 
 
+def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) -> np.ndarray:
+    """Neuron 0's tuning curve at the angles 2 pi index / lattice, ``index`` in 0..lattice - 1.
+
+    Neuron i's curve is this waveform delayed by 2 pi i / n. Each phase
+    k theta is reduced in integers, (k index) mod lattice, before it becomes
+    an angle, so no sine argument exceeds 2 pi plus the phase c_k.
+    """
+    if lattice * pop.n > np.iinfo(np.int64).max:
+        raise ValueError(f"lattice of {lattice} points is too fine for int64 phases at n = {pop.n}")
+    index = np.asarray(index, dtype=np.int64)
+    out = np.zeros(index.shape)
+    for e in pop.allocation.entries:
+        turns = (e.frequency * index) % lattice
+        out += (e.amplitude / e.frequency) * np.sin(TWO_PI * turns / lattice + e.phase)
+    out *= math.sqrt(2.0 / pop.n)
+    return out
+
+
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Paired frequencies (ascending) and their eigenvalues."""
     paired = decomp.paired_frequencies

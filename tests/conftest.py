@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ringfisher.spectral import (
     decompose,
     kernel_from_spectrum,
 )
-from ringfisher.tuning import TuningPopulation1D, mean_response
+from ringfisher.tuning import TuningPopulation1D, _lattice_waveform
 
 
 def dense_ring_matrix(kernel: CorrelationKernel) -> np.ndarray:
@@ -173,9 +174,14 @@ def csv_module_field_csv(field: np.ndarray, path: str | Path) -> None:
 def csv_module_curves_csv(
     pop: TuningPopulation1D, path: str | Path, samples: int = 256, offset: float = 0.0
 ) -> None:
-    """Byte oracle for ``io.write_curves_csv``: csv.writer over ``repr(float(v))``."""
+    """Byte oracle for ``io.write_curves_csv``: the waveform on the whole L = lcm(S, n)
+    lattice, gathered into the S x n table at points (s L/S - i L/n) mod L and written
+    by csv.writer over ``repr(float(v))``."""
     thetas = TWO_PI * np.arange(samples) / samples
-    curves = mean_response(pop, thetas) + offset
+    lattice = math.lcm(samples, pop.n)
+    rows = np.arange(samples)[:, None] * (lattice // samples)
+    index = (rows - np.arange(pop.n) * (lattice // pop.n)) % lattice
+    curves = _lattice_waveform(pop, lattice, np.arange(lattice))[index] + offset
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["theta"] + [f"neuron_{i}" for i in range(pop.n)])

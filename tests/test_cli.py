@@ -358,6 +358,37 @@ class TestSimulateCommand:
         assert not (tmp_path / "r.json").exists()
 
 
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    def test_empty_allocation_exit_6(self, tmp_path, capsys, estimator):
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.45, 0.2, 0.1, 0.05]}},
+            "allocation": [],
+            "trials": 200,
+            "estimator": estimator,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        assert main(argv) == 6
+        assert "no active frequency" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_noiseless_active_frequency_exit_6(self, tmp_path, capsys):
+        # eigenvalue 0 at k = 2: the phase readout is exact and the information infinite
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.3, 0.5, 0.1, 0.0]}},
+            "allocation": [{"frequency": 2, "amplitude": 1.0}],
+            "trials": 200,
+            "estimator": "phase",
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        assert main(argv) == 6
+        assert "fisher_information = inf" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 class TestMalformedFieldTypes:
     """JSON fields of the wrong type exit 2 with a message, not a traceback or a silent cast."""
 
@@ -440,6 +471,18 @@ class TestParameterRanges:
         assert "--curves-samples" in capsys.readouterr().err
         assert not curves.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "field2d"])
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_non_finite_offset_exit_5(self, tmp_path, n4_kernel_file, capsys, command, offset):
+        out = tmp_path / "out"
+        argv = {
+            "optimize": ["optimize", str(n4_kernel_file), str(out), "--curves-out", str(tmp_path / "c.csv")],
+            "field2d": ["field2d", str(n4_kernel_file), str(out), str(tmp_path / "f.csv"), "--k", "1"],
+        }[command]
+        assert main([f"--offset={offset}", *argv]) == 5
+        assert "--offset" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [n4_kernel_file.name]
+
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
@@ -477,6 +520,19 @@ class TestManifests:
                 assert manifests[0] == manifests[1], (mode, estimator)
 
 
+    def test_repeat_curves_runs_reproduce_bytes(self, tmp_path, n4_kernel_file):
+        outputs = []
+        for run in ("a", "b"):
+            out, curves = tmp_path / f"opt-{run}.json", tmp_path / "curves.csv"
+            argv = ["--offset", "0.25", "optimize", str(n4_kernel_file), str(out),
+                    "--curves-out", str(curves), "--curves-samples", "33"]
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / f"opt-{run}.json.manifest.json").read_text())
+            outputs.append((curves.read_bytes(), out.read_bytes(), manifest["outputs"]))
+        assert outputs[0][:2] == outputs[1][:2]
+        assert list(outputs[0][2].values()) == list(outputs[1][2].values())
+
+
 class TestGoldenOutputs:
     """Output bytes pinned by SHA-256 digests of the csv-module writers' outputs.
 
@@ -496,7 +552,7 @@ class TestGoldenOutputs:
         "optimize-curves": (
             ["--offset", "0.5", "optimize", "{torus15}", "{out}/opt.json",
              "--curves-out", "{out}/curves.csv", "--curves-samples", "16"],
-            {"curves.csv": "79c75250a96ef630c801d199783e7e945d96b77bb323c6794f4d0c91d3365fcc"},
+            {"curves.csv": "47db04fa91618aee651c7e2495e6481d770e2570eeb2011efdd2564fbbacb1cf"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

@@ -20,10 +20,17 @@ import conftest
 import ringfisher
 from ringfisher import io as rio
 from ringfisher.errors import MalformedKernelError
-from ringfisher.spectral import decompose
-from ringfisher.tuning import optimal_tuning_1d
+from ringfisher.spectral import TWO_PI, decompose, exponential_kernel
+from ringfisher.tuning import (
+    AllocationEntry,
+    PowerAllocation,
+    TuningPopulation1D,
+    _lattice_waveform,
+    mean_response,
+    optimal_tuning_1d,
+)
 
-from conftest import csv_module_curves_csv, csv_module_field_csv, read_field_csv
+from conftest import csv_module_curves_csv, csv_module_field_csv, read_field_csv, white_kernel
 
 #: Values whose text form is easy to get wrong: signed zeros, infinities, nan,
 #: subnormals, the repr switch to exponent notation, and integral floats.
@@ -122,23 +129,24 @@ class TestCsvBytes:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @byte_oracle_settings
-    @given(
-        curves=hnp.arrays(np.float64, matrix_shapes, elements=float_elements),
-        offset=float_elements,
-    )
-    def test_curves_bytes_equal_csv_module(self, tmp_path, curves, offset):
-        # both writers read the same sampled curves, so only the formatting is compared
-        def sampled(pop, thetas):
-            assert thetas.shape == (curves.shape[0],)
-            return curves
+    @given(samples=st.integers(1, 40), n=st.integers(1, 40), offset=float_elements, data=st.data())
+    def test_curves_bytes_equal_csv_module(self, tmp_path, samples, n, offset, data):
+        # both writers read one waveform table on the lcm(S, n) lattice, so only the
+        # gathering and the formatting are compared
+        lattice = math.lcm(samples, n)
+        table = data.draw(hnp.arrays(np.float64, lattice, elements=float_elements))
 
-        pop = SimpleNamespace(n=curves.shape[1])
+        def waveform(pop, size, index):
+            assert size == lattice
+            return table[index]
+
+        pop = SimpleNamespace(n=n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rio, "mean_response", sampled)
-            mp.setattr(conftest, "mean_response", sampled)
+            mp.setattr(rio, "_lattice_waveform", waveform)
+            mp.setattr(conftest, "_lattice_waveform", waveform)
             with np.errstate(invalid="ignore"):
-                rio.write_curves_csv(pop, tmp_path / "fast.csv", len(curves), offset)
-                csv_module_curves_csv(pop, tmp_path / "oracle.csv", len(curves), offset)
+                rio.write_curves_csv(pop, tmp_path / "fast.csv", samples, offset)
+                csv_module_curves_csv(pop, tmp_path / "oracle.csv", samples, offset)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_population_curves_bytes_equal_csv_module(self, tmp_path, n6_decomp):
@@ -153,7 +161,87 @@ class TestCsvBytes:
         assert path.read_bytes() == b"0.1,-0.0,1e+16\r\ninf,nan,5e-324\r\n"
 
 
+@st.composite
+def curve_exports(draw, commensurate=False):
+    """(population, samples, offset): 1-3 paired frequencies with non-zero phases on an
+    n-ring; samples a multiple of n, coprime to n or any, or only a multiple of n."""
+    n = draw(st.integers(4, 24))
+    multiple = st.integers(1, 4).map(lambda j: j * n)
+    coprime = st.integers(1, 64).filter(lambda s: math.gcd(s, n) == 1)
+    samples = draw(multiple if commensurate else st.one_of(multiple, coprime, st.integers(1, 64)))
+    frequencies = draw(st.lists(st.integers(1, (n - 1) // 2), min_size=1, max_size=3, unique=True))
+    entries = tuple(
+        AllocationEntry(k, draw(st.floats(0.1, 2.0)), draw(st.floats(0.05, 6.0)))
+        for k in frequencies
+    )
+    pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation(entries=entries))
+    return pop, samples, draw(st.floats(-2.0, 2.0))
+
+
+def read_curve_cells(path) -> list[list[str]]:
+    """Body rows of a curves CSV as text cells, theta first."""
+    text = Path(path).read_bytes().decode("ascii")
+    assert text.endswith("\r\n")
+    return [row.split(",") for row in text.split("\r\n")[1:-1]]
+
+
+class TestCurveLattice:
+    """The curves CSV samples one waveform on the lcm(S, n) lattice."""
+
+    @byte_oracle_settings
+    @given(export=curve_exports())
+    def test_values_match_mean_response(self, tmp_path, export):
+        pop, samples, offset = export
+        rio.write_curves_csv(pop, tmp_path / "curves.csv", samples, offset)
+        table = np.array(read_curve_cells(tmp_path / "curves.csv"), dtype=float)
+        thetas = TWO_PI * np.arange(samples) / samples
+        assert table.shape == (samples, pop.n + 1)
+        np.testing.assert_array_equal(table[:, 0], thetas)
+        scale = sum(e.amplitude / e.frequency for e in pop.allocation.entries) * math.sqrt(2 / pop.n)
+        np.testing.assert_allclose(
+            table[:, 1:], mean_response(pop, thetas) + offset, rtol=0, atol=1e-11 * scale
+        )
+
+    @byte_oracle_settings
+    @given(export=curve_exports(commensurate=True))
+    def test_columns_are_shifted_copies_when_n_divides_samples(self, tmp_path, export):
+        pop, samples, offset = export
+        rio.write_curves_csv(pop, tmp_path / "curves.csv", samples, offset)
+        cells = np.array(read_curve_cells(tmp_path / "curves.csv"))
+        for i in range(pop.n):
+            assert cells[:, 1 + i].tolist() == np.roll(cells[:, 1], i * samples // pop.n).tolist()
+
+    @pytest.mark.parametrize("lattice", [7 * 64, 3 * 2**40])
+    def test_phases_reduced_in_integers(self, lattice):
+        # frequency k at point j is frequency 1 at point (k j) mod L, bit for bit, only if
+        # k j is reduced before it becomes an angle
+        decomp = decompose(white_kernel(64))
+        k, amplitude, phase = 29, 1.7, 0.4
+        high = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(k, amplitude, phase),)))
+        low = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(1, amplitude / k, phase),)))
+        index = np.linspace(0, lattice - 1, 997).astype(np.int64)
+        np.testing.assert_array_equal(
+            _lattice_waveform(high, lattice, index), _lattice_waveform(low, lattice, (k * index) % lattice)
+        )
+
+    def test_lattice_too_fine_for_int64_rejected(self, n4_decomp):
+        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        with pytest.raises(ValueError, match="too fine"):
+            _lattice_waveform(pop, 2**62, np.arange(3))
+
+
 class TestBoundedMemory:
+    @pytest.mark.parametrize("samples, n", [(256, 1024), (255, 1024), (254, 1024), (256, 1000)])
+    def test_curves_csv_holds_only_live_cosets(self, tmp_path, samples, n):
+        # the text of the live cosets (at most 32 bytes a value) and one coset's working
+        # lists; the full samples x n table alone is 2 MiB as float64
+        pop = optimal_tuning_1d(decompose(exponential_kernel(n, 1.0, 0.5)), 1.0)
+        cosets = math.lcm(samples, n) // n
+        live = cosets if cosets < samples else 1
+        peak = traced_peak_bytes(lambda: rio.write_curves_csv(pop, tmp_path / "c.csv", samples))
+        assert peak < 32 * n * live + 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
     def test_field_csv_peak_bounded_by_a_row(self, tmp_path, rng):
         # 512 x 2048 samples: 8 MiB as float64, about 33 MiB as one nested list
         field = rng.normal(size=(512, 2048))
@@ -176,6 +264,17 @@ class TestBoundedMemory:
         field = rng.normal(size=(512, 512))
         peak = traced_peak_bytes(lambda: rio.write_pgm(field, tmp_path / "field.pgm"))
         assert peak < 1.5 * field.nbytes, f"peak {peak / field.nbytes:.2f} x the field"
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected_before_writing(self, tmp_path, value):
+        payload = {"fine": 1.0, "nested": {"bad": value}}
+        with pytest.raises(ValueError):
+            rio.dumps_json(payload)
+        with pytest.raises(ValueError):
+            rio.write_json(payload, tmp_path / "out.json")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestPgm:

@@ -264,6 +264,30 @@ class TestCovarianceErrors:
         run_path_integration(pop, steps=2, trials=200, seed=1, estimator="phase")
 
 
+class TestEmptyPopulation:
+    """A population with no active frequency is rejected before any draw."""
+
+    RUNNERS = {
+        "displacement": lambda pop, estimator: run_displacement_trials(
+            SimConfig(population=pop, trials=200, seed=1, estimator=estimator)
+        ),
+        "path": lambda pop, estimator: run_path_integration(
+            pop, steps=2, trials=200, seed=1, estimator=estimator
+        ),
+    }
+
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_rejected_before_drawing(self, monkeypatch, n6_decomp, runner, estimator):
+        def no_draws(seed):
+            raise AssertionError("drew noise for an empty population")
+
+        monkeypatch.setattr(mcsim, "make_rng", no_draws)
+        pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
+        with pytest.raises(ValueError, match="no active frequency"):
+            self.RUNNERS[runner](pop, estimator)
+
+
 class TestMonteCarloPathStaysInModeSpace:
     """No response vector, eigenvector, inverse or FFT on the Monte Carlo path."""
 
