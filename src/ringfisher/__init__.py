@@ -10,7 +10,6 @@ over JSON/CSV/graymap artifacts.
 
 from ._version import __version__
 from .errors import (
-    AxisMismatchError,
     ConditionViolatedError,
     MalformedKernelError,
     MultiModePopulationError,

@@ -138,9 +138,14 @@ def _write_manifest(
     primary_out: Path,
     inputs: list[Path],
     outputs: list[Path],
-    settings: dict,
     seed: int | None,
 ) -> None:
+    """``<primary_out>.manifest.json``: every parsed argument, the seed and the file digests."""
+    settings = {
+        name: str(value) if isinstance(value, Path) else value
+        for name, value in vars(args).items()
+        if name != "handler"
+    }
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -178,9 +183,9 @@ def _require_power(power: float) -> None:
         raise ParameterRangeError(f"--power must be positive and finite, got {power}")
 
 
-def _require_offset(offset: float | None) -> None:
-    if offset is not None and not math.isfinite(offset):
-        raise ParameterRangeError(f"--offset must be finite, got {offset}")
+def _require_finite(flag: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ParameterRangeError(f"{flag} must be finite, got {value}")
 
 
 def _require_count(flag: str, value: int, minimum: int) -> None:
@@ -197,7 +202,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     out = _resolve(args, args.out)
     rio.write_decomposition_csv(decomp, out)
     report = validate_psd(decomp)
-    _write_manifest(args, out, [args.kernel], [out], {"kernel": str(args.kernel)}, None)
+    _write_manifest(args, out, [args.kernel], [out], None)
     if not report.valid:
         offending = ", ".join(str(k) for k in report.negative_frequencies)
         print(
@@ -214,7 +219,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     _require_power(args.power)
     _require_count("--audit-trials", args.audit_trials, 0)
     _require_count("--curves-samples", args.curves_samples, 1)
-    _require_offset(args.offset)
+    _require_finite("--offset", args.offset)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(decomp)
     if _ties(*_paired_arrays(decomp)).size > 1:
@@ -233,7 +238,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "instead of a single-frequency concentration"
             )
         search = maximize_fisher_2d(decomp, args.power, audit_trials=args.audit_trials, seed=seed)
-        pop2d = TuningPopulation2D.from_axis(TuningPopulation1D(decomp, search.allocation))
+        pop2d = TuningPopulation2D(TuningPopulation1D(decomp, search.allocation))
         fi_section = fisher_2d(pop2d).to_dict()
     payload = {
         "search": search.to_dict(),
@@ -252,9 +257,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0
         )
         outputs.append(curves_out)
-    _write_manifest(
-        args, out, [args.kernel], outputs, {"dim": args.dim, "power": args.power}, seed
-    )
+    _write_manifest(args, out, [args.kernel], outputs, seed)
     print(rio.dumps_json(payload["search"]))
     return EXIT_OK
 
@@ -273,13 +276,11 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
     payload["ordering_condition"] = check_condition(decomp).to_dict()
     payload.update({"i_x": None, "i_y": None, "i_xy": None})
     if args.dim == 2:
-        pop2d = TuningPopulation2D.from_axis(pop)
+        pop2d = TuningPopulation2D(pop)
         payload.update(fisher_2d(pop2d).to_dict())
     out = _resolve(args, args.out)
     rio.write_json(payload, out)
-    _write_manifest(
-        args, out, [args.kernel], [out], {"dim": args.dim, "power": args.power, "k": args.k}, None
-    )
+    _write_manifest(args, out, [args.kernel], [out], None)
     print(rio.dumps_json(payload))
     return EXIT_OK
 
@@ -288,27 +289,20 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
     decomp = _load_decomposition(args.kernel)
     _require_power(args.power)
     _require_neuron(decomp, args.neuron)
-    _require_offset(args.offset)
+    _require_finite("--offset", args.offset)
+    _require_finite("--phase-shift", args.phase_shift)
     if args.optimal:
         pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)
     else:
         _require_paired(decomp, args.k)
         pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
-        pop2d = TuningPopulation2D.from_axis(pop, phase_shift=args.phase_shift)
-    field = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
+        pop2d = TuningPopulation2D(pop, args.phase_shift)
+    cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
     out_pgm = _resolve(args, args.out_pgm)
     out_csv = _resolve(args, args.out_csv)
-    rio.write_pgm(field, out_pgm)
-    rio.write_field_csv(field, out_csv)
-    settings = {
-        "frequency": args.k,
-        "optimal": args.optimal,
-        "res": args.res,
-        "power": args.power,
-        "neuron": list(args.neuron),
-        "offset": args.offset,
-    }
-    _write_manifest(args, out_pgm, [args.kernel], [out_pgm, out_csv], settings, None)
+    rio.write_pgm(cx, cy, out_pgm)
+    rio.write_field_csv(cx, cy, out_csv)
+    _write_manifest(args, out_pgm, [args.kernel], [out_pgm, out_csv], None)
     return EXIT_OK
 
 
@@ -393,7 +387,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for i, value in enumerate(estimates.tolist()):
                 handle.write(f"{i},{value!r}\n")
         outputs.append(dump)
-    _write_manifest(args, out, [args.config], outputs, {"config": str(args.config)}, config.seed)
+    _write_manifest(args, out, [args.config], outputs, config.seed)
     print(rio.dumps_json(result.to_dict()))
     return EXIT_OK
 

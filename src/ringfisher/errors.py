@@ -29,10 +29,6 @@ class ResolutionOutOfRangeError(RingFisherError):
     """Requested field sampling resolution is outside the supported range."""
 
 
-class AxisMismatchError(RingFisherError):
-    """Torus axes refer to different correlation kernels."""
-
-
 class NonpositiveInformationError(RingFisherError):
     """Cramer-Rao reciprocal requested for a nonpositive Fisher information."""
 

@@ -101,15 +101,6 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
     return kernel_from_dict(definition)
 
 
-def _write_rows(handle, rows: np.ndarray) -> None:
-    """One CSV line per row of a 2-D float array: shortest round-trip reprs, CRLF.
-
-    Rows are converted one at a time, so memory stays bounded by a row.
-    """
-    for row in rows:
-        handle.write(",".join(map(repr, row.tolist())) + "\r\n")
-
-
 def write_decomposition_csv(decomp: SpectralDecomposition, path: str | Path) -> None:
     """Columns k, lambda, paired; one row per frequency."""
     with open(path, "w", newline="") as handle:
@@ -158,29 +149,41 @@ def write_curves_csv(
             handle.write(f"{theta!r}{text[cut:]}{text[:cut]}\r\n")
 
 
-def write_field_csv(field: np.ndarray, path: str | Path) -> None:
-    """Matrix of field samples; row = first axis angle, column = second axis angle."""
+def write_field_csv(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
+    """The field cx[a] * cy[b]: row a follows the first axis, column b the second.
+
+    Row a is formed as ``cx[a] * cy`` when it is written, the IEEE products
+    of ``np.outer(cx, cy)``, so memory stays bounded by a row. Values are
+    shortest round-trip reprs; lines end in CRLF.
+    """
+    cy = np.asarray(cy, dtype=float)
     with open(path, "w", newline="") as handle:
-        _write_rows(handle, np.asarray(field, dtype=float))
+        for value in np.asarray(cx, dtype=float).tolist():
+            handle.write(",".join(map(repr, (value * cy).tolist())) + "\r\n")
 
 
-def write_pgm(field: np.ndarray, path: str | Path) -> None:
-    """8-bit binary graymap of the min-max normalized field."""
-    f = np.asarray(field, dtype=float)
-    lo, hi = float(f.min()), float(f.max())
-    if math.isclose(lo, hi):
-        pixels = np.zeros_like(f, dtype=np.uint8)
-    else:
-        # rint(255.0 * (f - lo) / (hi - lo)) in that operation order, so the
-        # pixels stay byte-identical, in one working array, not a temporary per step
-        scaled = f - lo
-        scaled *= 255.0
-        scaled /= hi - lo
-        pixels = np.rint(scaled, out=scaled).astype(np.uint8)
-    rows, cols = pixels.shape
+def write_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
+    """8-bit binary graymap of the min-max normalized field cx[a] * cy[b], row by row.
+
+    The field's extremes are among the four products of the curves' extremes:
+    each is an exact field entry and rounding is monotone, so they are the
+    min and max of ``np.outer(cx, cy)`` without forming it.
+    """
+    cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
+    corners = np.multiply.outer([cx.min(), cx.max()], [cy.min(), cy.max()])
+    lo, hi = float(corners.min()), float(corners.max())
     with open(path, "wb") as handle:
-        handle.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        handle.write(pixels.tobytes())
+        handle.write(f"P5\n{cy.size} {cx.size}\n255\n".encode("ascii"))
+        for value in cx.tolist():
+            if math.isclose(lo, hi):
+                handle.write(bytes(cy.size))
+                continue
+            # rint(255.0 * (f - lo) / (hi - lo)) in that operation order, in one working row
+            scaled = value * cy
+            scaled -= lo
+            scaled *= 255.0
+            scaled /= hi - lo
+            handle.write(np.rint(scaled, out=scaled).astype(np.uint8).tobytes())
 
 
 def write_json(payload: dict, path: str | Path) -> None:

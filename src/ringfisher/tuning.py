@@ -5,21 +5,21 @@ correlation: each active frequency k contributes amplitude T_k and phase c_k,
 with the squared amplitudes summing to the signal power budget. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
-optimal constructions concentrate the whole budget on a single frequency;
-on the torus the two axes share one spectrum and multiply.
+optimal constructions concentrate the whole budget on a single frequency.
+The torus is separable: its y axis is the x axis with each phase c_k moved by
+k times a phase shift, and a neuron's firing field is the product of its two
+axis curves, which are sampled as exact shifts of the one waveform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AxisMismatchError, ConditionViolatedError, ResolutionOutOfRangeError
+from .errors import ConditionViolatedError, ResolutionOutOfRangeError
 from .spectral import TWO_PI, SpectralDecomposition
-
-POWER_CONSISTENCY_TOL = 1e-10
 
 FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
@@ -39,13 +39,13 @@ class AllocationEntry:
 class PowerAllocation:
     """Signal power distributed over paired frequencies with phases.
 
-    ``power`` defaults to the sum of squared amplitudes; passing it explicitly
-    asserts consistency. An empty allocation (zero power) is a valid degenerate
-    object so that downstream evaluations can report zero cleanly.
+    ``power`` is derived: the sum of squared amplitudes. An empty allocation
+    (zero power) is a valid degenerate object so that downstream evaluations
+    can report zero cleanly.
     """
 
     entries: tuple[AllocationEntry, ...]
-    power: float = -1.0  # sentinel: derive from entries
+    power: float = field(init=False)
 
     def __post_init__(self) -> None:
         entries = tuple(
@@ -58,16 +58,12 @@ class PowerAllocation:
         for e in entries:
             if e.amplitude < 0.0 or not math.isfinite(e.amplitude):
                 raise ValueError(f"amplitude must be finite and >= 0, got {e.amplitude}")
+            if not math.isfinite(e.phase):
+                raise ValueError(f"phase must be finite, got {e.phase}")
             if e.frequency < 1:
                 raise ValueError(f"allocation frequencies must be >= 1, got {e.frequency}")
-        total = float(sum(e.amplitude**2 for e in entries))
-        if self.power == -1.0:
-            object.__setattr__(self, "power", total)
-        elif abs(self.power - total) > POWER_CONSISTENCY_TOL * max(1.0, abs(self.power)):
-            raise ValueError(
-                f"declared power {self.power} inconsistent with amplitudes (sum sq = {total})"
-            )
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "power", float(sum(e.amplitude**2 for e in entries)))
 
     @classmethod
     def single(cls, frequency: int, power: float, phase: float = 0.0) -> "PowerAllocation":
@@ -111,42 +107,26 @@ class TuningPopulation1D:
 
 @dataclass(frozen=True)
 class TuningPopulation2D:
-    """Separable torus population: x and y axes share kernel and amplitude spectrum."""
+    """Separable torus population: one axis population plus a phase shift.
+
+    The y axis is ``x`` with each phase c_k moved by k * phase_shift, so both
+    axes share the kernel and the amplitude spectrum by construction.
+    """
 
     x: TuningPopulation1D
-    y: TuningPopulation1D
     phase_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.x.decomp.kernel != self.y.decomp.kernel:
-            raise AxisMismatchError("x and y axes must share one correlation kernel")
-        xs = {e.frequency: e for e in self.x.allocation.entries}
-        ys = {e.frequency: e for e in self.y.allocation.entries}
-        if set(xs) != set(ys):
-            raise ValueError("x and y allocations must activate the same frequencies")
-        for k, ex in xs.items():
-            ey = ys[k]
-            if abs(ex.amplitude - ey.amplitude) > POWER_CONSISTENCY_TOL * max(1.0, ex.amplitude):
-                raise ValueError(f"amplitude spectra differ at frequency {k}")
-            gap = (ey.phase - ex.phase - k * self.phase_shift) % TWO_PI
-            gap = min(gap, TWO_PI - gap)
-            if gap > 1e-10:
-                raise ValueError(
-                    f"y phase at frequency {k} must equal x phase + {k} * phase_shift"
-                )
+        if not math.isfinite(self.phase_shift):
+            raise ValueError(f"phase_shift must be finite, got {self.phase_shift}")
 
-    @classmethod
-    def from_axis(
-        cls, x: TuningPopulation1D, phase_shift: float = 0.0
-    ) -> "TuningPopulation2D":
-        """Derive the y axis by shifting each frequency's phase by k * phase_shift."""
-        y_alloc = PowerAllocation(
-            entries=tuple(
-                AllocationEntry(e.frequency, e.amplitude, e.phase + e.frequency * phase_shift)
-                for e in x.allocation.entries
-            )
+    @property
+    def y(self) -> TuningPopulation1D:
+        entries = tuple(
+            AllocationEntry(e.frequency, e.amplitude, e.phase + e.frequency * self.phase_shift)
+            for e in self.x.allocation.entries
         )
-        return cls(x=x, y=TuningPopulation1D(x.decomp, y_alloc), phase_shift=phase_shift)
+        return TuningPopulation1D(self.x.decomp, PowerAllocation(entries))
 
     @property
     def n(self) -> int:
@@ -159,25 +139,20 @@ def _as_theta_array(theta) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), scalar
 
 
-def _entry_sum(
-    pop: TuningPopulation1D, thetas: np.ndarray, order: int, neuron: int | None = None
-) -> np.ndarray:
-    """Theta-derivative of the given order (0, 1 or 2) of the mean activity.
+def _entry_sum(pop: TuningPopulation1D, thetas: np.ndarray, order: int) -> np.ndarray:
+    """Theta-derivative of the given order (0, 1 or 2) of the mean activity, thetas x neurons.
 
-    Rows follow ``thetas``; columns are all neurons, or one neuron's samples
-    as a flat array when ``neuron`` is given, so no thetas x n array is built.
     With psi = k theta + c, each active frequency contributes
     (T/k) [sin(psi) w_k - cos(psi) w'_k] at order 0, T [cos(psi) w_k + sin(psi) w'_k]
     at order 1 and T k [cos(psi) w'_k - sin(psi) w_k] at order 2.
     """
-    cols = slice(None) if neuron is None else neuron
-    out = np.zeros((thetas.size, pop.n) if neuron is None else thetas.size)
+    out = np.zeros((thetas.size, pop.n))
     outer = np.multiply.outer
     for e in pop.allocation.entries:
         psi = e.frequency * thetas + e.phase
         sin, cos = np.sin(psi), np.cos(psi)
-        w = pop.decomp.cos_vector(e.frequency)[cols]
-        wp = pop.decomp.sin_vector(e.frequency)[cols]
+        w = pop.decomp.cos_vector(e.frequency)
+        wp = pop.decomp.sin_vector(e.frequency)
         if order == 0:
             out += (e.amplitude / e.frequency) * (outer(sin, w) - outer(cos, wp))
         elif order == 1:
@@ -210,11 +185,6 @@ def mean_second_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     thetas, scalar = _as_theta_array(theta)
     out = _entry_sum(pop, thetas, 2)
     return out[0] if scalar else out
-
-
-def neuron_curve(pop: TuningPopulation1D, neuron: int, thetas: np.ndarray) -> np.ndarray:
-    """Single neuron's tuning curve sampled at the given angles."""
-    return _entry_sum(pop, _as_theta_array(thetas)[0], 0, neuron)
 
 
 def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) -> np.ndarray:
@@ -285,7 +255,7 @@ def optimal_tuning_2d(
             "use the general allocation search (optimal.maximize_fisher_2d)"
         )
     x = TuningPopulation1D(decomp, PowerAllocation.single(k_lam, power))
-    return TuningPopulation2D.from_axis(x, phase_shift=phase_shift)
+    return TuningPopulation2D(x, phase_shift)
 
 
 def sample_firing_field(
@@ -293,29 +263,33 @@ def sample_firing_field(
     neuron: tuple[int, int],
     resolution: int,
     offset: float | None = None,
-) -> np.ndarray:
-    """One torus neuron's firing field: the outer product of its two axis curves.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One torus neuron's firing field as its two axis curves ``(cx, cy)``.
 
-    The curves are sampled at ``resolution`` angles per axis, which must lie
-    in FIELD_RESOLUTION_MIN..FIELD_RESOLUTION_MAX (else
-    ResolutionOutOfRangeError). With ``offset`` None each curve is lifted by
-    its own minimum before multiplying, which renders the positive-bump
-    lattice (display convention); a number is added to each curve instead,
-    so 0 keeps the signed product.
+    The field is their outer product, entry (a, b) = cx[a] * cy[b]; the io
+    writers form it row by row. Each curve is sampled at ``resolution``
+    angles, which must lie in FIELD_RESOLUTION_MIN..FIELD_RESOLUTION_MAX (else
+    ResolutionOutOfRangeError). Neuron i's curve at angle index s is the
+    waveform at point (s L/res - i L/n) mod L of the L = lcm(res, n) lattice,
+    so the curves of all neurons are exact shifts of one another. With
+    ``offset`` None each curve is lifted by its own minimum, which renders the
+    positive-bump lattice (display convention); a number is added to each
+    curve instead, so 0 keeps the signed product.
     """
     if not FIELD_RESOLUTION_MIN <= resolution <= FIELD_RESOLUTION_MAX:
         raise ResolutionOutOfRangeError(
             f"resolution {resolution} outside [{FIELD_RESOLUTION_MIN}, {FIELD_RESOLUTION_MAX}]"
         )
-    i, j = neuron
-    thetas = TWO_PI * np.arange(resolution) / resolution
-    cx = neuron_curve(pop2d.x, i, thetas)
-    cy = neuron_curve(pop2d.y, j, thetas)
-    if offset is None:
-        cx = cx - cx.min()
-        cy = cy - cy.min()
-    else:
-        cx = cx + offset
-        cy = cy + offset
-    return np.outer(cx, cy)
-
+    lattice = math.lcm(resolution, pop2d.n)
+    points = np.arange(resolution) * (lattice // resolution)
+    spacing = lattice // pop2d.n
+    cx, cy = (
+        _lattice_waveform(pop, lattice, (points - i * spacing) % lattice)
+        for pop, i in zip((pop2d.x, pop2d.y), neuron)
+    )
+    for curve in (cx, cy):
+        if offset is None:
+            curve -= curve.min()
+        else:
+            curve += offset
+    return cx, cy

@@ -163,12 +163,28 @@ def read_field_csv(path: str | Path) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in csv.reader(handle)])
 
 
-def csv_module_field_csv(field: np.ndarray, path: str | Path) -> None:
-    """Byte oracle for ``io.write_field_csv``: csv.writer over ``repr(float(v))``."""
+def csv_module_field_csv(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
+    """Byte oracle for ``io.write_field_csv``: csv.writer over ``repr(float(v))`` of the
+    whole ``np.outer(cx, cy)``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        for row in np.asarray(field, dtype=float):
+        for row in np.outer(cx, cy):
             writer.writerow([repr(float(v)) for v in row])
+
+
+def whole_array_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
+    """Byte oracle for ``io.write_pgm``: the whole ``np.outer(cx, cy)``, its extremes read
+    off the array, scaled out of place as rint(255 (f - lo) / (hi - lo))."""
+    f = np.outer(cx, cy)
+    lo, hi = float(f.min()), float(f.max())
+    if math.isclose(lo, hi):
+        pixels = np.zeros_like(f, dtype=np.uint8)
+    else:
+        pixels = np.rint(255.0 * (f - lo) / (hi - lo)).astype(np.uint8)
+    rows, cols = pixels.shape
+    with open(path, "wb") as handle:
+        handle.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
+        handle.write(pixels.tobytes())
 
 
 def csv_module_curves_csv(

@@ -81,7 +81,7 @@ def test_criterion_3_torus_product_form(rng):
     for i in range(20):
         n = int(rng.choice([6, 8]))
         decomp = decompose(random_psd_kernel(rng, n, lam_lo=0.2, lam_hi=2.0))
-        pop2d = TuningPopulation2D.from_axis(
+        pop2d = TuningPopulation2D(
             random_population(rng, decomp), phase_shift=float(rng.uniform(0.0, TWO_PI))
         )
         theta = tuple(rng.uniform(0.0, TWO_PI, size=2))

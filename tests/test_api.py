@@ -9,7 +9,7 @@ import ringfisher
 from ringfisher.tuning import PowerAllocation
 
 PUBLIC_API = [
-    "AllocationEntry", "AllocationSearchResult", "AuditReport", "AxisMismatchError",
+    "AllocationEntry", "AllocationSearchResult", "AuditReport",
     "ConditionReport", "ConditionViolatedError", "CorrelationKernel", "EigenMode",
     "FisherReport1D", "FisherReport2D", "MalformedKernelError", "MultiModePopulationError",
     "NoiseModel", "NonpositiveInformationError", "NotPositiveSemidefiniteError",

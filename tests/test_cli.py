@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -358,6 +359,21 @@ class TestSimulateCommand:
         assert not (tmp_path / "r.json").exists()
 
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_non_finite_phase_exit_6(self, tmp_path, capsys, phase):
+        # json accepts the NaN and Infinity literals
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.45, 0.2, 0.1, 0.05]}},
+            "allocation": [{"frequency": 1, "amplitude": 1.0, "phase": phase}],
+            "trials": 200,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        assert main(argv) == 6
+        assert "phase must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     def test_empty_allocation_exit_6(self, tmp_path, capsys, estimator):
         config = {
@@ -483,6 +499,11 @@ class TestParameterRanges:
         assert "--offset" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [n4_kernel_file.name]
 
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_shift_exit_5(self, tmp_path, n4_kernel_file, capsys, shift):
+        assert self.run(tmp_path, n4_kernel_file, "field2d", f"--phase-shift={shift}") == 5
+        assert "--phase-shift" in capsys.readouterr().err
+
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
@@ -533,6 +554,45 @@ class TestManifests:
         assert list(outputs[0][2].values()) == list(outputs[1][2].values())
 
 
+    def test_repeat_field2d_runs_reproduce_bytes(self, tmp_path, n4_kernel_file):
+        pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
+        argv = ["field2d", str(n4_kernel_file), str(pgm), str(csv_out), "--optimal", "--res", "24",
+                "--neuron", "1", "3", "--phase-shift", "0.3"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append([p.read_bytes() for p in (pgm, csv_out, tmp_path / "f.pgm.manifest.json")])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "command, flag, values",
+        [
+            ("optimize", "--curves-samples", ("256", "255")),
+            ("optimize", "--offset", ("0.25", "0.5")),
+            ("optimize", "--audit-trials", ("0", "50")),
+            ("fisher", "--theta-samples", ("64", "63")),
+            ("field2d", "--phase-shift", ("0", "0.3")),
+        ],
+    )
+    def test_settings_differ_when_one_flag_does(self, tmp_path, n4_kernel_file, command, flag, values):
+        out = tmp_path / "out"
+        argv = {
+            "optimize": ["optimize", str(n4_kernel_file), str(out), "--curves-out", str(tmp_path / "c.csv")],
+            "fisher": ["fisher", str(n4_kernel_file), str(out)],
+            "field2d": ["field2d", str(n4_kernel_file), str(out), str(tmp_path / "f.csv"), "--k", "1"],
+        }[command]
+        settings = []
+        for value in values:
+            # --offset is a global flag, so it goes before the command
+            flags = [f"{flag}={value}"]
+            assert main(flags + argv if flag == "--offset" else argv + flags) == 0
+            settings.append(json.loads((tmp_path / "out.manifest.json").read_text())["settings"])
+        assert settings[0] != settings[1]
+        assert {k for k in settings[0] if settings[0][k] != settings[1][k]} == {
+            flag.lstrip("-").replace("-", "_")
+        }
+
+
 class TestGoldenOutputs:
     """Output bytes pinned by SHA-256 digests of the csv-module writers' outputs.
 
@@ -557,16 +617,16 @@ class TestGoldenOutputs:
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],
             {
-                "f.pgm": "2a1059dc57fcaad8475d1d3a211527e949cc0efd65073ec44794263e6be6e3e5",
-                "f.csv": "4e55e98f486574242eac63ce78d0b8b16054593e8db69bc856a6f56c191960e1",
+                "f.pgm": "fabe75e3e9d0d1024a9d6c272df771223c3823932258f1974217adc4bbee2cc3",
+                "f.csv": "6e71e81472390e203d151d7ae0d60a1c15106b5d18b5b45c01d5cee17525cc31",
             },
         ),
         "field2d-signed": (
             ["--offset", "0", "field2d", "{ring8}", "{out}/s.pgm", "{out}/s.csv",
              "--k", "2", "--res", "16", "--neuron", "3", "5"],
             {
-                "s.pgm": "fbe831992112303bbf4923d76088c08ad3674482d2901aad57868ea1c5072243",
-                "s.csv": "3fde2c60a8eb816515442121b43863e0559ed4f7bf2fcb0eadd04e59cf0dd03d",
+                "s.pgm": "c1752a78fec2e3e30c54d3a88f7b018bdba70e01cc6805a2e0bace8a8908c3b8",
+                "s.csv": "434332ff9a69d5132cda785a47ece118cb0eddfcf498e24c5a467e240621b0c3",
             },
         ),
         "simulate-dump": (

@@ -150,7 +150,7 @@ class TestFisher2D:
     def test_random_separable_populations_match_dense(self, rng):
         for _ in range(20):
             decomp = decompose(random_psd_kernel(rng, 6, lam_lo=0.2, lam_hi=2.0))
-            pop2d = TuningPopulation2D.from_axis(
+            pop2d = TuningPopulation2D(
                 random_population(rng, decomp), phase_shift=float(rng.uniform(0.0, TWO_PI))
             )
             theta = tuple(rng.uniform(0.0, TWO_PI, size=2))
@@ -163,13 +163,13 @@ class TestFisher2D:
 
     def test_axes_agree_for_shared_spectrum(self, rng):
         decomp = decompose(random_psd_kernel(rng, 10, lam_lo=0.3))
-        pop2d = TuningPopulation2D.from_axis(random_population(rng, decomp), phase_shift=1.1)
+        pop2d = TuningPopulation2D(random_population(rng, decomp), phase_shift=1.1)
         report = fisher_2d(pop2d, theta=(0.4, 5.1))
         assert report.i_x == pytest.approx(report.i_y, rel=IDENTITY_REL)
 
     def test_single_mode_cross_term_vanishes_any_phase(self, n6_decomp):
         pop = single_mode_pop(n6_decomp, frequency=2, phase=1.234)
-        pop2d = TuningPopulation2D.from_axis(pop, phase_shift=0.77)
+        pop2d = TuningPopulation2D(pop, phase_shift=0.77)
         report = fisher_2d(pop2d, theta=(2.2, 0.9))
         assert abs(report.i_xy) < CROSS_TERM_ABS
 

@@ -25,12 +25,20 @@ from ringfisher.tuning import (
     AllocationEntry,
     PowerAllocation,
     TuningPopulation1D,
+    TuningPopulation2D,
     _lattice_waveform,
     mean_response,
     optimal_tuning_1d,
+    sample_firing_field,
 )
 
-from conftest import csv_module_curves_csv, csv_module_field_csv, read_field_csv, white_kernel
+from conftest import (
+    csv_module_curves_csv,
+    csv_module_field_csv,
+    read_field_csv,
+    white_kernel,
+    whole_array_pgm,
+)
 
 #: Values whose text form is easy to get wrong: signed zeros, infinities, nan,
 #: subnormals, the repr switch to exponent notation, and integral floats.
@@ -42,7 +50,24 @@ EDGE_FLOATS = [
 float_elements = st.one_of(
     st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)
 )
-matrix_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+
+@st.composite
+def axis_curves(draw, elements):
+    """(cx, cy): two curves of 1-40 samples each; either may be constant."""
+    def curve():
+        size = draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            return np.full(size, draw(elements))
+        return draw(hnp.arrays(np.float64, size, elements=elements))
+
+    return curve(), curve()
+
+
+#: Signed, finite curve values with zeros of both signs, subnormals and repeats.
+pgm_elements = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 3.0, -3.0]), st.floats(-1e6, 1e6)
+)
 byte_oracle_settings = settings(
     max_examples=80,
     deadline=None,
@@ -95,10 +120,10 @@ class TestKernelFiles:
 
 class TestCsvFormats:
     def test_field_roundtrip(self, tmp_path, rng):
-        field = rng.normal(size=(9, 9))
+        cx, cy = rng.normal(size=9), rng.normal(size=7)
         path = tmp_path / "field.csv"
-        rio.write_field_csv(field, path)
-        np.testing.assert_array_equal(read_field_csv(path), field)
+        rio.write_field_csv(cx, cy, path)
+        np.testing.assert_array_equal(read_field_csv(path), np.outer(cx, cy))
 
     def test_curves_header_and_offset(self, tmp_path, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
@@ -122,10 +147,11 @@ class TestCsvBytes:
     """The CSV writers emit the bytes of the csv-module writers they replaced."""
 
     @byte_oracle_settings
-    @given(field=hnp.arrays(np.float64, matrix_shapes, elements=float_elements))
-    def test_field_bytes_equal_csv_module(self, tmp_path, field):
-        rio.write_field_csv(field, tmp_path / "fast.csv")
-        csv_module_field_csv(field, tmp_path / "oracle.csv")
+    @given(curves=axis_curves(float_elements))
+    def test_field_bytes_equal_csv_module(self, tmp_path, curves):
+        with np.errstate(invalid="ignore", over="ignore"):
+            rio.write_field_csv(*curves, tmp_path / "fast.csv")
+            csv_module_field_csv(*curves, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @byte_oracle_settings
@@ -157,8 +183,11 @@ class TestCsvBytes:
 
     def test_rows_end_in_crlf_with_shortest_repr(self, tmp_path):
         path = tmp_path / "field.csv"
-        rio.write_field_csv(np.array([[0.1, -0.0, 1e16], [math.inf, math.nan, 5e-324]]), path)
-        assert path.read_bytes() == b"0.1,-0.0,1e+16\r\ninf,nan,5e-324\r\n"
+        with np.errstate(invalid="ignore"):
+            rio.write_field_csv(np.array([1.0, -1.0, math.inf]), np.array([0.1, -0.0, 1e16, 5e-324]), path)
+        assert path.read_bytes() == (
+            b"0.1,-0.0,1e+16,5e-324\r\n-0.1,0.0,-1e+16,-5e-324\r\ninf,nan,inf,inf\r\n"
+        )
 
 
 @st.composite
@@ -244,8 +273,8 @@ class TestBoundedMemory:
 
     def test_field_csv_peak_bounded_by_a_row(self, tmp_path, rng):
         # 512 x 2048 samples: 8 MiB as float64, about 33 MiB as one nested list
-        field = rng.normal(size=(512, 2048))
-        peak = traced_peak_bytes(lambda: rio.write_field_csv(field, tmp_path / "field.csv"))
+        cx, cy = rng.normal(size=512), rng.normal(size=2048)
+        peak = traced_peak_bytes(lambda: rio.write_field_csv(cx, cy, tmp_path / "field.csv"))
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_sha256_file_reads_in_chunks(self, tmp_path, rng):
@@ -260,10 +289,28 @@ class TestBoundedMemory:
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_pgm_scales_in_one_working_array(self, tmp_path, rng):
-        # one scaled copy plus the 8-bit raster; out-of-place scaling holds two copies
-        field = rng.normal(size=(512, 512))
-        peak = traced_peak_bytes(lambda: rio.write_pgm(field, tmp_path / "field.pgm"))
-        assert peak < 1.5 * field.nbytes, f"peak {peak / field.nbytes:.2f} x the field"
+        # one scaled row and its 8-bit copy at a time, next to cx as a list of 2048
+        # floats (4 rows); the 2048 x 2048 field is 32 MiB
+        cx, cy = rng.normal(size=2048), rng.normal(size=2048)
+        peak = traced_peak_bytes(lambda: rio.write_pgm(cx, cy, tmp_path / "field.pgm"))
+        assert peak < 8 * cy.nbytes, f"peak {peak / cy.nbytes:.2f} x a row"
+
+    @pytest.mark.parametrize("stage", ["sample_firing_field", "write_pgm", "write_field_csv"])
+    def test_field_export_at_max_resolution_holds_no_field(self, tmp_path, stage):
+        # res 4096: the field alone is 128 MiB as float64. The CSV writes the first 128
+        # rows only, full width, as formatting all 4096 under tracemalloc takes minutes;
+        # those rows alone are 4 MiB as float64 and about 16 MiB as nested lists
+        decomp = decompose(exponential_kernel(96, 1.0, 0.5))
+        pop2d = TuningPopulation2D(TuningPopulation1D(decomp, PowerAllocation.single(3, 1.0)), 0.4)
+        res = 4096
+        cx, cy = sample_firing_field(pop2d, (5, 9), res)
+        call = {
+            "sample_firing_field": lambda: sample_firing_field(pop2d, (5, 9), res),
+            "write_pgm": lambda: rio.write_pgm(cx, cy, tmp_path / "f.pgm"),
+            "write_field_csv": lambda: rio.write_field_csv(cx[:128], cy, tmp_path / "f.csv"),
+        }[stage]
+        peak = traced_peak_bytes(call)
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestJson:
@@ -279,9 +326,9 @@ class TestJson:
 
 class TestPgm:
     def test_header_and_range(self, tmp_path, rng):
-        field = rng.normal(size=(16, 32))
+        cx, cy = rng.normal(size=16), rng.normal(size=32)
         path = tmp_path / "field.pgm"
-        rio.write_pgm(field, path)
+        rio.write_pgm(cx, cy, path)
         data = path.read_bytes()
         header, raster = data.split(b"255\n", 1)
         assert header == b"P5\n32 16\n"
@@ -291,30 +338,16 @@ class TestPgm:
 
     def test_constant_field_is_black(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        rio.write_pgm(np.ones((8, 8)), path)
+        rio.write_pgm(np.ones(8), np.ones(8), path)
         raster = path.read_bytes().split(b"255\n", 1)[1]
         assert set(raster) == {0}
 
     @byte_oracle_settings
-    @given(
-        field=hnp.arrays(
-            np.float64,
-            matrix_shapes,
-            elements=st.one_of(
-                st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 3.0]), st.floats(-1e6, 1e6)
-            ),
-        )
-    )
-    def test_pixels_equal_out_of_place_scaling(self, tmp_path, field):
-        path = tmp_path / "field.pgm"
-        rio.write_pgm(field, path)
-        raster = path.read_bytes().split(b"255\n", 1)[1]
-        lo, hi = float(field.min()), float(field.max())
-        if math.isclose(lo, hi):
-            expected = np.zeros_like(field, dtype=np.uint8)
-        else:
-            expected = np.rint(255.0 * (field - lo) / (hi - lo)).astype(np.uint8)
-        assert raster == expected.tobytes()
+    @given(curves=axis_curves(pgm_elements))
+    def test_pixels_equal_out_of_place_scaling(self, tmp_path, curves):
+        rio.write_pgm(*curves, tmp_path / "rows.pgm")
+        whole_array_pgm(*curves, tmp_path / "oracle.pgm")
+        assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
 
 
 def test_module_entry_point_help():

@@ -14,7 +14,6 @@ from ringfisher.tuning import (
     TuningPopulation2D,
     mean_derivative,
     mean_response,
-    neuron_curve,
     optimal_tuning_1d,
     optimal_tuning_2d,
     sample_firing_field,
@@ -46,9 +45,9 @@ class TestAllocation:
         )
         assert alloc.power == pytest.approx(1.0, abs=1e-12)
 
-    def test_declared_power_checked(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(entries=(AllocationEntry(1, 1.0),), power=2.0)
+    def test_power_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            PowerAllocation(entries=(AllocationEntry(1, 1.0),), power=1.0)
 
     def test_duplicate_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +56,11 @@ class TestAllocation:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             PowerAllocation(entries=(AllocationEntry(1, -0.5),))
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            PowerAllocation(entries=(AllocationEntry(1, 0.5, phase),))
 
     def test_unpaired_frequency_rejected_on_population(self, n4_decomp):
         with pytest.raises(ValueError):
@@ -210,43 +214,63 @@ class TestOptimalTuning2D:
     def test_phase_offset_relation(self, n6_decomp):
         x = random_population(np.random.default_rng(7), n6_decomp)
         shift = 0.7
-        pop2d = TuningPopulation2D.from_axis(x, phase_shift=shift)
-        for ex, ey in zip(pop2d.x.allocation.entries, pop2d.y.allocation.entries):
-            gap = (ey.phase - ex.phase - ex.frequency * shift) % TWO_PI
-            assert min(gap, TWO_PI - gap) < 1e-10
+        pop2d = TuningPopulation2D(x, shift)
+        assert pop2d.y.decomp is x.decomp
+        assert pop2d.y.allocation.entries == tuple(
+            AllocationEntry(e.frequency, e.amplitude, e.phase + e.frequency * shift)
+            for e in x.allocation.entries
+        )
 
-    def test_inconsistent_phases_rejected(self, n6_decomp):
-        x = single_mode_pop(n6_decomp, frequency=1)
-        y = single_mode_pop(n6_decomp, frequency=1, phase=0.3)
-        with pytest.raises(ValueError):
-            TuningPopulation2D(x=x, y=y, phase_shift=0.0)
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_shift_rejected(self, n6_decomp, shift):
+        with pytest.raises(ValueError, match="phase_shift must be finite"):
+            TuningPopulation2D(single_mode_pop(n6_decomp), shift)
 
 
 class TestFiringField:
     def test_separability_exact(self, n4_decomp):
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
-        field = sample_firing_field(pop2d, (0, 0), 64, offset=0.0)
+        cx, cy = sample_firing_field(pop2d, (0, 0), 64, offset=0.0)
         thetas = TWO_PI * np.arange(64) / 64
         # oracle: axis curves read straight off the mean population responses
         fx = mean_response(pop2d.x, thetas)[:, 0]
         fy = mean_response(pop2d.y, thetas)[:, 0]
-        np.testing.assert_allclose(field, np.outer(fx, fy), atol=1e-12)
+        np.testing.assert_allclose(np.outer(cx, cy), np.outer(fx, fy), atol=1e-12)
+
+    @pytest.mark.parametrize("resolution", [8, 30, 61])
+    def test_axis_curves_match_population_columns(self, n6_decomp, rng, resolution):
+        pop2d = TuningPopulation2D(random_population(rng, n6_decomp), 1.3)
+        cx, cy = sample_firing_field(pop2d, (4, 1), resolution, offset=0.5)
+        thetas = TWO_PI * np.arange(resolution) / resolution
+        np.testing.assert_allclose(cx, mean_response(pop2d.x, thetas)[:, 4] + 0.5, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cy, mean_response(pop2d.y, thetas)[:, 1] + 0.5, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("offset", [None, 0.0, -0.75])
+    @pytest.mark.parametrize("n, resolution", [(6, 48), (8, 8), (12, 96)])
+    def test_axis_curves_are_shifted_copies_when_n_divides_resolution(self, rng, offset, n, resolution):
+        pop2d = TuningPopulation2D(random_population(rng, decompose(random_psd_kernel(rng, n))), 0.9)
+        cx0, cy0 = sample_firing_field(pop2d, (0, 0), resolution, offset)
+        step = resolution // n
+        for i in range(n):
+            cx, cy = sample_firing_field(pop2d, (i, i), resolution, offset)
+            np.testing.assert_array_equal(cx, np.roll(cx0, i * step))
+            np.testing.assert_array_equal(cy, np.roll(cy0, i * step))
 
     def test_positive_bump_lattice_counts(self):
         lams = np.ones(7)
         lams[2] = 0.01
         decomp = decompose(kernel_from_spectrum(12, lams))
         pop2d = optimal_tuning_2d(decomp, 1.0)
-        lifted = sample_firing_field(pop2d, (0, 0), 128)
+        lifted = np.outer(*sample_firing_field(pop2d, (0, 0), 128))
         assert count_toroidal_maxima(lifted) == 4
         # the signed product interleaves a second lattice of equal-height bumps
-        signed = sample_firing_field(pop2d, (0, 0), 128, offset=0.0)
+        signed = np.outer(*sample_firing_field(pop2d, (0, 0), 128, offset=0.0))
         assert count_toroidal_maxima(signed) == 8
 
     def test_zero_allocation_field(self, n6_decomp):
         empty = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
-        pop2d = TuningPopulation2D(x=empty, y=empty)
-        field = sample_firing_field(pop2d, (0, 0), 32, offset=0.0)
+        pop2d = TuningPopulation2D(empty)
+        field = np.outer(*sample_firing_field(pop2d, (0, 0), 32, offset=0.0))
         assert np.all(field == 0.0)
         assert count_toroidal_maxima(field) == 0
 
@@ -255,13 +279,6 @@ class TestFiringField:
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
         with pytest.raises(ResolutionOutOfRangeError):
             sample_firing_field(pop2d, (0, 0), resolution)
-
-    def test_neuron_curve_matches_population_column(self, n6_decomp, rng):
-        pop = random_population(rng, n6_decomp)
-        thetas = np.linspace(0.0, TWO_PI, 50, endpoint=False)
-        np.testing.assert_allclose(
-            neuron_curve(pop, 2, thetas), mean_response(pop, thetas)[:, 2], atol=1e-14
-        )
 
 
 def shifted_curves(pop, samples_per_neuron=32):
