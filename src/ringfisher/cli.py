@@ -290,13 +290,14 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
     _require_power(args.power)
     _require_neuron(decomp, args.neuron)
     _require_finite("--offset", args.offset)
-    _require_finite("--phase-shift", args.phase_shift)
     if args.optimal:
-        pop2d = optimal_tuning_2d(decomp, args.power, phase_shift=args.phase_shift)
+        x = optimal_tuning_2d(decomp, args.power).x
     else:
         _require_paired(decomp, args.k)
-        pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
-        pop2d = TuningPopulation2D(pop, args.phase_shift)
+        x = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
+    # the y axis moves each phase c_k by k * shift, so that product must be finite
+    _require_finite("--phase-shift", args.phase_shift * x.allocation.max_frequency())
+    pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
     out_pgm = _resolve(args, args.out_pgm)
     out_csv = _resolve(args, args.out_csv)

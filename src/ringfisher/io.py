@@ -175,7 +175,7 @@ def write_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
     with open(path, "wb") as handle:
         handle.write(f"P5\n{cy.size} {cx.size}\n255\n".encode("ascii"))
         for value in cx.tolist():
-            if math.isclose(lo, hi):
+            if lo == hi:
                 handle.write(bytes(cy.size))
                 continue
             # rint(255.0 * (f - lo) / (hi - lo)) in that operation order, in one working row

@@ -16,25 +16,25 @@ variance sigma^2 / I per snapshot; the phase projections of f(theta) are
 (T/k)(sin psi, -cos psi) with psi = k theta + c, with noise sigma^2 lambda_k
 times the 2 x 2 identity. A snapshot costs one normal (local) or two (phase)
 per trial, whatever n. One noisy snapshot against a known mean bounds the
-variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` and
-``run_path_integration`` accept the same modes, estimators, trial counts (at
-least 100), noise scales (finite, nonnegative) and finite displacements and
-start positions.
+variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the one
+description and validator of an experiment, and one step loop draws for both
+runners: ``run_displacement_trials`` takes its first step and
+``run_path_integration`` its first ``steps``, with the readout's noise, the
+information and the local readout's noiseless value computed once per run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    MultiModePopulationError,
-    NotPositiveSemidefiniteError,
-)
+from .errors import MultiModePopulationError, NotPositiveSemidefiniteError
 from .fisher import fisher_1d_spectral
 from .spectral import (
     TWO_PI,
@@ -59,6 +59,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _sqrt_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
+    """Noise standard deviation per mode; NotPositiveSemidefiniteError on a negative eigenvalue."""
+    lams = decomp.eigenvalues
+    if lams.min() < -PSD_TOLERANCE:
+        raise NotPositiveSemidefiniteError(
+            f"cannot sample: eigenvalue {lams.min():.6g} below zero"
+        )
+    return np.sqrt(np.clip(lams, 0.0, None))
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Spectral Gaussian sampler for a ring (or separable torus) covariance.
@@ -70,26 +80,14 @@ class NoiseModel:
     decomp: SpectralDecomposition | TorusCorrelation
     scale: float = 1.0
 
-    def _axis(self) -> SpectralDecomposition:
-        if isinstance(self.decomp, TorusCorrelation):
-            return self.decomp.axis
-        return self.decomp
-
-    def _sqrt_eigenvalues(self) -> np.ndarray:
-        lams = self._axis().eigenvalues
-        if lams.min() < -PSD_TOLERANCE:
-            raise NotPositiveSemidefiniteError(
-                f"cannot sample: eigenvalue {lams.min():.6g} below zero"
-            )
-        return np.sqrt(np.clip(lams, 0.0, None))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` noise vectors: shape (size, n) on the ring, (size, n^2) on the torus."""
-        axis = self._axis()
+        torus = isinstance(self.decomp, TorusCorrelation)
+        axis = self.decomp.axis if torus else self.decomp
         n = axis.n
-        sigma = self.scale * self._sqrt_eigenvalues()
+        sigma = self.scale * _sqrt_eigenvalues(axis)
         # the normals go in as a temporary, freed before irfft allocates its output
-        if isinstance(self.decomp, TorusCorrelation):
+        if torus:
             # B (z * sigma sigma^T) B^T: synthesize along the last axis, then along the other one.
             rows = np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n, n)), sigma), n)
             both = np.fft.irfft(_columns_to_bins(rows.swapaxes(1, 2), sigma), n)
@@ -145,31 +143,13 @@ def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _wrap_signed(delta: np.ndarray, period: float) -> np.ndarray:
-    return (delta + period / 2.0) % period - period / 2.0
-
-
-def _check_experiment(
-    trials: int, mode: str, estimator: str, noise_scale: float, **positions: float
-) -> None:
-    """Raise ValueError unless trials >= 100, mode and estimator are known, noise_scale is
-    finite and >= 0, and every named position (displacement, start) is finite."""
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
-    for name, value in positions.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if mode not in ("known_reference", "two_snapshot"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if estimator not in ("local_linear", "phase"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """One displacement-estimation experiment."""
+    """One displacement-estimation experiment, validated on construction.
+
+    Raises ValueError unless trials >= 100, mode and estimator are known,
+    noise_scale is finite and >= 0, and delta_theta and theta0 are finite.
+    """
 
     population: TuningPopulation1D
     delta_theta: float = 1e-3
@@ -181,14 +161,17 @@ class SimConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_experiment(
-            self.trials,
-            self.mode,
-            self.estimator,
-            self.noise_scale,
-            delta_theta=self.delta_theta,
-            theta0=self.theta0,
-        )
+        if self.trials < 100:
+            raise ValueError(f"trials must be >= 100, got {self.trials}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        for name, value in (("delta_theta", self.delta_theta), ("theta0", self.theta0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.mode not in ("known_reference", "two_snapshot"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.estimator not in ("local_linear", "phase"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
         k_max = self.population.allocation.max_frequency()
         if k_max * abs(self.delta_theta) > SMALL_DISPLACEMENT_LIMIT:
             warnings.warn(
@@ -219,56 +202,56 @@ class SimResult:
         return asdict(self)
 
 
-def _readout_sd(pop: TuningPopulation1D, estimator: Estimator, noise: NoiseModel) -> float:
-    """Noise standard deviation of a snapshot's readout: sigma sqrt(I) on f'^T C^-1 r, which
-    needs every eigenvalue positive (SingularCovarianceError), or sigma sqrt(lambda_k) on each
-    phase projection, which needs PSD noise (NotPositiveSemidefiniteError). A population
-    with no active frequency carries no position information (ValueError)."""
+def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
+    """The information I and the estimates of steps 0, 1, ..., each of delta_theta from
+    theta0 + s delta_theta, with noise drawn from one ``make_rng(seed)`` stream: the plus
+    snapshot of every trial, then, in two_snapshot mode, the reference snapshot.
+
+    Raises before any draw: ValueError with no active frequency, SingularCovarianceError
+    (local) unless every eigenvalue is positive, MultiModePopulationError (phase) unless
+    one frequency is active, NotPositiveSemidefiniteError (phase) on a negative eigenvalue.
+    """
+    pop, delta, trials = config.population, config.delta_theta, config.trials
+    two_snapshot = config.mode == "two_snapshot"
     if not pop.allocation.entries:
         raise ValueError("the population has no active frequency, so no displacement is observable")
-    if estimator == "local_linear":
+    if config.estimator == "local_linear":
         _invertible_eigenvalues(pop.decomp)
-        return noise.scale * math.sqrt(fisher_1d_spectral(pop.allocation, pop.decomp))
-    k, _, _ = _single_frequency(pop)
-    return noise.scale * float(noise._sqrt_eigenvalues()[k])
-
-
-def _estimate_step(
-    pop: TuningPopulation1D,
-    theta_ref: float,
-    delta_theta: float,
-    trials: int,
-    mode: Mode,
-    estimator: Estimator,
-    readout_sd: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One batch of displacement estimates with fresh noise.
-
-    The noiseless readouts come from their closed forms in the allocation and
-    the eigenvalues; the noise is ``readout_sd`` times standard normals, drawn
-    for the plus snapshot of every trial, then, in two_snapshot mode, for the
-    reference snapshot.
-    """
-    two_snapshot = mode == "two_snapshot"
-    if estimator == "local_linear":
+        info = fisher_1d_spectral(pop.allocation, pop.decomp)
+        sd = config.noise_scale * math.sqrt(info)
         lams = pop.decomp.eigenvalues
         shift = 0.0
         for e in pop.allocation.entries:
             k = e.frequency
-            shift += e.amplitude**2 * math.sin(k * delta_theta) / (k * lams[k])
-        change = readout_sd * rng.standard_normal(trials)
-        if two_snapshot:
-            change -= readout_sd * rng.standard_normal(trials)
-        return (shift + change) / fisher_1d_spectral(pop.allocation, pop.decomp)
-    k, amplitude, phase = _single_frequency(pop)
-    psi = k * np.array([theta_ref + delta_theta, theta_ref]) + phase
-    plus, ref = (amplitude / k) * np.column_stack([np.sin(psi), -np.cos(psi)])
-    plus = plus + readout_sd * rng.standard_normal((trials, 2))
-    if two_snapshot:
-        ref = ref + readout_sd * rng.standard_normal((trials, 2))
-    angle_change = _phase_angle(k, phase, *plus.T) - _phase_angle(k, phase, *ref.T)
-    return _wrap_signed(angle_change, TWO_PI / k)
+            shift += e.amplitude**2 * math.sin(k * delta) / (k * lams[k])
+
+        def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
+            change = sd * rng.standard_normal(trials)
+            if two_snapshot:
+                change -= sd * rng.standard_normal(trials)
+            return (shift + change) / info
+
+    else:
+        k, amplitude, phase = _single_frequency(pop)
+        sd = config.noise_scale * float(_sqrt_eigenvalues(pop.decomp)[k])
+        period = TWO_PI / k
+        info = fisher_1d_spectral(pop.allocation, pop.decomp)
+
+        def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
+            psi = k * np.array([theta + delta, theta]) + phase
+            plus, ref = (amplitude / k) * np.column_stack([np.sin(psi), -np.cos(psi)])
+            plus = plus + sd * rng.standard_normal((trials, 2))
+            if two_snapshot:
+                ref = ref + sd * rng.standard_normal((trials, 2))
+            angle_change = _phase_angle(k, phase, *plus.T) - _phase_angle(k, phase, *ref.T)
+            return (angle_change + period / 2.0) % period - period / 2.0
+
+    def steps() -> Iterator[np.ndarray]:
+        rng = make_rng(config.seed)
+        for s in itertools.count():
+            yield estimate(rng, config.theta0 + s * delta)
+
+    return info, steps()
 
 
 def run_displacement_trials(
@@ -279,20 +262,8 @@ def run_displacement_trials(
     With ``with_estimates`` the per-trial estimates are returned alongside the
     aggregate result (for dump-style exports).
     """
-    pop = config.population
-    readout_sd = _readout_sd(pop, config.estimator, NoiseModel(pop.decomp, scale=config.noise_scale))
-    rng = make_rng(config.seed)
-    estimates = _estimate_step(
-        pop,
-        config.theta0,
-        config.delta_theta,
-        config.trials,
-        config.mode,
-        config.estimator,
-        readout_sd,
-        rng,
-    )
-    info = fisher_1d_spectral(pop.allocation, pop.decomp)
+    info, steps = _step_estimates(config)
+    estimates = next(steps)
     snapshots = 2.0 if config.mode == "two_snapshot" else 1.0
     crb_ref = snapshots * config.noise_scale**2 / info
     mean = float(np.mean(estimates))
@@ -349,20 +320,18 @@ def run_path_integration(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_experiment(trials, mode, estimator, noise_scale, step_delta=step_delta, theta0=theta0)
-    readout_sd = _readout_sd(pop, estimator, NoiseModel(pop.decomp, scale=noise_scale))
-    rng = make_rng(seed)
+    config = SimConfig(
+        pop, delta_theta=step_delta, trials=trials, seed=seed, mode=mode,
+        estimator=estimator, theta0=theta0, noise_scale=noise_scale,
+    )
+    _, estimates = _step_estimates(config)
     cumulative = np.zeros(trials)
     variance_by_step = []
-    for s in range(steps):
-        theta_s = theta0 + s * step_delta
-        cumulative = cumulative + _estimate_step(
-            pop, theta_s, step_delta, trials, mode, estimator, readout_sd, rng
-        )
-        errors = cumulative - (s + 1) * step_delta
+    for s, step in zip(range(1, steps + 1), estimates):
+        cumulative = cumulative + step
+        errors = cumulative - s * step_delta
         variance_by_step.append(float(np.var(errors, ddof=1)))
-    single = variance_by_step[0]
-    final = variance_by_step[-1]
+    single, final = variance_by_step[0], variance_by_step[-1]
     ratio = final / (steps * single) if single > 0.0 else float("nan")
     return PathIntegrationReport(
         steps=steps,

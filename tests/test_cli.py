@@ -209,6 +209,17 @@ class TestField2dCommand:
         fy = np.sqrt(2.0 / 4) * np.sin(thetas - 2.0 * np.pi * 2 / 4) + 2.5
         np.testing.assert_allclose(read_field_csv(csv_out), np.outer(fx, fy), rtol=0, atol=1e-12)
 
+    def test_large_offset_keeps_the_graymap_contrast(self, tmp_path):
+        # the field spans 1e20 +- 5e10: a relative spread of 1e-9, but not a constant field
+        kernel = tmp_path / "k8.json"
+        kernel.write_text(json.dumps({"n": 8, "family": "exponential", "params": {"rho": 0.5}}))
+        pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
+        argv = ["--offset", "1e10", "field2d", str(kernel), str(pgm), str(csv_out), "--k", "2", "--res", "8"]
+        assert main(argv) == 0
+        assert len(np.unique(read_field_csv(csv_out))) > 1
+        pixels = pgm.read_bytes()[-64:]
+        assert (min(pixels), max(pixels)) == (0, 255)
+
     @pytest.mark.parametrize("neuron", [["4", "0"], ["0", "4"], ["-1", "0"]], ids=["n-0", "0-n", "minus1-0"])
     def test_neuron_out_of_range_exit_5(self, tmp_path, n4_kernel_file, neuron):
         code = main(
@@ -503,6 +514,15 @@ class TestParameterRanges:
     def test_non_finite_phase_shift_exit_5(self, tmp_path, n4_kernel_file, capsys, shift):
         assert self.run(tmp_path, n4_kernel_file, "field2d", f"--phase-shift={shift}") == 5
         assert "--phase-shift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("select", [["--k", "2"], ["--optimal"]], ids=["k2", "optimal"])
+    def test_phase_shift_overflowing_at_the_largest_frequency_exit_5(self, tmp_path, capsys, select):
+        # 1e308 is finite, but the y axis moves the frequency-2 phase by 2e308 = inf
+        kernel = write_kernel(tmp_path / "torus15.json", 15, TestGoldenOutputs.TORUS_VALUES)
+        argv = ["field2d", str(kernel), str(tmp_path / "f.pgm"), str(tmp_path / "f.csv"), *select]
+        assert main([*argv, "--phase-shift", "1e308", "--res", "8"]) == 5
+        assert "--phase-shift" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["torus15.json"]
 
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"

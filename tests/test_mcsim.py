@@ -520,12 +520,13 @@ class TestRunDisplacementTrials:
 
 
 class TestPathIntegration:
-    def test_single_step_equals_displacement_run(self, n4_decomp):
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
+    def test_single_step_equals_displacement_run(self, n4_decomp, mode, estimator):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
-        direct, estimates = run_displacement_trials(
-            SimConfig(population=pop, trials=5000, seed=21, mode="two_snapshot"), with_estimates=True
-        )
-        path = run_path_integration(pop, steps=1, trials=5000, seed=21, mode="two_snapshot")
+        run = {"trials": 5000, "seed": 21, "mode": mode, "estimator": estimator, "theta0": 0.3, "noise_scale": 0.7}
+        direct, estimates = run_displacement_trials(SimConfig(population=pop, **run), with_estimates=True)
+        path = run_path_integration(pop, steps=1, **run)
         # the path reports var(estimate - delta), the displacement run var(estimate)
         assert path.single_step_variance == np.var(estimates - direct.delta_theta, ddof=1)
         assert path.final_error_variance == path.single_step_variance
@@ -545,6 +546,21 @@ class TestPathIntegration:
         )
         assert abs(report.mean_final_error) <= 1e-9 * steps
         assert report.final_error_variance <= 1e-20
+
+    @pytest.mark.parametrize("step_delta", [0.04, 0.06], ids=["k-delta-0.08", "k-delta-0.12"])
+    def test_warns_exactly_when_sim_config_does(self, n6_decomp, step_delta):
+        pop = single_mode_pop(n6_decomp, frequency=2)
+        caught = []
+        for run in (
+            lambda: SimConfig(population=pop, delta_theta=step_delta, trials=100),
+            lambda: run_path_integration(pop, steps=2, step_delta=step_delta, trials=100),
+        ):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                run()
+            caught.append([str(w.message) for w in seen])
+        assert caught[0] == caught[1]
+        assert len(caught[0]) == (2 * step_delta > 0.1)
 
     def test_rejects_zero_steps(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
