@@ -295,8 +295,11 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
     else:
         _require_paired(decomp, args.k)
         x = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
+    _require_finite("--phase-shift", args.phase_shift)
     # the y axis moves each phase c_k by k * shift, so that product must be finite
-    _require_finite("--phase-shift", args.phase_shift * x.allocation.max_frequency())
+    k_max = x.allocation.max_frequency()
+    if not math.isfinite(args.phase_shift * k_max):
+        raise ParameterRangeError(f"--phase-shift {args.phase_shift!r} times frequency {k_max} is not finite")
     pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
     out_pgm = _resolve(args, args.out_pgm)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,31 @@ def write_curves_csv(
 def write_field_csv(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
     """The field cx[a] * cy[b]: row a follows the first axis, column b the second.
 
-    Row a is formed as ``cx[a] * cy`` when it is written, the IEEE products
-    of ``np.outer(cx, cy)``, so memory stays bounded by a row. Values are
-    shortest round-trip reprs; lines end in CRLF.
+    Entry (a, b) is the IEEE product ``cx[a] * cy[b]`` of ``np.outer(cx, cy)``
+    as its shortest round-trip repr; lines end in CRLF. Equal bits give equal
+    text, so each row formats ``cx[a]`` times the distinct values of ``cy``
+    (by bit pattern, so 0.0 and -0.0 stay apart) once and gathers them into
+    columns, and a row whose ``cx[a]`` bits came before is copied from the
+    bytes already written. That is distinct(cx) x distinct(cy) reprs, in
+    O(len(cx) + len(cy)) memory.
     """
-    cy = np.asarray(cy, dtype=float)
-    with open(path, "w", newline="") as handle:
-        for value in np.asarray(cx, dtype=float).tolist():
-            handle.write(",".join(map(repr, (value * cy).tolist())) + "\r\n")
+    cx = np.ascontiguousarray(cx, dtype=float)
+    cy = np.ascontiguousarray(cy, dtype=float)
+    bits, columns = np.unique(cy.view(np.int64), return_inverse=True)
+    distinct_cy, columns = bits.view(np.float64), columns.tolist()
+    written: dict[int, tuple[int, int]] = {}  # cx bits -> (offset, length) of its row
+    with open(path, "w+b") as handle:
+        for key, value in zip(cx.view(np.int64).tolist(), cx.tolist()):
+            if key in written:
+                start, size = written[key]
+                handle.seek(start)
+                row = handle.read(size)
+                handle.seek(0, os.SEEK_END)
+            else:
+                cells = list(map(repr, (value * distinct_cy).tolist()))
+                row = (",".join(map(cells.__getitem__, columns)) + "\r\n").encode("ascii")
+                written[key] = (handle.tell(), len(row))
+            handle.write(row)
 
 
 def write_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:

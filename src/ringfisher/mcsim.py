@@ -177,7 +177,7 @@ class SimConfig:
             warnings.warn(
                 f"displacement {self.delta_theta} is large for frequency {k_max}; "
                 "the local estimator linearization degrades",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__, to its caller
             )
 
 

@@ -187,20 +187,42 @@ def mean_second_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _quarter_sine(quarters: np.ndarray, lattice: int) -> np.ndarray:
+    """sin(pi quarters / (2 lattice)) for integer ``quarters`` in 0..4 lattice - 1.
+
+    Past a half turn the sine is negated (sin(x + pi) = -sin x), and past a
+    quarter turn it is reflected (sin(pi - x) = sin x), both in integers, so
+    np.sin only sees angles in [0, pi/2] and mirror points share their bits.
+    """
+    half = 2 * lattice
+    negative = quarters >= half
+    folded = np.where(negative, quarters - half, quarters)
+    folded = np.where(folded > lattice, half - folded, folded)
+    out = np.sin(math.pi / 2 * folded / lattice)
+    return np.negative(out, out=out, where=negative)
+
+
 def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) -> np.ndarray:
     """Neuron 0's tuning curve at the angles 2 pi index / lattice, ``index`` in 0..lattice - 1.
 
     Neuron i's curve is this waveform delayed by 2 pi i / n. Each phase
-    k theta is reduced in integers, (k index) mod lattice, before it becomes
-    an angle, so no sine argument exceeds 2 pi plus the phase c_k.
+    k theta is reduced in integers to q = 4 ((k index) mod lattice) quarter
+    steps of pi / (2 lattice), whose sine and cosine (q + lattice) are folded
+    exactly onto [0, pi/2] (``_quarter_sine``); the phase c_k enters as
+    sin(q) cos c_k + cos(q) sin c_k. At c_k = 0 that is the folded sine
+    itself, so sin(pi - x) = sin x and sin(x + pi) = -sin x hold bit for bit
+    and a curve holds each of its values at every mirror point.
     """
-    if lattice * pop.n > np.iinfo(np.int64).max:
+    # k index stays below n lattice, and a cosine's quarter steps below 5 lattice
+    if lattice * max(pop.n, 5) > np.iinfo(np.int64).max:
         raise ValueError(f"lattice of {lattice} points is too fine for int64 phases at n = {pop.n}")
     index = np.asarray(index, dtype=np.int64)
     out = np.zeros(index.shape)
     for e in pop.allocation.entries:
-        turns = (e.frequency * index) % lattice
-        out += (e.amplitude / e.frequency) * np.sin(TWO_PI * turns / lattice + e.phase)
+        quarters = 4 * ((e.frequency * index) % lattice)
+        sin = _quarter_sine(quarters, lattice)
+        cos = _quarter_sine((quarters + lattice) % (4 * lattice), lattice)
+        out += (e.amplitude / e.frequency) * (sin * math.cos(e.phase) + cos * math.sin(e.phase))
     out *= math.sqrt(2.0 / pop.n)
     return out
 

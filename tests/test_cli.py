@@ -524,6 +524,12 @@ class TestParameterRanges:
         assert "--phase-shift" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["torus15.json"]
 
+    def test_phase_shift_overflow_names_the_shift_and_the_frequency(self, tmp_path, capsys):
+        kernel = write_kernel(tmp_path / "k8.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05])
+        argv = ["field2d", str(kernel), str(tmp_path / "a.pgm"), str(tmp_path / "a.csv"), "--k", "2"]
+        assert main([*argv, "--phase-shift", "1e308"]) == 5
+        assert "--phase-shift 1e+308 times frequency 2 is not finite" in capsys.readouterr().err
+
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
@@ -632,21 +638,21 @@ class TestGoldenOutputs:
         "optimize-curves": (
             ["--offset", "0.5", "optimize", "{torus15}", "{out}/opt.json",
              "--curves-out", "{out}/curves.csv", "--curves-samples", "16"],
-            {"curves.csv": "47db04fa91618aee651c7e2495e6481d770e2570eeb2011efdd2564fbbacb1cf"},
+            {"curves.csv": "d56f4a11b47cf431c341207da65f6d1dacebea4f4bd061c165bab27b9b4c2441"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],
             {
                 "f.pgm": "fabe75e3e9d0d1024a9d6c272df771223c3823932258f1974217adc4bbee2cc3",
-                "f.csv": "6e71e81472390e203d151d7ae0d60a1c15106b5d18b5b45c01d5cee17525cc31",
+                "f.csv": "f3fd28e4f8bbc1483385adcc7a67d697ef05d3fed9b673617dcf6eeb84f5ff61",
             },
         ),
         "field2d-signed": (
             ["--offset", "0", "field2d", "{ring8}", "{out}/s.pgm", "{out}/s.csv",
              "--k", "2", "--res", "16", "--neuron", "3", "5"],
             {
-                "s.pgm": "c1752a78fec2e3e30c54d3a88f7b018bdba70e01cc6805a2e0bace8a8908c3b8",
-                "s.csv": "434332ff9a69d5132cda785a47ece118cb0eddfcf498e24c5a467e240621b0c3",
+                "s.pgm": "58a95dbab3bbf04f49e432f11422bfd4a01f7bbd76c5aba2399b6e2a8390d8f2",
+                "s.csv": "b17f1107994e914d5ad02bcee3782f5e91e1e567ce6b2de2ea034e74f5f6c5e2",
             },
         ),
         "simulate-dump": (

@@ -64,6 +64,19 @@ def axis_curves(draw, elements):
     return curve(), curve()
 
 
+@st.composite
+def pooled_axis_curves(draw):
+    """(cx, cy) drawn from one pool of at most 5 values, so most rows and columns repeat;
+    the shapes include 1 x 1, 1 x 40 and 40 x 1."""
+    pool = draw(st.lists(float_elements, min_size=1, max_size=5))
+    shape = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 40), (40, 1)]), st.tuples(st.integers(1, 40), st.integers(1, 40))
+    ))
+    return tuple(
+        np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))) for size in shape
+    )
+
+
 #: Signed, finite curve values with zeros of both signs, subnormals and repeats.
 pgm_elements = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 3.0, -3.0]), st.floats(-1e6, 1e6)
@@ -155,6 +168,24 @@ class TestCsvBytes:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @byte_oracle_settings
+    @given(curves=pooled_axis_curves())
+    def test_field_bytes_equal_csv_module_when_rows_and_columns_repeat(self, tmp_path, curves):
+        with np.errstate(invalid="ignore", over="ignore"):
+            rio.write_field_csv(*curves, tmp_path / "fast.csv")
+            csv_module_field_csv(*curves, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (40, 40)])
+    def test_repeated_edge_values_equal_csv_module(self, tmp_path, rng, shape):
+        # pools with both zeros, NaN, an infinity and a subnormal, so rows and columns repeat
+        cx = rng.choice([0.0, -0.0, math.nan, 5e-324, -math.inf], shape[0])
+        cy = rng.choice([-0.0, 0.0, math.inf, -5e-324, 2.5], shape[1])
+        with np.errstate(invalid="ignore"):
+            rio.write_field_csv(cx, cy, tmp_path / "fast.csv")
+            csv_module_field_csv(cx, cy, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @byte_oracle_settings
     @given(samples=st.integers(1, 40), n=st.integers(1, 40), offset=float_elements, data=st.data())
     def test_curves_bytes_equal_csv_module(self, tmp_path, samples, n, offset, data):
         # both writers read one waveform table on the lcm(S, n) lattice, so only the
@@ -239,6 +270,42 @@ class TestCurveLattice:
         cells = np.array(read_curve_cells(tmp_path / "curves.csv"))
         for i in range(pop.n):
             assert cells[:, 1 + i].tolist() == np.roll(cells[:, 1], i * samples // pop.n).tolist()
+
+    @byte_oracle_settings
+    @given(n=st.integers(4, 64), res=st.integers(8, 256), data=st.data())
+    def test_single_frequency_sine_is_exact_at_mirror_points(self, n, res, data):
+        # at phase 0, turns t = (k j) mod L and L/2 - t hold one value, and t + L/2 its
+        # negative, bit for bit (0.0 and -0.0 compare equal)
+        k = data.draw(st.integers(1, (n - 1) // 2))
+        amplitude = data.draw(st.floats(0.1, 4.0))
+        pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation.single(k, amplitude**2))
+        lattice = math.lcm(res, n)
+        index = np.arange(lattice)
+        at_turn = dict(zip(((k * index) % lattice).tolist(), _lattice_waveform(pop, lattice, index).tolist()))
+        half = lattice // 2
+        # the lattice holds the partner points when L is even and L/2 is a reachable turn
+        turns = [t for t in at_turn if lattice % 2 == 0 and (half - t) % lattice in at_turn]
+        values = [at_turn[t] for t in turns]
+        assert values == [at_turn[(half - t) % lattice] for t in turns]
+        assert values == [-at_turn[(t + half) % lattice] for t in turns]
+
+    @byte_oracle_settings
+    @given(n=st.integers(4, 24), lattice=st.integers(1, 200), data=st.data())
+    def test_waveform_with_any_phase_matches_mean_response(self, n, lattice, data):
+        frequencies = data.draw(st.lists(st.integers(1, (n - 1) // 2), min_size=1, max_size=3, unique=True))
+        entries = tuple(
+            AllocationEntry(k, data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(-100.0, 100.0)))
+            for k in frequencies
+        )
+        pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation(entries=entries))
+        index = np.arange(lattice)
+        scale = sum(e.amplitude / e.frequency for e in entries) * math.sqrt(2 / n)
+        np.testing.assert_allclose(
+            _lattice_waveform(pop, lattice, index),
+            mean_response(pop, TWO_PI * index / lattice)[:, 0],
+            rtol=0,
+            atol=1e-11 * scale,
+        )
 
     @pytest.mark.parametrize("lattice", [7 * 64, 3 * 2**40])
     def test_phases_reduced_in_integers(self, lattice):

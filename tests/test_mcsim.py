@@ -492,6 +492,18 @@ class TestRunDisplacementTrials:
         with pytest.warns(UserWarning):
             SimConfig(population=pop, trials=100, delta_theta=0.06)
 
+    def test_linearization_warning_names_each_caller(self):
+        # n = 64, k* = 31: 31 * 0.01 passes the guard. The default filter shows a warning
+        # once per location, so two calls on two lines must warn at two lines of this file
+        pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1.0)
+        assert pop.allocation.max_frequency() == 31
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            SimConfig(pop, delta_theta=0.01)
+            SimConfig(pop, delta_theta=0.01)
+        assert [w.filename for w in seen] == [__file__, __file__]
+        assert seen[0].lineno + 1 == seen[1].lineno
+
     def test_seed_determinism(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
         first = run_displacement_trials(SimConfig(population=pop, trials=500, seed=77))
