@@ -42,6 +42,7 @@ from .tuning import (
     TuningPopulation1D,
     TuningPopulation2D,
     _paired_arrays,
+    _phase_shift_problem,
     _ties,
     optimal_tuning_1d,
     optimal_tuning_2d,
@@ -295,11 +296,9 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
     else:
         _require_paired(decomp, args.k)
         x = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
-    _require_finite("--phase-shift", args.phase_shift)
-    # the y axis moves each phase c_k by k * shift, so that product must be finite
-    k_max = x.allocation.max_frequency()
-    if not math.isfinite(args.phase_shift * k_max):
-        raise ParameterRangeError(f"--phase-shift {args.phase_shift!r} times frequency {k_max} is not finite")
+    problem = _phase_shift_problem(args.phase_shift, x.allocation.max_frequency())
+    if problem:
+        raise ParameterRangeError(f"--phase-shift {problem}")
     pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
     out_pgm = _resolve(args, args.out_pgm)
@@ -411,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _require_count("--seed", args.seed, 0)
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - translated to documented exit codes
         for err_type, code in _EXIT_CODE_BY_ERROR:

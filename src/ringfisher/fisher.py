@@ -25,6 +25,7 @@ from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
+    _paired_arrays,
     mean_derivative,
     mean_response,
     mean_second_derivative,
@@ -53,7 +54,7 @@ def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecompositio
 
 def fisher_max_bound(decomp: SpectralDecomposition, power: float) -> float:
     """Upper bound: all power on the smallest paired eigenvalue."""
-    return power / decomp.min_paired_eigenvalue()
+    return power / float(_paired_arrays(decomp)[1].min())
 
 
 def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:

@@ -34,15 +34,15 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import MultiModePopulationError, NotPositiveSemidefiniteError
+from .errors import MultiModePopulationError
 from .fisher import fisher_1d_spectral
 from .spectral import (
     TWO_PI,
-    PSD_TOLERANCE,
     SpectralDecomposition,
     TorusCorrelation,
     _columns_to_bins,
-    _invertible_eigenvalues,
+    _nonnegative,
+    _positive,
     apply_inverse,
 )
 from .tuning import TuningPopulation1D, mean_derivative
@@ -61,12 +61,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _sqrt_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
     """Noise standard deviation per mode; NotPositiveSemidefiniteError on a negative eigenvalue."""
-    lams = decomp.eigenvalues
-    if lams.min() < -PSD_TOLERANCE:
-        raise NotPositiveSemidefiniteError(
-            f"cannot sample: eigenvalue {lams.min():.6g} below zero"
-        )
-    return np.sqrt(np.clip(lams, 0.0, None))
+    return np.sqrt(np.clip(_nonnegative(decomp.eigenvalues), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,8 @@ def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float
 class SimConfig:
     """One displacement-estimation experiment, validated on construction.
 
-    Raises ValueError unless trials >= 100, mode and estimator are known,
-    noise_scale is finite and >= 0, and delta_theta and theta0 are finite.
+    Raises ValueError unless trials >= 100, seed >= 0, mode and estimator are
+    known, noise_scale is finite and >= 0, and delta_theta and theta0 are finite.
     """
 
     population: TuningPopulation1D
@@ -163,6 +158,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         for name, value in (("delta_theta", self.delta_theta), ("theta0", self.theta0)):
@@ -216,7 +213,7 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
     if not pop.allocation.entries:
         raise ValueError("the population has no active frequency, so no displacement is observable")
     if config.estimator == "local_linear":
-        _invertible_eigenvalues(pop.decomp)
+        _positive(pop.decomp.eigenvalues)
         info = fisher_1d_spectral(pop.allocation, pop.decomp)
         sd = config.noise_scale * math.sqrt(info)
         lams = pop.decomp.eigenvalues

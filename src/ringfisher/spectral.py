@@ -6,9 +6,10 @@ so its eigenvectors are sampled cosines and sines: every interior frequency k
 carries a (cos, sin) eigenvector pair sharing one eigenvalue, while k = 0 and
 (for even n) the alternating k = n/2 mode are singletons. The DFT diagonalizes
 the matrix, so the eigenvalues are the real rfft of its first row. That
-read-only array, one entry per frequency 0..floor(n/2), is the whole
-decomposition: ``SpectralDecomposition`` stores nothing else, and its modes,
-pairing (0 < k < n/2) and PSD report are read off the array and n.
+read-only array, one entry per frequency 0..floor(n/2), is computed once by
+the kernel and is the whole decomposition: ``SpectralDecomposition`` holds
+nothing else, and its modes, pairing (0 < k < n/2) and PSD report are read
+off the array and n. ``_nonnegative`` and ``_positive`` judge its sign for every caller.
 Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
 Arrays of eigen-coefficients follow the column order of the orthonormal
@@ -45,7 +46,6 @@ def _closed_form_eigenvalues(n: int, values: np.ndarray) -> np.ndarray:
     ``values`` are c_0..c_{floor(n/2)}; the first row of the circulant matrix
     is c_0, c_1, ..., c_{floor(n/2)}, ..., c_1.
     """
-    values = np.asarray(values, dtype=float)
     row = np.concatenate([values, values[1 : (n + 1) // 2][::-1]])
     return np.fft.rfft(row).real
 
@@ -103,26 +103,56 @@ class CorrelationKernel:
     """Distance-indexed covariances c_0..c_{floor(n/2)} on a ring of n neurons.
 
     Entry (i, j) of the induced matrix is c at the ring distance
-    min(|i-j|, n-|i-j|). c_0 must be positive; n must be at least 4.
+    min(|i-j|, n-|i-j|). c_0 must be positive; n must be at least 4. The
+    read-only ``eigenvalues`` (frequencies 0..floor(n/2)) are transformed
+    once, here, and take no part in equality, hashing or repr.
     """
 
     n: int
     values: tuple[float, ...]
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 4:
             raise MalformedKernelError(f"neuron count must be an integer >= 4, got {self.n!r}")
-        vals = tuple(float(v) for v in self.values)
+        vals = np.array(self.values, dtype=float)
         expected = self.n // 2 + 1
-        if len(vals) != expected:
+        if vals.shape != (expected,):
             raise MalformedKernelError(
-                f"kernel for n={self.n} needs {expected} values c_0..c_{self.n // 2}, got {len(vals)}"
+                f"kernel for n={self.n} needs {expected} values c_0..c_{self.n // 2}, got shape {vals.shape}"
             )
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise MalformedKernelError("kernel values must be finite")
         if vals[0] <= 0.0:
             raise MalformedKernelError(f"c_0 must be positive, got {vals[0]}")
-        object.__setattr__(self, "values", vals)
+        lams = _closed_form_eigenvalues(self.n, vals)
+        lams.flags.writeable = False
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "eigenvalues", lams)
+
+    def __reduce__(self):
+        # copies and pickles rebuild the spectrum, so it stays read-only
+        return CorrelationKernel, (self.n, self.values)
+
+
+def _nonnegative(lams: np.ndarray, first: int = 0) -> np.ndarray:
+    """``lams`` (frequencies first, first + 1, ...); NotPositiveSemidefiniteError if one is below -PSD_TOLERANCE."""
+    k = int(np.argmin(lams))
+    if lams[k] < -PSD_TOLERANCE:
+        raise NotPositiveSemidefiniteError(
+            f"kernel is not positive semidefinite: eigenvalue {lams[k]:.6g} at frequency {first + k}"
+        )
+    return lams
+
+
+def _positive(lams: np.ndarray, first: int = 0) -> np.ndarray:
+    """``lams`` (frequencies first, first + 1, ...); SingularCovarianceError unless all exceed PSD_TOLERANCE."""
+    k = int(np.argmin(lams))
+    if lams[k] <= PSD_TOLERANCE:
+        raise SingularCovarianceError(
+            f"covariance is singular at tolerance {PSD_TOLERANCE}: eigenvalue {lams[k]:.6g} at frequency {first + k}"
+        )
+    return lams
 
 
 def exponential_kernel(n: int, c0: float = 1.0, rho: float = 0.5) -> CorrelationKernel:
@@ -130,7 +160,7 @@ def exponential_kernel(n: int, c0: float = 1.0, rho: float = 0.5) -> Correlation
     if not 0.0 < rho < 1.0:
         raise MalformedKernelError(f"rho must lie in (0, 1), got {rho}")
     kernel = CorrelationKernel(n, tuple(c0 * rho**d for d in range(n // 2 + 1)))
-    _require_psd(kernel)
+    _nonnegative(kernel.eigenvalues)
     return kernel
 
 
@@ -141,7 +171,7 @@ def gaussian_kernel(n: int, c0: float = 1.0, length: float = 1.0) -> Correlation
     kernel = CorrelationKernel(
         n, tuple(c0 * math.exp(-(d * d) / (2.0 * length * length)) for d in range(n // 2 + 1))
     )
-    _require_psd(kernel)
+    _nonnegative(kernel.eigenvalues)
     return kernel
 
 
@@ -156,15 +186,6 @@ def kernel_from_spectrum(n: int, eigenvalues: Iterable[float]) -> CorrelationKer
     if lams.shape != (half + 1,):
         raise MalformedKernelError(f"need {half + 1} eigenvalues for n={n}, got {lams.shape}")
     return CorrelationKernel(n, tuple(_closed_form_eigenvalues(n, lams) / n))
-
-
-def _require_psd(kernel: CorrelationKernel) -> None:
-    lams = _closed_form_eigenvalues(kernel.n, np.asarray(kernel.values))
-    if lams.min() < -PSD_TOLERANCE:
-        k_bad = int(np.argmin(lams))
-        raise NotPositiveSemidefiniteError(
-            f"kernel is not positive semidefinite: eigenvalue {lams[k_bad]:.6g} at frequency {k_bad}"
-        )
 
 
 @dataclass(frozen=True)
@@ -185,18 +206,16 @@ class EigenMode:
 class SpectralDecomposition:
     """Analytic eigensystem of a circulant symmetric kernel.
 
-    The read-only ``eigenvalues`` array (frequencies 0..floor(n/2), computed
-    once) is the whole decomposition: the modes, their pairing and the PSD
-    report are read off it and n.
+    The kernel's read-only ``eigenvalues`` array (frequencies 0..floor(n/2))
+    is the whole decomposition: the modes, their pairing and the PSD report
+    are read off it and n.
     """
 
     kernel: CorrelationKernel
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        lams = _closed_form_eigenvalues(self.kernel.n, np.asarray(self.kernel.values))
-        lams.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lams)
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.kernel.eigenvalues
 
     @property
     def n(self) -> int:
@@ -241,10 +260,6 @@ class SpectralDecomposition:
         idx = np.arange(self.n)
         return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
 
-    def min_paired_eigenvalue(self) -> float:
-        """Smallest eigenvalue over the paired frequencies (k = 1 is always one, as n >= 4)."""
-        return float(self.eigenvalues[1 : (self.n + 1) // 2].min())
-
 
 def decompose(kernel: CorrelationKernel) -> SpectralDecomposition:
     """Spectrally decompose a kernel: its eigenvalues are the rfft of its first row."""
@@ -265,16 +280,16 @@ class PsdReport:
         return asdict(self)
 
 
-def validate_psd(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> PsdReport:
+def validate_psd(decomp: SpectralDecomposition) -> PsdReport:
     """Report the smallest eigenvalue and whether the kernel is (strictly) PSD."""
     lams = decomp.eigenvalues
     k_min = int(np.argmin(lams))
-    negative = tuple(int(k) for k in np.flatnonzero(lams < -tol))
+    negative = tuple(int(k) for k in np.flatnonzero(lams < -PSD_TOLERANCE))
     return PsdReport(
         min_eigenvalue=float(lams[k_min]),
         min_frequency=k_min,
         valid=not negative,
-        strictly_positive=bool(lams.min() > tol),
+        strictly_positive=bool(lams[k_min] > PSD_TOLERANCE),
         negative_frequencies=negative,
     )
 
@@ -287,25 +302,13 @@ def _ring_vectors(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _invertible_eigenvalues(decomp: SpectralDecomposition, tol: float = PSD_TOLERANCE) -> np.ndarray:
-    """The eigenvalues, after raising SingularCovarianceError unless every one exceeds ``tol``."""
-    lams = decomp.eigenvalues
-    if lams.min() <= tol:
-        raise SingularCovarianceError(
-            f"covariance is singular at tolerance {tol}: min eigenvalue {lams.min():.6g}"
-        )
-    return lams
-
-
-def apply_inverse(
-    decomp: SpectralDecomposition, v: np.ndarray, tol: float = PSD_TOLERANCE
-) -> np.ndarray:
+def apply_inverse(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     """Multiply by the inverse correlation matrix: ``irfft(rfft(v) / lambda)``.
 
     Accepts a single vector of length n or a stack shaped (..., n). Raises
-    SingularCovarianceError unless every eigenvalue exceeds ``tol``.
+    SingularCovarianceError unless every eigenvalue exceeds PSD_TOLERANCE.
     """
-    lams = _invertible_eigenvalues(decomp, tol)
+    lams = _positive(decomp.eigenvalues)
     return np.fft.irfft(np.fft.rfft(_ring_vectors(decomp, v)) / lams, decomp.n)
 
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConditionViolatedError, ResolutionOutOfRangeError
-from .spectral import TWO_PI, SpectralDecomposition
+from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive
 
 FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
@@ -105,20 +105,38 @@ class TuningPopulation1D:
         return self.decomp.n
 
 
+def _phase_shift_problem(shift: float, k_max: int) -> str | None:
+    """Why the y axis cannot move phase c_k by k * shift for k up to k_max, or None.
+
+    From |k_max * shift| = 2**52 on, adjacent doubles lie at least 1 rad apart,
+    so the shifted phases would be rounding noise.
+    """
+    if not math.isfinite(shift):
+        return f"must be finite, got {shift!r}"
+    moved = k_max * shift
+    if not math.isfinite(moved):
+        return f"{shift!r} times frequency {k_max} is not finite"
+    if abs(moved) >= 2.0**52:
+        return f"{shift!r} times frequency {k_max} is {moved:.6g}, not below 2**52 in magnitude"
+    return None
+
+
 @dataclass(frozen=True)
 class TuningPopulation2D:
     """Separable torus population: one axis population plus a phase shift.
 
     The y axis is ``x`` with each phase c_k moved by k * phase_shift, so both
     axes share the kernel and the amplitude spectrum by construction.
+    ValueError unless |k * phase_shift| < 2**52 at the largest active frequency k.
     """
 
     x: TuningPopulation1D
     phase_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_shift):
-            raise ValueError(f"phase_shift must be finite, got {self.phase_shift}")
+        problem = _phase_shift_problem(self.phase_shift, self.x.allocation.max_frequency())
+        if problem:
+            raise ValueError(f"phase_shift {problem}")
 
     @property
     def y(self) -> TuningPopulation1D:
@@ -228,10 +246,13 @@ def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) 
 
 
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Paired frequencies (ascending) and their eigenvalues."""
+    """Paired frequencies (ascending) and their eigenvalues, the view every optimum and
+    ordering reads: NotPositiveSemidefiniteError on a negative eigenvalue anywhere,
+    SingularCovarianceError unless every paired one is positive."""
     paired = decomp.paired_frequencies
     freqs = np.arange(paired.start, paired.stop)
-    return freqs, decomp.eigenvalues[freqs]
+    _nonnegative(decomp.eigenvalues)
+    return freqs, _positive(decomp.eigenvalues[freqs], first=paired.start)
 
 
 def _k2_weighted(freqs: np.ndarray, lams: np.ndarray) -> np.ndarray:

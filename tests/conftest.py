@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringfisher.errors import NotPositiveSemidefiniteError, SingularCovarianceError
 from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
@@ -121,6 +122,16 @@ def assert_close_relative(actual, expected, rel: float = 1e-12) -> None:
 
 def white_kernel(n: int, sigma_sq: float = 1.0) -> CorrelationKernel:
     return CorrelationKernel(n, (sigma_sq,) + (0.0,) * (n // 2))
+
+
+#: n = 8 spectra (frequencies 0..4) that no optimum or ordering may read, with the error
+#: each must raise: a negative paired eigenvalue, a negative singleton at k = 0, and a
+#: paired eigenvalue too small to divide by.
+INVALID_SPECTRA = {
+    "negative_paired": ((1.0, 0.5, -0.3, 1.0, 1.0), NotPositiveSemidefiniteError),
+    "negative_k0": ((-0.2, 0.5, 1.0, 1.0, 1.0), NotPositiveSemidefiniteError),
+    "tiny_paired": ((1.0, 5.6e-17, 0.5, 1.0, 1.0), SingularCovarianceError),
+}
 
 
 _NEIGHBOR_SHIFTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]

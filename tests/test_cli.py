@@ -11,7 +11,7 @@ import pytest
 from ringfisher import io as rio
 from ringfisher.cli import main
 from ringfisher.spectral import decompose, exponential_kernel
-from conftest import count_toroidal_maxima, read_field_csv
+from conftest import INVALID_SPECTRA, count_toroidal_maxima, read_field_csv
 
 
 def write_kernel(path, n, values):
@@ -338,6 +338,18 @@ class TestSimulateCommand:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_negative_config_seed_exit_6(self, tmp_path, capsys):
+        config = {
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "trials": 200,
+            "seed": -3,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), str(tmp_path / "r.json")]) == 2
 
@@ -414,6 +426,48 @@ class TestSimulateCommand:
         assert main(argv) == 6
         assert "fisher_information = inf" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+class TestInvalidSpectrum:
+    """Every command that reads the spectrum exits 3 and writes nothing on a kernel with a
+    negative eigenvalue, or a non-positive one that it divides by; decompose reports."""
+
+    @staticmethod
+    def commands(tmp_path, kernel_file):
+        config = tmp_path / "config.json"
+        definition = json.loads(kernel_file.read_text())
+        config.write_text(json.dumps({"kernel": definition, "allocation": "optimal", "trials": 200}))
+        k, out = str(kernel_file), tmp_path / "out"
+        return {
+            "optimize": (["optimize", k, str(out)], [out]),
+            "optimize_dim2": (["optimize", k, str(out), "--dim", "2"], [out]),
+            "optimize_audit": (["optimize", k, str(out), "--audit-trials", "50"], [out]),
+            "fisher": (["fisher", k, str(out)], [out]),
+            "fisher_dim2": (["fisher", k, str(out), "--dim", "2"], [out]),
+            "field2d_optimal": (["field2d", k, str(out), str(tmp_path / "f.csv"), "--optimal", "--res", "8"],
+                                [out, tmp_path / "f.csv"]),
+            "simulate": (["simulate", str(config), str(out)], [out]),
+        }
+
+    @pytest.mark.parametrize("command", ["optimize", "optimize_dim2", "optimize_audit", "fisher",
+                                         "fisher_dim2", "field2d_optimal", "simulate"])
+    @pytest.mark.parametrize("spectrum", sorted(INVALID_SPECTRA))
+    def test_exit_3_and_no_output(self, tmp_path, capsys, spectrum, command):
+        lams, _ = INVALID_SPECTRA[spectrum]
+        kernel_file = spectrum_kernel_file(tmp_path, 8, lams)
+        argv, outputs = self.commands(tmp_path, kernel_file)[command]
+        assert main(argv) == 3
+        assert "at frequency" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+        assert not any(p.name.endswith(".manifest.json") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("spectrum, code", [("negative_paired", 3), ("negative_k0", 3), ("tiny_paired", 0)])
+    def test_decompose_reports(self, tmp_path, capsys, spectrum, code):
+        lams, _ = INVALID_SPECTRA[spectrum]
+        kernel_file = spectrum_kernel_file(tmp_path, 8, lams)
+        out = tmp_path / "decomp.csv"
+        assert main(["decompose", str(kernel_file), str(out)]) == code
+        assert len(out.read_text().splitlines()) == 1 + 5
 
 
 class TestMalformedFieldTypes:
@@ -529,6 +583,26 @@ class TestParameterRanges:
         argv = ["field2d", str(kernel), str(tmp_path / "a.pgm"), str(tmp_path / "a.csv"), "--k", "2"]
         assert main([*argv, "--phase-shift", "1e308"]) == 5
         assert "--phase-shift 1e+308 times frequency 2 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift, code", [("3e15", 5), ("-3e15", 5), ("1e15", 0)])
+    def test_phase_shift_bounded_by_2_pow_52_over_the_frequency(self, tmp_path, capsys, shift, code):
+        # at frequency 2, a shift of 3e15 moves the y phase past 2**52, where doubles lie 1 rad apart
+        kernel = write_kernel(tmp_path / "k8.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05])
+        outputs = [tmp_path / "a.pgm", tmp_path / "a.csv"]
+        argv = ["field2d", str(kernel), *map(str, outputs), "--k", "2", "--res", "8"]
+        assert main([*argv, f"--phase-shift={shift}"]) == code
+        if code:
+            assert f"--phase-shift {float(shift)!r} times frequency 2" in capsys.readouterr().err
+        assert all(path.exists() for path in outputs) == (code == 0)
+
+    @pytest.mark.parametrize(
+        "command", [["decompose"], ["optimize", "--audit-trials", "5"]], ids=["decompose", "optimize"]
+    )
+    def test_negative_seed_exit_5(self, tmp_path, n4_kernel_file, capsys, command):
+        out = tmp_path / "out"
+        assert main(["--seed", "-1", command[0], str(n4_kernel_file), str(out), *command[1:]]) == 5
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"

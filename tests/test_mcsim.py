@@ -487,6 +487,13 @@ class TestRunDisplacementTrials:
         with pytest.raises(ValueError):
             SimConfig(population=pop, trials=99)
 
+    def test_negative_seed_rejected(self, n4_decomp):
+        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            SimConfig(population=pop, trials=100, seed=-3)
+        with pytest.raises(ValueError, match="seed"):
+            run_path_integration(pop, steps=2, trials=100, seed=-1)
+
     def test_large_displacement_warns(self, n6_decomp):
         pop = single_mode_pop(n6_decomp, frequency=2)
         with pytest.warns(UserWarning):

@@ -1,11 +1,15 @@
 """Allocation search: closed forms, vertex-edge enumeration, audit oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringfisher import optimal
 from ringfisher.errors import SingularCovarianceError
+from ringfisher.fisher import fisher_max_bound
 from ringfisher.optimal import (
     audit_random_allocations,
     check_condition,
@@ -13,8 +17,9 @@ from ringfisher.optimal import (
     maximize_fisher_2d,
 )
 from ringfisher.spectral import decompose, exponential_kernel, kernel_from_spectrum
+from ringfisher.tuning import optimal_tuning_1d, optimal_tuning_2d
 
-from conftest import dense_ring_matrix, random_psd_kernel, white_kernel
+from conftest import INVALID_SPECTRA, dense_ring_matrix, random_psd_kernel, white_kernel
 
 
 def torus_search_oracle(decomp, power):
@@ -239,3 +244,93 @@ class TestOptimalityProperties:
             found += 1
             result = maximize_fisher_2d(decomp, 1.0, audit_trials=20_000, seed=found)
             assert result.audit_margin <= 1e-9
+
+
+def one_shot_draw(decomp, power, objective, trials, seed):
+    """Objective values and weights of the audit as a single draw of every trial:
+    the oracle for the streamed blocks."""
+    freqs = np.array(decomp.paired_frequencies)
+    lams = decomp.eigenvalues[freqs]
+    u = 1.0 / lams
+    v = u / freqs.astype(float) ** 2
+    rng = np.random.Generator(np.random.Philox(seed))
+    weights = power * rng.dirichlet(np.ones(freqs.size), size=trials)
+    values = weights @ u if objective == "fi1d" else (weights @ u) * (weights @ v)
+    return values, weights
+
+
+class TestStreamedAudit:
+    @pytest.mark.parametrize("n", [4, 9, 64, 300])
+    @pytest.mark.parametrize("trials", [1, 255, 257, 1001])
+    @pytest.mark.parametrize("block", [64, 256, 512, 2048])
+    def test_blocks_reproduce_one_draw_exactly(self, monkeypatch, n, trials, block):
+        monkeypatch.setattr(optimal, "_AUDIT_BLOCK_ROWS", block)
+        decomp = decompose(exponential_kernel(n, rho=0.7))
+        freqs = np.array(decomp.paired_frequencies)
+        for objective in ("fi1d", "fi2d_x"):
+            report = audit_random_allocations(decomp, 1.3, objective, trials, seed=11)
+            values, weights = one_shot_draw(decomp, 1.3, objective, trials, 11)
+            best = int(np.argmax(values))
+            assert report.max_objective == values[best]
+            assert report.best_allocation == optimal._allocation_from_weights(freqs, weights[best], 1.3)
+
+    def test_ties_keep_the_first_row(self):
+        # white noise: the 1D objective is 0.5 * sum(w), so many rows tie exactly
+        decomp = decompose(white_kernel(16, sigma_sq=2.0))
+        values, weights = one_shot_draw(decomp, 1.0, "fi1d", 1000, 4)
+        tied = np.flatnonzero(values == values.max())
+        assert tied[-1] // optimal._AUDIT_BLOCK_ROWS > tied[0] // optimal._AUDIT_BLOCK_ROWS
+        report = audit_random_allocations(decomp, 1.0, "fi1d", 1000, seed=4)
+        freqs = np.array(decomp.paired_frequencies)
+        assert report.best_allocation == optimal._allocation_from_weights(freqs, weights[tied[0]], 1.0)
+
+    def test_peak_memory_flat_in_trials(self):
+        decomp = decompose(exponential_kernel(1024, rho=0.5))
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                audit_random_allocations(decomp, 1.0, "fi2d_x", trials, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        # one draw of 20 000 trials over 511 frequencies would hold 78 MB, twice
+        assert peaks[1] < 1.5 * peaks[0] + 1.0
+        assert peaks[1] < 8.0
+
+    def test_negative_seed_rejected_before_any_draw(self, n6_decomp, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        with pytest.raises(ValueError, match="seed"):
+            audit_random_allocations(n6_decomp, 1.0, "fi1d", 10, seed=-1)
+
+
+class TestSpectrumGuards:
+    """Every optimum and ordering reads the paired spectrum through the same two guards."""
+
+    READERS = {
+        "optimal_tuning_1d": lambda d: optimal_tuning_1d(d, 1.0),
+        "optimal_tuning_2d": lambda d: optimal_tuning_2d(d, 1.0),
+        "maximize_fisher_1d": lambda d: maximize_fisher_1d(d, 1.0),
+        "maximize_fisher_2d": lambda d: maximize_fisher_2d(d, 1.0),
+        "check_condition": check_condition,
+        "audit_fi1d": lambda d: audit_random_allocations(d, 1.0, "fi1d", 10, seed=0),
+        "audit_fi2d_x": lambda d: audit_random_allocations(d, 1.0, "fi2d_x", 10, seed=0),
+        "fisher_max_bound": lambda d: fisher_max_bound(d, 1.0),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("spectrum", sorted(INVALID_SPECTRA))
+    def test_invalid_spectrum_rejected(self, reader, spectrum):
+        lams, error = INVALID_SPECTRA[spectrum]
+        decomp = decompose(kernel_from_spectrum(8, lams))
+        with pytest.raises(error, match="at frequency"):
+            self.READERS[reader](decomp)
+
+    def test_zero_singleton_still_allowed(self):
+        # the optima divide by the paired eigenvalues only, so lambda_0 = 0 is fine
+        decomp = decompose(kernel_from_spectrum(8, [0.0, 0.5, 1.0, 1.0, 1.0]))
+        assert maximize_fisher_1d(decomp, 1.0).allocation.entries[0].frequency == 1
+        assert check_condition(decomp).argmin_lambda == 1

@@ -1,6 +1,9 @@
 """Spectral decomposition, inversion, rotation, and torus separability."""
 
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -371,3 +374,63 @@ class TestKernelFamilies:
         # wide ring-Gaussian kernels lose positive semidefiniteness
         with pytest.raises(NotPositiveSemidefiniteError):
             gaussian_kernel(8, length=4.0)
+
+
+class TestOneSpectrumPerKernel:
+    """The spectrum is transformed once, when the kernel is built, and shared from then on."""
+
+    @pytest.mark.parametrize(
+        "definition",
+        [
+            {"n": 64, "family": "exponential", "params": {"c0": 1.0, "rho": 0.5}},
+            {"n": 64, "family": "gaussian", "params": {"c0": 1.0, "length": 2.0}},
+            {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+        ],
+        ids=["exponential", "gaussian", "explicit"],
+    )
+    def test_loading_and_decomposing_a_file_runs_one_rfft(self, tmp_path, monkeypatch, definition):
+        from ringfisher import io as rio
+
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(definition))
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        decomp = decompose(rio.load_kernel(path))
+        assert validate_psd(decomp).valid
+        assert decomp.mode(1).eigenvalue > 0.0
+        assert len(calls) == 1
+
+    def test_decomposition_shares_the_kernel_array(self, n6_kernel):
+        assert decompose(n6_kernel).eigenvalues is n6_kernel.eigenvalues
+        assert not n6_kernel.eigenvalues.flags.writeable
+
+    def test_spectrum_outside_equality_hashing_and_repr(self):
+        first = CorrelationKernel(4, (1.0, 0.5, 0.25))
+        second = CorrelationKernel(4, [1, np.float32(0.5), 0.25])
+        assert first == second
+        assert hash(first) == hash(second)
+        assert second.values == (1.0, 0.5, 0.25)
+        assert all(type(v) is float for v in second.values)
+        assert "eigenvalues" not in repr(first)
+
+    def test_copies_and_pickles_keep_the_spectrum_read_only(self, n6_kernel):
+        for clone in (copy.copy(n6_kernel), copy.deepcopy(n6_kernel), pickle.loads(pickle.dumps(n6_kernel))):
+            assert clone == n6_kernel
+            assert not clone.eigenvalues.flags.writeable
+            np.testing.assert_array_equal(clone.eigenvalues, n6_kernel.eigenvalues)
+
+    def test_values_keep_their_bits(self):
+        values = (1.0, -0.0, 0.1 + 0.2, 5e-324)
+        kernel = CorrelationKernel(6, values)
+        assert [v.hex() for v in kernel.values] == [v.hex() for v in values]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(MalformedKernelError, match="finite"):
+            CorrelationKernel(4, (1.0, bad, 0.25))

@@ -226,6 +226,16 @@ class TestOptimalTuning2D:
         with pytest.raises(ValueError, match="phase_shift must be finite"):
             TuningPopulation2D(single_mode_pop(n6_decomp), shift)
 
+    @pytest.mark.parametrize("shift", [3e15, -3e15, 1e300])
+    def test_phase_shift_past_2_pow_52_at_the_largest_frequency_rejected(self, n6_decomp, shift):
+        # at frequency 2 the y phase moves by 6e15 >= 2**52, where doubles lie 1 rad apart
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            TuningPopulation2D(single_mode_pop(n6_decomp, frequency=2), shift)
+
+    def test_phase_shift_below_2_pow_52_at_the_largest_frequency_accepted(self, n6_decomp):
+        pop2d = TuningPopulation2D(single_mode_pop(n6_decomp, frequency=2), 1e15)
+        assert pop2d.y.allocation.entries[0].phase == 2e15
+
 
 class TestFiringField:
     def test_separability_exact(self, n4_decomp):
