@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonpositiveInformationError
-from .spectral import TWO_PI, SpectralDecomposition, apply_inverse
+from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, apply_inverse
 from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
@@ -39,8 +39,11 @@ def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
 
 
 def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p: int) -> float:
-    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k)."""
-    lams = decomp.eigenvalues
+    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k).
+
+    NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite sum.
+    """
+    lams = _nonnegative(decomp.eigenvalues)
     total = 0.0
     for e in allocation.entries:
         total += e.amplitude**2 / (e.frequency**p * lams[e.frequency])

@@ -104,10 +104,11 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
 
 def write_decomposition_csv(decomp: SpectralDecomposition, path: str | Path) -> None:
     """Columns k, lambda, paired; one row per frequency."""
+    paired = decomp.paired_frequencies
     with open(path, "w", newline="") as handle:
         handle.write("k,lambda,paired\r\n")
-        for m in decomp.modes:
-            handle.write(f"{m.frequency},{m.eigenvalue!r},{str(m.paired).lower()}\r\n")
+        for k, lam in enumerate(decomp.eigenvalues.tolist()):
+            handle.write(f"{k},{lam!r},{str(k in paired).lower()}\r\n")
 
 
 def write_curves_csv(

@@ -27,8 +27,6 @@ from .tuning import ORDER_TIE_TOL, PowerAllocation, _k2_weighted, _paired_arrays
 Objective = Literal["fi1d", "fi2d_x"]
 
 #: Dirichlet draws per block of the optimality audit, which holds one block at a time.
-#: A power of two, so the BLAS matrix-vector product groups rows as it does for a
-#: single draw of every trial and each objective value keeps its bits.
 _AUDIT_BLOCK_ROWS = 256
 
 
@@ -100,10 +98,15 @@ def _objective_coefficients(
 def _objective_values(
     weights: np.ndarray, u: np.ndarray, v: np.ndarray, objective: Objective
 ) -> np.ndarray:
-    """Objective at each weight vector (rows of ``weights``, or one vector)."""
+    """Objective at each weight vector (rows of ``weights``, or one vector).
+
+    einsum sums each row on its own, so a row's value has the same bits in any
+    block of rows and alone, which a BLAS matrix-vector product does not promise.
+    """
+    fi = np.einsum("...j,j->...", weights, u)
     if objective == "fi1d":
-        return weights @ u
-    return (weights @ u) * (weights @ v)
+        return fi
+    return fi * np.einsum("...j,j->...", weights, v)
 
 
 def _allocation_from_weights(

@@ -12,10 +12,8 @@ nothing else, and its modes, pairing (0 < k < n/2) and PSD report are read
 off the array and n. ``_nonnegative`` and ``_positive`` judge its sign for every caller.
 Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
-Arrays of eigen-coefficients follow the column order of the orthonormal
-eigenbasis, cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for even n);
-``_columns_to_bins`` and ``_bins_to_columns`` map that layout to and from
-rfft bins.
+Frequency k's rfft bin is conj(a + ib) times ``_bin_scale(n)[k]`` for its
+(cos, sin) eigen-coefficients (a, b).
 """
 
 from __future__ import annotations
@@ -50,52 +48,32 @@ def _closed_form_eigenvalues(n: int, values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(row).real
 
 
-def _column_weights(n: int) -> np.ndarray:
-    """Factor from each eigen-coefficient column to its entry among the rfft bins.
-
-    Columns are ordered cos0, cos1, sin1, cos2, sin2, ... (then cos n/2 for
-    even n). The factor is sqrt(n) for the singletons (k = 0 and, for even n,
-    k = n/2) and sqrt(n/2) for pairs; a cosine weight is the real part of bin k,
-    a sine weight the negative imaginary part.
-    """
-    w = np.full(n, math.sqrt(n / 2.0))
-    w[2::2] *= -1.0
-    w[0] = math.sqrt(n)
+def _bin_scale(n: int) -> np.ndarray:
+    """Per frequency 0..floor(n/2): sqrt(n) for the singletons (k = 0 and n/2), sqrt(n/2) for pairs."""
+    scale = np.full(n // 2 + 1, math.sqrt(n / 2.0))
+    scale[0] = math.sqrt(n)
     if n % 2 == 0:
-        w[-1] = math.sqrt(n)
-    return w
+        scale[-1] = math.sqrt(n)
+    return scale
 
 
-def _columns_to_bins(cols: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
+def _columns_to_bins(cols: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """rfft bins, along the last axis, of B diag(gain) c for each row c of ``cols``.
 
-    ``cols`` (..., n) holds eigen-coefficients in the ``_column_weights``
-    layout and ``gain`` one factor per frequency 0..floor(n/2). The columns
-    after the first line up with the interleaved (real, imaginary) bin
-    entries after bin 0's, so one multiply fills them. ``irfft(bins, n)`` is
-    the synthesized vector.
+    ``cols`` (..., n) are ordered cos0, cos1, sin1, ... (then cos n/2 for even
+    n), so the columns after the first line up with the interleaved (real,
+    imaginary) entries after bin 0's: they are copied there, then conjugated
+    and scaled in place. ``gain`` has one factor per frequency.
     """
     n = cols.shape[-1]
-    w = _column_weights(n)
-    if gain is not None:
-        w *= gain[(np.arange(n) + 1) // 2]
-    parts = np.empty(cols.shape[:-1] + (2 * (n // 2 + 1),))  # re0, im0, re1, im1, ...
-    parts[..., 0] = cols[..., 0] * w[0]
-    parts[..., 1] = 0.0
-    np.multiply(cols[..., 1:], w[1:], out=parts[..., 2 : n + 1])
-    if n % 2 == 0:
-        parts[..., -1] = 0.0
-    return parts.view(complex)
-
-
-def _bins_to_columns(bins: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``_columns_to_bins``: eigen-coefficients (..., n) of rfft bins (..., n//2 + 1)."""
-    parts = np.ascontiguousarray(bins).view(float)
-    w = _column_weights(n)
-    cols = np.empty(bins.shape[:-1] + (n,))
-    cols[..., 0] = parts[..., 0] / w[0]
-    np.divide(parts[..., 2 : n + 1], w[1:], out=cols[..., 1:])
-    return cols
+    bins = np.zeros(cols.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    parts = bins.view(float)  # re0, im0, re1, im1, ...
+    parts[..., 0] = cols[..., 0]
+    parts[..., 2 : n + 1] = cols[..., 1:]
+    factor = _bin_scale(n) * gain
+    bins.real *= factor
+    bins.imag *= -factor
+    return bins
 
 
 @dataclass(frozen=True)
@@ -312,36 +290,29 @@ def apply_inverse(decomp: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(_ring_vectors(decomp, v)) / lams, decomp.n)
 
 
-def _cos_column(k: int) -> int:
-    """Column of frequency k's cosine coefficient; its sine, if paired, is the next one."""
-    return max(2 * k - 1, 0)
-
-
 def mode_coefficients(decomp: SpectralDecomposition, v: np.ndarray) -> dict[int, tuple[float, float]]:
     """Project a vector on each mode, returning (cos, sin) coefficients per frequency.
 
     Singleton frequencies report a zero sine coefficient.
     """
-    cols = _bins_to_columns(np.fft.rfft(_ring_vectors(decomp, v)), decomp.n)
-    out: dict[int, tuple[float, float]] = {}
-    for m in decomp.modes:
-        c = _cos_column(m.frequency)
-        out[m.frequency] = (float(cols[c]), float(cols[c + 1]) if m.paired else 0.0)
-    return out
+    bins = np.fft.rfft(_ring_vectors(decomp, v))
+    scale = _bin_scale(decomp.n)
+    cos, sin = (bins.real / scale).tolist(), (-bins.imag / scale).tolist()
+    paired = decomp.paired_frequencies
+    return {k: (cos[k], sin[k] if k in paired else 0.0) for k in range(len(cos))}
 
 
 def synthesize(decomp: SpectralDecomposition, coeffs: Mapping[int, tuple[float, float]]) -> np.ndarray:
     """Rebuild a vector from per-frequency (cos, sin) coefficients."""
-    cols = np.zeros(decomp.n)
+    scale = _bin_scale(decomp.n)
+    bins = np.zeros(scale.size, dtype=complex)
     for k, (a, b) in coeffs.items():
-        paired = decomp.mode(k).paired
-        c = _cos_column(k)
-        cols[c] = a
-        if paired:
-            cols[c + 1] = b
+        if decomp.is_paired(k):
+            bins.imag[k] = -b * scale[k]
         elif b != 0.0:
             raise UnpairedModeError(f"frequency {k} has no sine eigenvector to weight")
-    return np.fft.irfft(_columns_to_bins(cols), decomp.n)
+        bins.real[k] = a * scale[k]
+    return np.fft.irfft(bins, decomp.n)
 
 
 def rotate_pattern(

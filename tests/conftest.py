@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -45,6 +46,11 @@ def separable_torus_inverse(decomp: SpectralDecomposition) -> np.ndarray:
     grids = apply_inverse(decomp, np.eye(n * n).reshape(n * n, n, n))
     grids = apply_inverse(decomp, grids.swapaxes(-1, -2)).swapaxes(-1, -2)
     return grids.reshape(n * n, n * n)
+
+
+def float_digest(values) -> str:
+    """SHA-256 of the values as little-endian float64 bytes: pins every bit of an output."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
 def dense_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ringfisher.errors import NonpositiveInformationError
+from ringfisher.errors import NonpositiveInformationError, NotPositiveSemidefiniteError
 from ringfisher.fisher import (
     crb,
     fisher_1d,
@@ -97,6 +97,11 @@ class TestFisherSpectral:
         decomp = decompose(white_kernel(8, sigma_sq=0.5))
         alloc = PowerAllocation.from_powers({1: 1.0 / 3, 2: 1.0 / 3, 3: 1.0 / 3})
         assert fisher_1d_spectral(alloc, decomp) == pytest.approx(1.0 / 0.5, rel=1e-12)
+
+    def test_negative_eigenvalue_rejected(self):
+        decomp = decompose(kernel_from_spectrum(8, (1.0, 0.5, -0.3, 1.0, 1.0)))
+        with pytest.raises(NotPositiveSemidefiniteError, match="at frequency 2"):
+            fisher_1d_spectral(PowerAllocation.single(2, 1.0), decomp)
 
     def test_linear_in_power(self, n6_decomp):
         one = optimal_tuning_1d(n6_decomp, 1.0)

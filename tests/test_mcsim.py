@@ -49,6 +49,7 @@ from conftest import (
     dense_basis,
     dense_ring_matrix,
     dense_torus_matrix,
+    float_digest,
     random_psd_kernel,
     white_kernel,
 )
@@ -129,6 +130,34 @@ class TestSampleMatchesDenseOracle:
         expected = (basis @ z @ basis.T).reshape(3, n * n)
         draws = NoiseModel(TorusCorrelation(decomp)).sample(make_rng(seed), 3)
         assert_close_relative(draws, expected)
+
+
+class TestSampleDigests:
+    """Fixed-seed draws keep every bit: float_digest of each, ring and torus."""
+
+    RING = {
+        4: "8b9912f58ae95041ec2716667dfc701de9c6fda6b36cc2a6c720740248d628c7",
+        5: "dc9c199f578af8f53f715404c238718df857128e2ecee37613c8926daa29b78f",
+        7: "f133b9dfc088d74d0c6f026df89431fa6cb312c39534c005ec4e2aea2bc32052",
+        8: "5e7659e1627bac8d9280c1a895e72436780fa9b68b1e05f96b55d8848f05b976",
+    }
+    TORUS = {
+        4: "a5959c591dc5de8c7cbf35e004acf1eadc62c4c7cd77b70973892536e94d1204",
+        5: "a25b2c563ba142e9a6264d7f2f8de41c35e72597e3232a1003dd7cd573f2c9cd",
+        7: "b35d563e536f6420daa56f70619d9037f6a293ef57a28392138f8a9e7803ebb0",
+        8: "6bfc2a55d6714ffe194dda50b9716ba38cff9745e2414ce78655c64454e5bba1",
+    }
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_ring_draws(self, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        assert float_digest(NoiseModel(decomp, scale=1.3).sample(make_rng(n), 6)) == self.RING[n]
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_torus_draws(self, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        draws = NoiseModel(TorusCorrelation(decomp), scale=0.7).sample(make_rng(n), 3)
+        assert float_digest(draws) == self.TORUS[n]
 
 
 def _peak_traced_mb(func) -> float:

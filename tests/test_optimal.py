@@ -255,7 +255,8 @@ def one_shot_draw(decomp, power, objective, trials, seed):
     v = u / freqs.astype(float) ** 2
     rng = np.random.Generator(np.random.Philox(seed))
     weights = power * rng.dirichlet(np.ones(freqs.size), size=trials)
-    values = weights @ u if objective == "fi1d" else (weights @ u) * (weights @ v)
+    fi = np.einsum("ij,j->i", weights, u)
+    values = fi if objective == "fi1d" else fi * np.einsum("ij,j->i", weights, v)
     return values, weights
 
 
@@ -277,12 +278,25 @@ class TestStreamedAudit:
     def test_ties_keep_the_first_row(self):
         # white noise: the 1D objective is 0.5 * sum(w), so many rows tie exactly
         decomp = decompose(white_kernel(16, sigma_sq=2.0))
-        values, weights = one_shot_draw(decomp, 1.0, "fi1d", 1000, 4)
+        values, weights = one_shot_draw(decomp, 1.0, "fi1d", 1000, 5)
         tied = np.flatnonzero(values == values.max())
         assert tied[-1] // optimal._AUDIT_BLOCK_ROWS > tied[0] // optimal._AUDIT_BLOCK_ROWS
-        report = audit_random_allocations(decomp, 1.0, "fi1d", 1000, seed=4)
+        report = audit_random_allocations(decomp, 1.0, "fi1d", 1000, seed=5)
         freqs = np.array(decomp.paired_frequencies)
         assert report.best_allocation == optimal._allocation_from_weights(freqs, weights[tied[0]], 1.0)
+
+    @pytest.mark.parametrize("objective", ["fi1d", "fi2d_x"])
+    def test_row_values_keep_their_bits_in_any_block(self, objective):
+        # a BLAS matrix-vector product may group the last rows of a call differently
+        decomp = decompose(exponential_kernel(1024, rho=0.5))
+        _, u, v = optimal._objective_coefficients(decomp)
+        weights = np.random.Generator(np.random.Philox(3)).dirichlet(np.ones(u.size), size=257)
+        alone = np.array([optimal._objective_values(w, u, v, objective) for w in weights])
+        for block in (1, 3, 256):
+            values = np.concatenate(
+                [optimal._objective_values(weights[s : s + block], u, v, objective) for s in range(0, 257, block)]
+            )
+            assert values.tobytes() == alone.tobytes()
 
     def test_peak_memory_flat_in_trials(self):
         decomp = decompose(exponential_kernel(1024, rho=0.5))

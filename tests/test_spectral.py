@@ -16,9 +16,12 @@ from ringfisher.errors import (
     SingularCovarianceError,
     UnpairedModeError,
 )
+from ringfisher import io as rio
+from ringfisher.mcsim import make_rng
 from ringfisher.spectral import (
     TWO_PI,
     CorrelationKernel,
+    SpectralDecomposition,
     apply_inverse,
     decompose,
     exponential_kernel,
@@ -39,6 +42,7 @@ from conftest import (
     dense_ring_matrix,
     dense_torus_matrix,
     eigenvalue_multiset,
+    float_digest,
     random_psd_kernel,
     separable_torus_inverse,
     white_kernel,
@@ -355,6 +359,59 @@ class TestFftMatchesDenseOracle:
         assert lams is n6_decomp.eigenvalues
         with pytest.raises(ValueError):
             lams[0] = 0.0
+
+
+class TestBinLayout:
+    """Eigen-coefficients meet the rfft bins through one scale per frequency."""
+
+    # float_digest of each output below: a change to the layout must leave every bit
+    COEFFICIENT_DIGESTS = {
+        4: "de72d36c39a5f0b008cff6580e74fd04a4a0eed1959b0c69895e5ef3f24ebf05",
+        5: "63b8a06c28cc50efc73434c5d3da8ee663e46eb99d0c619a186b9755a834d528",
+        7: "012ac756774e380a2af28d0930c7ec454d1e0ad5c26ed234f4c5f86eab2613dc",
+        8: "38756f31e65a41413848312d6922178200a8b8c595583bb7e6c913c67f353ab0",
+    }
+    SYNTHESIS_DIGESTS = {
+        4: "0ae664c1b2a6d325a61f827a0862b630021ac75ad16e4d666e4bc5a835551471",
+        5: "465bf8895d70df8234651125c7052f3db4ae58ce54322ac7ab35beb85e311684",
+        7: "c65229b648f0f7a4a63fd91435b7c6143e65ab05af8dfcf5146b7512726b86b4",
+        8: "ae317f3b30ff160fae64d870210630ddd7dd27ff00926656ad63ad309ec29cac",
+    }
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_coefficients_keep_their_bits(self, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        coeffs = mode_coefficients(decomp, make_rng(100 + n).standard_normal(n))
+        assert float_digest([c for k in sorted(coeffs) for c in coeffs[k]]) == self.COEFFICIENT_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_synthesis_keeps_its_bits(self, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        z = make_rng(200 + n).standard_normal(n)
+        coeffs = {k: (z[k], z[n - 1 - k] if decomp.is_paired(k) else 0.0) for k in range(n // 2 + 1)}
+        assert float_digest(synthesize(decomp, coeffs)) == self.SYNTHESIS_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_no_mode_objects_built(self, tmp_path, monkeypatch, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        v = make_rng(n).standard_normal(n)
+        coeffs_before = mode_coefficients(decomp, v)
+        rio.write_decomposition_csv(decomp, tmp_path / "before.csv")
+
+        def refuse(self, frequency):
+            raise AssertionError("a per-frequency mode object was built")
+
+        monkeypatch.setattr(SpectralDecomposition, "mode", refuse)
+        assert mode_coefficients(decomp, v) == coeffs_before
+        rio.write_decomposition_csv(decomp, tmp_path / "after.csv")
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_frequency_out_of_range_rejected_by_synthesis(self, n):
+        decomp = decompose(exponential_kernel(n, rho=0.4))
+        for k in (-1, n // 2 + 1):
+            with pytest.raises(KeyError):
+                synthesize(decomp, {k: (1.0, 0.0)})
 
 
 class TestKernelFamilies:
