@@ -35,7 +35,7 @@ from .fisher import (
 )
 from .mcsim import SimConfig, run_displacement_trials
 from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
-from .spectral import decompose, validate_psd
+from .spectral import validate_psd
 from .tuning import (
     AllocationEntry,
     PowerAllocation,
@@ -158,24 +158,19 @@ def _write_manifest(
     rio.write_json(manifest, str(primary_out) + ".manifest.json")
 
 
-def _load_decomposition(path: Path):
-    kernel = rio.load_kernel(path)
-    return decompose(kernel)
-
-
-def _require_paired(decomp, frequency: int) -> None:
-    paired = decomp.paired_frequencies
+def _require_paired(kernel, frequency: int) -> None:
+    paired = kernel.paired_frequencies
     if frequency not in paired:
         raise ParameterRangeError(
-            f"frequency {frequency} is not a paired mode of the n={decomp.n} ring "
+            f"frequency {frequency} is not a paired mode of the n={kernel.n} ring "
             f"(paired: {paired.start}..{paired.stop - 1})"
         )
 
 
-def _require_neuron(decomp, neuron: tuple[int, int]) -> None:
-    if not all(0 <= index < decomp.n for index in neuron):
+def _require_neuron(kernel, neuron: tuple[int, int]) -> None:
+    if not all(0 <= index < kernel.n for index in neuron):
         raise ParameterRangeError(
-            f"torus neuron {list(neuron)} outside 0..{decomp.n - 1} on the n={decomp.n} ring"
+            f"torus neuron {list(neuron)} outside 0..{kernel.n - 1} on the n={kernel.n} ring"
         )
 
 
@@ -199,10 +194,10 @@ def _warn(message: str) -> None:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    decomp = _load_decomposition(args.kernel)
+    kernel = rio.load_kernel(args.kernel)
     out = _resolve(args, args.out)
-    rio.write_decomposition_csv(decomp, out)
-    report = validate_psd(decomp)
+    rio.write_decomposition_csv(kernel, out)
+    report = validate_psd(kernel)
     _write_manifest(args, out, [args.kernel], [out], None)
     if not report.valid:
         offending = ", ".join(str(k) for k in report.negative_frequencies)
@@ -216,21 +211,21 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    decomp = _load_decomposition(args.kernel)
+    kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
     _require_count("--audit-trials", args.audit_trials, 0)
     _require_count("--curves-samples", args.curves_samples, 1)
     _require_finite("--offset", args.offset)
     seed = args.seed if args.seed is not None else 0
-    condition = check_condition(decomp)
-    if _ties(*_paired_arrays(decomp)).size > 1:
+    condition = check_condition(kernel)
+    if _ties(*_paired_arrays(kernel)).size > 1:
         _warn("degenerate spectrum: eigenvalue tie broken toward the smallest frequency")
     if args.dim == 1:
-        search = maximize_fisher_1d(decomp, args.power, audit_trials=args.audit_trials, seed=seed)
+        search = maximize_fisher_1d(kernel, args.power, audit_trials=args.audit_trials, seed=seed)
         fi_section = {
             "fi_spectral": search.achieved_fi,
             "crb": crb(search.achieved_fi),
-            "fi_max_bound": fisher_max_bound(decomp, args.power),
+            "fi_max_bound": fisher_max_bound(kernel, args.power),
         }
     else:
         if not condition.concentration_valid:
@@ -238,8 +233,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "spectral orderings disagree; reporting the numerically found optimum "
                 "instead of a single-frequency concentration"
             )
-        search = maximize_fisher_2d(decomp, args.power, audit_trials=args.audit_trials, seed=seed)
-        pop2d = TuningPopulation2D(TuningPopulation1D(decomp, search.allocation))
+        search = maximize_fisher_2d(kernel, args.power, audit_trials=args.audit_trials, seed=seed)
+        pop2d = TuningPopulation2D(TuningPopulation1D(kernel, search.allocation))
         fi_section = fisher_2d(pop2d).to_dict()
     payload = {
         "search": search.to_dict(),
@@ -253,7 +248,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     outputs = [out]
     if args.curves_out is not None:
         curves_out = _resolve(args, args.curves_out)
-        pop = TuningPopulation1D(decomp, search.allocation)
+        pop = TuningPopulation1D(kernel, search.allocation)
         rio.write_curves_csv(
             pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0
         )
@@ -264,17 +259,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
-    decomp = _load_decomposition(args.kernel)
+    kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
     _require_count("--theta-samples", args.theta_samples, 1)
     if args.k is not None:
-        _require_paired(decomp, args.k)
-        pop = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
+        _require_paired(kernel, args.k)
+        pop = TuningPopulation1D(kernel, PowerAllocation.single(args.k, args.power))
     else:
-        pop = optimal_tuning_1d(decomp, args.power)
+        pop = optimal_tuning_1d(kernel, args.power)
     report = fisher_report_1d(pop, theta_samples=args.theta_samples)
     payload = report.to_dict()
-    payload["ordering_condition"] = check_condition(decomp).to_dict()
+    payload["ordering_condition"] = check_condition(kernel).to_dict()
     payload.update({"i_x": None, "i_y": None, "i_xy": None})
     if args.dim == 2:
         pop2d = TuningPopulation2D(pop)
@@ -287,15 +282,15 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 
 def _cmd_field2d(args: argparse.Namespace) -> int:
-    decomp = _load_decomposition(args.kernel)
+    kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
-    _require_neuron(decomp, args.neuron)
+    _require_neuron(kernel, args.neuron)
     _require_finite("--offset", args.offset)
     if args.optimal:
-        x = optimal_tuning_2d(decomp, args.power).x
+        x = optimal_tuning_2d(kernel, args.power).x
     else:
-        _require_paired(decomp, args.k)
-        x = TuningPopulation1D(decomp, PowerAllocation.single(args.k, args.power))
+        _require_paired(kernel, args.k)
+        x = TuningPopulation1D(kernel, PowerAllocation.single(args.k, args.power))
     problem = _phase_shift_problem(args.phase_shift, x.allocation.max_frequency())
     if problem:
         raise ParameterRangeError(f"--phase-shift {problem}")
@@ -328,11 +323,10 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
         kernel = rio.load_kernel(Path(path).parent / definition["kernel_file"])
     else:
         raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
-    decomp = decompose(kernel)
     power = rio.json_number(definition, "power", 1.0)
     allocation = definition.get("allocation", "optimal")
     if allocation == "optimal":
-        pop = optimal_tuning_1d(decomp, power)
+        pop = optimal_tuning_1d(kernel, power)
     elif isinstance(allocation, list):
         entries = [rio.json_object(e, "allocation entry") for e in allocation]
         alloc = PowerAllocation(
@@ -345,7 +339,7 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
                 for e in entries
             )
         )
-        pop = TuningPopulation1D(decomp, alloc)
+        pop = TuningPopulation1D(kernel, alloc)
     else:
         raise MalformedKernelError(
             "allocation must be 'optimal' or a list of {frequency, amplitude, phase}"

@@ -1,4 +1,4 @@
-"""Circulant symmetric correlation kernels on a ring and their spectral decomposition.
+"""Circulant symmetric correlation kernels on a ring, each its own spectral decomposition.
 
 A kernel assigns a covariance to every ring distance between two of the n
 uniformly placed neurons. The induced n x n matrix is circulant and symmetric,
@@ -6,10 +6,11 @@ so its eigenvectors are sampled cosines and sines: every interior frequency k
 carries a (cos, sin) eigenvector pair sharing one eigenvalue, while k = 0 and
 (for even n) the alternating k = n/2 mode are singletons. The DFT diagonalizes
 the matrix, so the eigenvalues are the real rfft of its first row. That
-read-only array, one entry per frequency 0..floor(n/2), is computed once by
-the kernel and is the whole decomposition: ``SpectralDecomposition`` holds
-nothing else, and its modes, pairing (0 < k < n/2) and PSD report are read
-off the array and n. ``_nonnegative`` and ``_positive`` judge its sign for every caller.
+read-only array, one entry per frequency 0..floor(n/2), is computed once when
+the kernel is built and is the whole decomposition: ``CorrelationKernel``
+reads its modes, pairing (0 < k < n/2) and eigenvectors off the array and n,
+``SpectralDecomposition`` is another name for it and ``decompose`` returns
+its argument. ``_nonnegative`` and ``_positive`` judge its sign for every caller.
 Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
 Frequency k's rfft bin is conj(a + ib) times ``_bin_scale(n)[k]`` for its
@@ -42,10 +43,12 @@ def _closed_form_eigenvalues(n: int, values: np.ndarray) -> np.ndarray:
     """Eigenvalues for frequencies 0..floor(n/2): the real rfft of the mirrored first row.
 
     ``values`` are c_0..c_{floor(n/2)}; the first row of the circulant matrix
-    is c_0, c_1, ..., c_{floor(n/2)}, ..., c_1.
+    is c_0, c_1, ..., c_{floor(n/2)}, ..., c_1. An overflow gives inf or nan
+    silently: the callers reject a spectrum or kernel that is not finite.
     """
     row = np.concatenate([values, values[1 : (n + 1) // 2][::-1]])
-    return np.fft.rfft(row).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(row).real
 
 
 def _bin_scale(n: int) -> np.ndarray:
@@ -83,7 +86,9 @@ class CorrelationKernel:
     Entry (i, j) of the induced matrix is c at the ring distance
     min(|i-j|, n-|i-j|). c_0 must be positive; n must be at least 4. The
     read-only ``eigenvalues`` (frequencies 0..floor(n/2)) are transformed
-    once, here, and take no part in equality, hashing or repr.
+    once, here, must be finite and take no part in equality, hashing or repr.
+    They are the kernel's whole spectral decomposition: the modes, their
+    pairing and the eigenvectors are read off them and n.
     """
 
     n: int
@@ -104,6 +109,12 @@ class CorrelationKernel:
         if vals[0] <= 0.0:
             raise MalformedKernelError(f"c_0 must be positive, got {vals[0]}")
         lams = _closed_form_eigenvalues(self.n, vals)
+        finite = np.isfinite(lams)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise MalformedKernelError(
+                f"kernel covariances overflow the spectrum: eigenvalue {lams[k]} at frequency {k}"
+            )
         lams.flags.writeable = False
         object.__setattr__(self, "values", tuple(vals.tolist()))
         object.__setattr__(self, "eigenvalues", lams)
@@ -111,6 +122,49 @@ class CorrelationKernel:
     def __reduce__(self):
         # copies and pickles rebuild the spectrum, so it stays read-only
         return CorrelationKernel, (self.n, self.values)
+
+    @property
+    def paired_frequencies(self) -> range:
+        """Frequencies 0 < k < n/2, each carrying a (cos, sin) eigenvector pair."""
+        return range(1, (self.n + 1) // 2)
+
+    @property
+    def modes(self) -> tuple[EigenMode, ...]:
+        """Every frequency 0..floor(n/2) in order, so frequency k is ``modes[k]``."""
+        return tuple(self.mode(k) for k in range(self.n // 2 + 1))
+
+    def mode(self, frequency: int) -> EigenMode:
+        if not 0 <= frequency <= self.n // 2:
+            raise KeyError(f"no mode at frequency {frequency}")
+        return EigenMode(
+            frequency=int(frequency),
+            eigenvalue=float(self.eigenvalues[frequency]),
+            paired=0 < frequency < (self.n + 1) // 2,
+        )
+
+    def is_paired(self, frequency: int) -> bool:
+        return self.mode(frequency).paired
+
+    def cos_vector(self, frequency: int) -> np.ndarray:
+        """Unit-norm cosine eigenvector at the given frequency."""
+        n = self.n
+        idx = np.arange(n)
+        if frequency == 0:
+            return np.full(n, 1.0 / math.sqrt(n))
+        if n % 2 == 0 and frequency == n // 2:
+            return np.where(idx % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+        return math.sqrt(2.0 / n) * np.cos(TWO_PI * frequency * idx / n)
+
+    def sin_vector(self, frequency: int) -> np.ndarray:
+        """Unit-norm sine eigenvector; only paired frequencies have one."""
+        if not self.is_paired(frequency):
+            raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
+        idx = np.arange(self.n)
+        return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
+
+
+#: A kernel is its own spectral decomposition; this name for it stays public.
+SpectralDecomposition = CorrelationKernel
 
 
 def _nonnegative(lams: np.ndarray, first: int = 0) -> np.ndarray:
@@ -180,68 +234,9 @@ class EigenMode:
     paired: bool
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Analytic eigensystem of a circulant symmetric kernel.
-
-    The kernel's read-only ``eigenvalues`` array (frequencies 0..floor(n/2))
-    is the whole decomposition: the modes, their pairing and the PSD report
-    are read off it and n.
-    """
-
-    kernel: CorrelationKernel
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.kernel.eigenvalues
-
-    @property
-    def n(self) -> int:
-        return self.kernel.n
-
-    @property
-    def paired_frequencies(self) -> range:
-        """Frequencies 0 < k < n/2, each carrying a (cos, sin) eigenvector pair."""
-        return range(1, (self.n + 1) // 2)
-
-    @property
-    def modes(self) -> tuple[EigenMode, ...]:
-        """Every frequency 0..floor(n/2) in order, so frequency k is ``modes[k]``."""
-        return tuple(self.mode(k) for k in range(self.n // 2 + 1))
-
-    def mode(self, frequency: int) -> EigenMode:
-        if not 0 <= frequency <= self.n // 2:
-            raise KeyError(f"no mode at frequency {frequency}")
-        return EigenMode(
-            frequency=int(frequency),
-            eigenvalue=float(self.eigenvalues[frequency]),
-            paired=0 < frequency < (self.n + 1) // 2,
-        )
-
-    def is_paired(self, frequency: int) -> bool:
-        return self.mode(frequency).paired
-
-    def cos_vector(self, frequency: int) -> np.ndarray:
-        """Unit-norm cosine eigenvector at the given frequency."""
-        n = self.n
-        idx = np.arange(n)
-        if frequency == 0:
-            return np.full(n, 1.0 / math.sqrt(n))
-        if n % 2 == 0 and frequency == n // 2:
-            return np.where(idx % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-        return math.sqrt(2.0 / n) * np.cos(TWO_PI * frequency * idx / n)
-
-    def sin_vector(self, frequency: int) -> np.ndarray:
-        """Unit-norm sine eigenvector; only paired frequencies have one."""
-        if not self.is_paired(frequency):
-            raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
-        idx = np.arange(self.n)
-        return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
-
-
 def decompose(kernel: CorrelationKernel) -> SpectralDecomposition:
-    """Spectrally decompose a kernel: its eigenvalues are the rfft of its first row."""
-    return SpectralDecomposition(kernel)
+    """The kernel itself: its eigenvalues, the rfft of its first row, were computed when it was built."""
+    return kernel
 
 
 @dataclass(frozen=True)

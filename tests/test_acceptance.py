@@ -201,7 +201,7 @@ def test_criterion_8_kronecker_inverse(rng):
         decompose(CorrelationKernel(6, (1.0, 0.4, 0.1, 0.05))),
     ]
     for decomp in decomps:
-        dense_inverse = np.linalg.inv(dense_torus_matrix(decomp.kernel))
+        dense_inverse = np.linalg.inv(dense_torus_matrix(decomp))
         err = float(np.max(np.abs(separable_torus_inverse(decomp) - dense_inverse)))
         assert err <= 1e-8, f"n={decomp.n}: max error {err:.3e}"
     print("PASS criterion 8: separable torus inverse equals dense inversion for n in 4, 6, 8")

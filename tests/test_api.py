@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +65,17 @@ def test_test_only_attribute_absent(module, owner, name):
 
 def test_from_powers_takes_powers_only():
     assert list(inspect.signature(PowerAllocation.from_powers).parameters) == ["powers"]
+
+
+def test_readme_library_example_runs_as_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    kernel, decomp, pop, result = (namespace[name] for name in ("kernel", "decomp", "pop", "result"))
+    assert decomp is kernel
+    assert ringfisher.fisher_1d(pop) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert ringfisher.crb(ringfisher.fisher_1d(pop)) == pytest.approx(0.75, rel=1e-12)
+    assert abs(result.empirical_variance - 0.75) <= 5.0 * result.variance_stderr
+    assert abs(result.efficiency - 1.0) <= 5.0 * result.variance_stderr

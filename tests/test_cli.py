@@ -470,6 +470,29 @@ class TestInvalidSpectrum:
         assert len(out.read_text().splitlines()) == 1 + 5
 
 
+class TestOverflowingSpectrum:
+    """Finite covariances whose spectrum overflows exit 2, naming the frequency, before any
+    output or manifest is written; the inf/nan eigenvalues would pass every sign guard."""
+
+    KERNELS = {
+        "explicit": {"n": 4, "family": "explicit", "params": {"values": [1e308, 1e308, 1e308]}},
+        "exponential": {"n": 8, "family": "exponential", "params": {"c0": 1e308, "rho": 0.9}},
+    }
+
+    @pytest.mark.parametrize("command", ["decompose", "optimize", "optimize_dim2", "fisher",
+                                         "field2d_optimal", "simulate"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_exit_2_and_no_output(self, tmp_path, capsys, kernel, command):
+        kernel_file = tmp_path / "kernel.json"
+        kernel_file.write_text(json.dumps(self.KERNELS[kernel]))
+        commands = TestInvalidSpectrum.commands(tmp_path, kernel_file)
+        commands["decompose"] = (["decompose", str(kernel_file), str(tmp_path / "out")], [])
+        argv, _ = commands[command]
+        assert main(argv) == 2
+        assert "overflow the spectrum: eigenvalue inf at frequency 0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "kernel.json"]
+
+
 class TestMalformedFieldTypes:
     """JSON fields of the wrong type exit 2 with a message, not a traceback or a silent cast."""
 
@@ -694,7 +717,7 @@ class TestManifests:
 
 
 class TestGoldenOutputs:
-    """Output bytes pinned by SHA-256 digests of the csv-module writers' outputs.
+    """Output bytes of the CSV, graymap and JSON writers pinned by SHA-256 digests.
 
     Small fixed inputs (n <= 16, res 16). The digests change only if a number
     or its text form changes; a deliberate change of either updates them.
@@ -713,6 +736,15 @@ class TestGoldenOutputs:
             ["--offset", "0.5", "optimize", "{torus15}", "{out}/opt.json",
              "--curves-out", "{out}/curves.csv", "--curves-samples", "16"],
             {"curves.csv": "d56f4a11b47cf431c341207da65f6d1dacebea4f4bd061c165bab27b9b4c2441"},
+        ),
+        "fisher-torus": (
+            ["fisher", "{torus15}", "{out}/fisher.json", "--dim", "2"],
+            {"fisher.json": "2fac04253b8efb57bc97dbe2a239e1c44dbac3e98ef3b343a22ce7f5446b66be"},
+        ),
+        # exp16's spectral orderings disagree, so the torus optimum is a vertex_edge search
+        "optimize-torus-audit": (
+            ["--seed", "3", "optimize", "{exp16}", "{out}/opt2.json", "--dim", "2", "--audit-trials", "200"],
+            {"opt2.json": "313f6b49d78f994c118e931e94dda903df1283af091e868bb41823ce1e8a325e"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

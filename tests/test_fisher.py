@@ -36,7 +36,7 @@ CROSS_TERM_ABS = 1e-9
 
 
 def dense_fisher_1d_oracle(pop, theta):
-    dense = dense_ring_matrix(pop.decomp.kernel)
+    dense = dense_ring_matrix(pop.decomp)
     d = mean_derivative(pop, theta)
     return d @ np.linalg.solve(dense, d)
 
@@ -44,7 +44,7 @@ def dense_fisher_1d_oracle(pop, theta):
 def dense_fisher_2d_oracle(pop2d, theta):
     """Quadratic forms on the full torus: n^2-dimensional derivative vectors."""
     theta_x, theta_y = theta
-    dense = dense_ring_matrix(pop2d.x.decomp.kernel)
+    dense = dense_ring_matrix(pop2d.x.decomp)
     torus = np.kron(dense, dense)
     gx = mean_derivative(pop2d.x, theta_x)
     fx = mean_response(pop2d.x, theta_x)

@@ -85,7 +85,7 @@ class TestNoiseModel:
         np.testing.assert_allclose(
             draws.mean(axis=0), mean_response(pop, 0.3), atol=0.02
         )
-        dense = dense_ring_matrix(n4_decomp.kernel)
+        dense = dense_ring_matrix(n4_decomp)
         tol = 5.0 * math.sqrt(2.0 / 100_000)
         np.testing.assert_allclose(sample_cov, dense, atol=tol * dense[0, 0])
 
@@ -98,7 +98,7 @@ class TestNoiseModel:
     def test_torus_sample_covariance(self, n4_decomp):
         draws = NoiseModel(TorusCorrelation(n4_decomp)).sample(make_rng(3), 40_000)
         assert draws.shape == (40_000, 16)
-        dense = dense_torus_matrix(n4_decomp.kernel)
+        dense = dense_torus_matrix(n4_decomp)
         sample_cov = np.cov(draws, rowvar=False)
         tol = 5.0 * math.sqrt(2.0 / 40_000)
         np.testing.assert_allclose(sample_cov, dense, atol=2.0 * tol * dense[0, 0])
@@ -375,7 +375,7 @@ class TestLocalReadoutMatchesDenseGls:
                 theta0=theta0, noise_scale=0.0,
             )
         d = mean_derivative(pop, theta0)
-        weighted = np.linalg.solve(dense_ring_matrix(pop.decomp.kernel), d)
+        weighted = np.linalg.solve(dense_ring_matrix(pop.decomp), d)
         change = mean_response(pop, theta0 + delta) - mean_response(pop, theta0)
         expected = change @ weighted / (d @ weighted)
         np.testing.assert_allclose(_estimates(config), expected, rtol=0, atol=1e-12)

@@ -58,7 +58,7 @@ class TestDecompose:
         assert not by_freq[0].paired and by_freq[1].paired and not by_freq[2].paired
         # cross-check against the dense symmetric eigensolver oracle
         np.testing.assert_allclose(
-            eigenvalue_multiset(n4_decomp), dense_eigenvalues(n4_decomp.kernel), atol=1e-12
+            eigenvalue_multiset(n4_decomp), dense_eigenvalues(n4_decomp), atol=1e-12
         )
 
     def test_white_noise_flat_spectrum(self):
@@ -67,7 +67,7 @@ class TestDecompose:
 
     def test_n6_matches_dense_oracle(self, n6_decomp):
         np.testing.assert_allclose(
-            eigenvalue_multiset(n6_decomp), dense_eigenvalues(n6_decomp.kernel), atol=1e-10
+            eigenvalue_multiset(n6_decomp), dense_eigenvalues(n6_decomp), atol=1e-10
         )
 
     def test_modes_sorted_and_complete(self, n6_decomp):
@@ -142,12 +142,12 @@ class TestApplyInverse:
 
     def test_matches_dense_solve_oracle(self, n6_decomp, rng):
         v = rng.normal(size=6)
-        expected = np.linalg.solve(dense_ring_matrix(n6_decomp.kernel), v)
+        expected = np.linalg.solve(dense_ring_matrix(n6_decomp), v)
         np.testing.assert_allclose(apply_inverse(n6_decomp, v), expected, atol=1e-9)
 
     def test_stacked_input(self, n6_decomp, rng):
         vs = rng.normal(size=(5, 6))
-        expected = np.linalg.solve(dense_ring_matrix(n6_decomp.kernel), vs.T).T
+        expected = np.linalg.solve(dense_ring_matrix(n6_decomp), vs.T).T
         np.testing.assert_allclose(apply_inverse(n6_decomp, vs), expected, atol=1e-9)
 
     def test_singular_rejected(self):
@@ -227,7 +227,7 @@ class TestTorusInverse:
     """``apply_inverse`` along both axes of an (n^2, n, n) view against dense Kronecker inversion."""
 
     def test_n4(self, n4_decomp):
-        expected = np.linalg.inv(dense_torus_matrix(n4_decomp.kernel))
+        expected = np.linalg.inv(dense_torus_matrix(n4_decomp))
         np.testing.assert_allclose(separable_torus_inverse(n4_decomp), expected, rtol=0, atol=1e-8)
 
     def test_white_noise_diagonal(self):
@@ -238,7 +238,7 @@ class TestTorusInverse:
         )
 
     def test_n6(self, n6_decomp):
-        expected = np.linalg.inv(dense_torus_matrix(n6_decomp.kernel))
+        expected = np.linalg.inv(dense_torus_matrix(n6_decomp))
         np.testing.assert_allclose(separable_torus_inverse(n6_decomp), expected, rtol=0, atol=1e-8)
 
     def test_dense_entries_separable(self, n4_kernel):
@@ -252,7 +252,7 @@ class TestSpectralProperties:
     @pytest.mark.parametrize("n", [4, 9, 16, 33, 64])
     def test_eigenvector_residuals(self, n, rng):
         decomp = decompose(random_psd_kernel(rng, n))
-        dense = dense_ring_matrix(decomp.kernel)
+        dense = dense_ring_matrix(decomp)
         for m in decomp.modes:
             w = decomp.cos_vector(m.frequency)
             np.testing.assert_allclose(dense @ w, m.eigenvalue * w, atol=1e-10)
@@ -272,14 +272,14 @@ class TestSpectralProperties:
         decomp = decompose(random_psd_kernel(rng, n))
         basis, lams = dense_basis(decomp), column_eigenvalues(decomp)
         rebuilt = (basis * lams) @ basis.T
-        np.testing.assert_allclose(rebuilt, dense_ring_matrix(decomp.kernel), atol=1e-10)
+        np.testing.assert_allclose(rebuilt, dense_ring_matrix(decomp), atol=1e-10)
 
     def test_closed_form_matches_dense_for_random_kernels(self, rng):
         for _ in range(100):
             n = int(rng.integers(4, 65))
             decomp = decompose(random_psd_kernel(rng, n))
             np.testing.assert_allclose(
-                eigenvalue_multiset(decomp), dense_eigenvalues(decomp.kernel), atol=1e-9
+                eigenvalue_multiset(decomp), dense_eigenvalues(decomp), atol=1e-9
             )
 
     def test_spectrum_roundtrip(self, rng):
@@ -312,7 +312,7 @@ class TestFftMatchesDenseOracle:
         rng = np.random.default_rng(seed)
         decomp = decompose(random_psd_kernel(rng, n))
         vs = rng.normal(size=(3, n))
-        expected = np.linalg.solve(dense_ring_matrix(decomp.kernel), vs.T).T
+        expected = np.linalg.solve(dense_ring_matrix(decomp), vs.T).T
         assert_close_relative(apply_inverse(decomp, vs), expected)
 
     @ORACLE_SETTINGS
@@ -463,8 +463,9 @@ class TestOneSpectrumPerKernel:
         assert decomp.mode(1).eigenvalue > 0.0
         assert len(calls) == 1
 
-    def test_decomposition_shares_the_kernel_array(self, n6_kernel):
-        assert decompose(n6_kernel).eigenvalues is n6_kernel.eigenvalues
+    def test_a_kernel_is_its_own_decomposition(self, n6_kernel):
+        assert SpectralDecomposition is CorrelationKernel
+        assert decompose(n6_kernel) is n6_kernel
         assert not n6_kernel.eigenvalues.flags.writeable
 
     def test_spectrum_outside_equality_hashing_and_repr(self):
@@ -486,6 +487,22 @@ class TestOneSpectrumPerKernel:
         values = (1.0, -0.0, 0.1 + 0.2, 5e-324)
         kernel = CorrelationKernel(6, values)
         assert [v.hex() for v in kernel.values] == [v.hex() for v in values]
+
+    @pytest.mark.parametrize(
+        "n, values, frequency",
+        [
+            (4, (1e308, 1e308, 1e308), 0),  # spectrum (inf, 0, nan)
+            (4, (1e308, -6e307, 0.0), 2),  # only the alternating sum overflows
+            (8, tuple(1e308 * 0.9**d for d in range(5)), 0),
+        ],
+    )
+    def test_overflowing_spectrum_rejected(self, n, values, frequency):
+        with pytest.raises(MalformedKernelError, match=f"overflow the spectrum: eigenvalue .* at frequency {frequency}$"):
+            CorrelationKernel(n, values)
+
+    def test_overflowing_family_rejected_before_its_psd_check(self):
+        with pytest.raises(MalformedKernelError, match="at frequency 0"):
+            exponential_kernel(8, c0=1e308, rho=0.9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, bad):
