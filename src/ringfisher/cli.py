@@ -5,7 +5,13 @@ artifacts (CSV, JSON, binary graymap) and writes a manifest listing input and
 output digests so runs can be reproduced and compared byte for byte.
 
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
-optimization, 5 bad parameter range, 6 simulation failure.
+optimization, 5 bad parameter range, 6 simulation failure. A request too large
+to allocate exits 6 from ``simulate`` and 5 from any other command.
+
+Each command imports the analysis modules it calls when it runs, so a process
+loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
+``tuning``, ``optimize`` and ``fisher`` never load ``mcsim`` and ``simulate``
+never loads ``optimal``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._version import __version__
 from . import io as rio
@@ -27,27 +34,10 @@ from .errors import (
     ResolutionOutOfRangeError,
     SingularCovarianceError,
 )
-from .fisher import (
-    crb,
-    fisher_2d,
-    fisher_max_bound,
-    fisher_report_1d,
-)
-from .mcsim import SimConfig, run_displacement_trials
-from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
 from .spectral import validate_psd
-from .tuning import (
-    AllocationEntry,
-    PowerAllocation,
-    TuningPopulation1D,
-    TuningPopulation2D,
-    _paired_arrays,
-    _phase_shift_problem,
-    _ties,
-    optimal_tuning_1d,
-    optimal_tuning_2d,
-    sample_firing_field,
-)
+
+if TYPE_CHECKING:
+    from .mcsim import SimConfig
 
 EXIT_OK = 0
 EXIT_MALFORMED_INPUT = 2
@@ -211,6 +201,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .fisher import crb, fisher_2d, fisher_max_bound
+    from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
+    from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties
+
     kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
     _require_count("--audit-trials", args.audit_trials, 0)
@@ -259,6 +253,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
+    from .fisher import fisher_2d, fisher_report_1d
+    from .optimal import check_condition
+    from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, optimal_tuning_1d
+
     kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
     _require_count("--theta-samples", args.theta_samples, 1)
@@ -282,6 +280,15 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 
 def _cmd_field2d(args: argparse.Namespace) -> int:
+    from .tuning import (
+        PowerAllocation,
+        TuningPopulation1D,
+        TuningPopulation2D,
+        _phase_shift_problem,
+        optimal_tuning_2d,
+        sample_firing_field,
+    )
+
     kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
     _require_neuron(kernel, args.neuron)
@@ -311,6 +318,9 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
     ``kernel_file`` (relative to the config file). ``allocation`` is either
     the string "optimal" or a list of {frequency, amplitude, phase} entries.
     """
+    from .mcsim import SimConfig
+    from .tuning import AllocationEntry, PowerAllocation, TuningPopulation1D, optimal_tuning_1d
+
     try:
         definition = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -358,6 +368,8 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .mcsim import run_displacement_trials
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         config = load_sim_config(args.config, seed_override=args.seed)
@@ -412,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, err_type):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        if isinstance(exc, MemoryError):
+            print(f"error: cannot allocate memory for this request: {exc}", file=sys.stderr)
+            return EXIT_SIMULATION_FAILURE if args.command == "simulate" else EXIT_BAD_PARAMETER
         if args.command == "simulate" and isinstance(exc, (ValueError, KeyError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SIMULATION_FAILURE

@@ -1,12 +1,16 @@
-"""File formats: kernel definitions, CSV exports, graymap images, JSON reports."""
+"""File formats: kernel definitions, CSV exports, graymap images, JSON reports.
+
+Loading a kernel needs ``spectral`` alone: the curve export imports ``tuning``
+and the digest imports ``hashlib`` when they run.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +22,9 @@ from .spectral import (
     exponential_kernel,
     gaussian_kernel,
 )
-from .tuning import TuningPopulation1D, _lattice_waveform
+
+if TYPE_CHECKING:
+    from .tuning import TuningPopulation1D
 
 _HASH_CHUNK_BYTES = 1 << 20
 
@@ -127,6 +133,8 @@ def write_curves_csv(
     first row, and a later row is two slices of its text; the text is dropped
     after the coset's last row, so at most b cosets are held.
     """
+    from .tuning import _lattice_waveform
+
     n = pop.n
     lattice = math.lcm(samples, n)
     row_step, cosets = lattice // samples, lattice // n
@@ -220,6 +228,8 @@ def dumps_json(payload: dict) -> str:
 
 def sha256_file(path: str | Path) -> str:
     """Hex SHA-256 of a file, read in 1 MiB chunks."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(_HASH_CHUNK_BYTES), b""):

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,32 @@ TEST_ONLY_ATTRIBUTES = [
 
 def test_all_is_pinned():
     assert sorted(ringfisher.__all__) == PUBLIC_API
+
+
+@pytest.mark.parametrize("name", PUBLIC_API)
+def test_public_name_is_the_object_its_submodule_defines(name):
+    value = getattr(ringfisher, name)
+    if isinstance(value, types.ModuleType):
+        assert value.__name__ == f"ringfisher.{name}"
+    else:
+        assert value.__module__.startswith("ringfisher.")
+        assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(ringfisher.__all__) <= set(dir(ringfisher))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from ringfisher import *", namespace)
+    assert set(ringfisher.__all__) <= set(namespace)
+    assert namespace["fisher_1d"] is ringfisher.fisher.fisher_1d
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="module 'ringfisher' has no attribute 'fisher_3d'"):
+        ringfisher.fisher_3d
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in TEST_ONLY.items() for n in names])

@@ -427,6 +427,21 @@ class TestSimulateCommand:
         assert "fisher_information = inf" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    def test_unallocatable_trial_count_exit_6(self, tmp_path, capsys, estimator):
+        # 1e15 trials need petabytes: beyond a 47-bit address space under any overcommit setting
+        config = {
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "trials": 1e15,
+            "estimator": estimator,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        assert main(argv) == 6
+        assert capsys.readouterr().err.startswith("error: cannot allocate memory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestInvalidSpectrum:
     """Every command that reads the spectrum exits 3 and writes nothing on a kernel with a
@@ -563,6 +578,11 @@ class TestParameterRanges:
         assert self.run(tmp_path, n4_kernel_file, "fisher", f"--theta-samples={samples}") == 5
         assert "--theta-samples" in capsys.readouterr().err
 
+    def test_unallocatable_theta_samples_exit_5(self, tmp_path, n4_kernel_file, capsys):
+        # 10**15 positions need petabytes: beyond a 47-bit address space under any overcommit setting
+        assert self.run(tmp_path, n4_kernel_file, "fisher", f"--theta-samples={10**15}") == 5
+        assert capsys.readouterr().err.startswith("error: cannot allocate memory")
+
     def test_negative_audit_trials_exit_5(self, tmp_path, n4_kernel_file, capsys):
         assert self.run(tmp_path, n4_kernel_file, "optimize", "--audit-trials=-5") == 5
         assert "--audit-trials" in capsys.readouterr().err
@@ -574,6 +594,14 @@ class TestParameterRanges:
         assert self.run(tmp_path, n4_kernel_file, "optimize", *flags) == 5
         assert "--curves-samples" in capsys.readouterr().err
         assert not curves.exists()
+
+    def test_unallocatable_curves_samples_exit_5(self, tmp_path, n4_kernel_file, capsys):
+        out, curves = tmp_path / "o.json", tmp_path / "c.csv"
+        argv = ["optimize", str(n4_kernel_file), str(out), "--curves-out", str(curves)]
+        assert main([*argv, f"--curves-samples={10**15}"]) == 5
+        assert capsys.readouterr().err.startswith("error: cannot allocate memory")
+        assert not curves.exists()
+        assert not (tmp_path / "o.json.manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["optimize", "field2d"])
     @pytest.mark.parametrize("offset", ["nan", "inf"])

@@ -199,7 +199,7 @@ class TestCsvBytes:
 
         pop = SimpleNamespace(n=n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rio, "_lattice_waveform", waveform)
+            mp.setattr("ringfisher.tuning._lattice_waveform", waveform)
             mp.setattr(conftest, "_lattice_waveform", waveform)
             with np.errstate(invalid="ignore"):
                 rio.write_curves_csv(pop, tmp_path / "fast.csv", samples, offset)
