@@ -6,7 +6,9 @@ output digests so runs can be reproduced and compared byte for byte.
 
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
 optimization, 5 bad parameter range, 6 simulation failure. A request too large
-to allocate exits 6 from ``simulate`` and 5 from any other command.
+to allocate exits 6 from ``simulate`` and 5 from any other command. A failed
+command removes every output file it created, its manifest included; a file
+that already existed at an output path is left in place.
 
 Each command imports the analysis modules it calls when it runs, so a process
 loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
@@ -17,8 +19,8 @@ never loads ``optimal``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -124,28 +126,23 @@ def _resolve(args: argparse.Namespace, path: Path | None) -> Path | None:
     return args.out_dir / path
 
 
-def _write_manifest(
-    args: argparse.Namespace,
-    primary_out: Path,
-    inputs: list[Path],
-    outputs: list[Path],
-    seed: int | None,
-) -> None:
-    """``<primary_out>.manifest.json``: every parsed argument, the seed and the file digests."""
+def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path], seed: int | None) -> None:
+    """``manifest``: every parsed argument, the seed and the file digests."""
     settings = {
         name: str(value) if isinstance(value, Path) else value
         for name, value in vars(args).items()
         if name != "handler"
     }
-    manifest = {
+    source = args.config if args.command == "simulate" else args.kernel
+    payload = {
         "command": args.command,
         "version": __version__,
         "seed": seed,
         "settings": settings,
-        "inputs": {str(p): rio.sha256_file(p) for p in inputs},
+        "inputs": {str(source): rio.sha256_file(source)},
         "outputs": {str(p): rio.sha256_file(p) for p in outputs},
     }
-    rio.write_json(manifest, str(primary_out) + ".manifest.json")
+    rio.write_json(payload, manifest)
 
 
 def _require_paired(kernel, frequency: int) -> None:
@@ -183,24 +180,22 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None]:
     kernel = rio.load_kernel(args.kernel)
-    out = _resolve(args, args.out)
     rio.write_decomposition_csv(kernel, out)
     report = validate_psd(kernel)
-    _write_manifest(args, out, [args.kernel], [out], None)
     if not report.valid:
         offending = ", ".join(str(k) for k in report.negative_frequencies)
         print(
             f"error: kernel is not positive semidefinite; negative eigenvalue at k = {offending}",
             file=sys.stderr,
         )
-        return EXIT_INVALID_COVARIANCE
+        return EXIT_INVALID_COVARIANCE, None
     print(rio.dumps_json(report.to_dict()))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) -> tuple[int, int]:
     from .fisher import crb, fisher_2d, fisher_max_bound
     from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
     from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties
@@ -237,22 +232,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "dim": args.dim,
         "power": args.power,
     }
-    out = _resolve(args, args.out)
     rio.write_json(payload, out)
-    outputs = [out]
-    if args.curves_out is not None:
-        curves_out = _resolve(args, args.curves_out)
+    if curves_out is not None:
         pop = TuningPopulation1D(kernel, search.allocation)
         rio.write_curves_csv(
             pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0
         )
-        outputs.append(curves_out)
-    _write_manifest(args, out, [args.kernel], outputs, seed)
     print(rio.dumps_json(payload["search"]))
-    return EXIT_OK
+    return EXIT_OK, seed
 
 
-def _cmd_fisher(args: argparse.Namespace) -> int:
+def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None]:
     from .fisher import fisher_2d, fisher_report_1d
     from .optimal import check_condition
     from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, optimal_tuning_1d
@@ -272,14 +262,12 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
     if args.dim == 2:
         pop2d = TuningPopulation2D(pop)
         payload.update(fisher_2d(pop2d).to_dict())
-    out = _resolve(args, args.out)
     rio.write_json(payload, out)
-    _write_manifest(args, out, [args.kernel], [out], None)
     print(rio.dumps_json(payload))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_field2d(args: argparse.Namespace) -> int:
+def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tuple[int, None]:
     from .tuning import (
         PowerAllocation,
         TuningPopulation1D,
@@ -303,12 +291,17 @@ def _cmd_field2d(args: argparse.Namespace) -> int:
         raise ParameterRangeError(f"--phase-shift {problem}")
     pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
-    out_pgm = _resolve(args, args.out_pgm)
-    out_csv = _resolve(args, args.out_csv)
     rio.write_pgm(cx, cy, out_pgm)
     rio.write_field_csv(cx, cy, out_csv)
-    _write_manifest(args, out_pgm, [args.kernel], [out_pgm, out_csv], None)
-    return EXIT_OK
+    return EXIT_OK, None
+
+
+#: The SimConfig fields a simulation config may set, each with the reader of its JSON value
+#: (SimConfig itself checks the ``mode`` and ``estimator`` strings).
+_SIM_FIELDS = {
+    "seed": rio.json_integer, "delta_theta": rio.json_number, "trials": rio.json_integer,
+    "mode": dict.get, "estimator": dict.get, "theta0": rio.json_number, "noise_scale": rio.json_number,
+}
 
 
 def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
@@ -317,16 +310,15 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
     The kernel is given inline under ``kernel`` or by path under
     ``kernel_file`` (relative to the config file). ``allocation`` is either
     the string "optimal" or a list of {frequency, amplitude, phase} entries.
+    A field the file leaves out takes SimConfig's default; ``seed_override``
+    replaces the file's seed, which is then not read.
     """
     from .mcsim import SimConfig
     from .tuning import AllocationEntry, PowerAllocation, TuningPopulation1D, optimal_tuning_1d
 
-    try:
-        definition = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedKernelError(f"cannot read simulation config {path}: {exc}") from exc
-    if not isinstance(definition, dict):
-        raise MalformedKernelError("simulation config must hold a JSON object")
+    definition = rio.read_json_object(path, "simulation config")
+    if seed_override is not None:
+        definition = {**definition, "seed": seed_override}
     if "kernel" in definition:
         kernel = rio.kernel_from_dict(definition["kernel"])
     elif isinstance(definition.get("kernel_file"), str):
@@ -354,20 +346,11 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
         raise MalformedKernelError(
             "allocation must be 'optimal' or a list of {frequency, amplitude, phase}"
         )
-    seed = rio.json_integer(definition, "seed", 0) if seed_override is None else seed_override
-    return SimConfig(
-        population=pop,
-        delta_theta=rio.json_number(definition, "delta_theta", 1e-3),
-        trials=rio.json_integer(definition, "trials", 100_000),
-        seed=seed,
-        mode=definition.get("mode", "known_reference"),
-        estimator=definition.get("estimator", "local_linear"),
-        theta0=rio.json_number(definition, "theta0", 0.0),
-        noise_scale=rio.json_number(definition, "noise_scale", 1.0),
-    )
+    fields = {key: read(definition, key) for key, read in _SIM_FIELDS.items() if key in definition}
+    return SimConfig(population=pop, **fields)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tuple[int, int]:
     from .mcsim import run_displacement_trials
 
     with warnings.catch_warnings(record=True) as caught:
@@ -376,9 +359,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result, estimates = run_displacement_trials(config, with_estimates=True)
     for w in caught:
         _warn(str(w.message))
+    payload = result.to_dict()
     not_finite = [
         f"{name} = {value}"
-        for name, value in result.to_dict().items()
+        for name, value in payload.items()
         if isinstance(value, float) and not math.isfinite(value)
     ]
     if not_finite:
@@ -386,19 +370,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"result is not finite ({', '.join(not_finite)}); there is no Cramer-Rao "
             "bound to compare with, as when the active frequency's noise eigenvalue is 0"
         )
-    out = _resolve(args, args.out)
-    rio.write_json(result.to_dict(), out)
-    outputs = [out]
-    if args.dump_trials is not None:
-        dump = _resolve(args, args.dump_trials)
-        with open(dump, "w", newline="") as handle:
-            handle.write("trial,estimate\n")
-            for i, value in enumerate(estimates.tolist()):
-                handle.write(f"{i},{value!r}\n")
-        outputs.append(dump)
-    _write_manifest(args, out, [args.config], outputs, config.seed)
-    print(rio.dumps_json(result.to_dict()))
-    return EXIT_OK
+    rio.write_json(payload, out)
+    if dump is not None:
+        rio.write_trials_csv(estimates, dump)
+    print(rio.dumps_json(payload))
+    return EXIT_OK, config.seed
 
 
 _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
@@ -412,14 +388,33 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
 )
 
 
+#: Each command's output path arguments; the first one names the manifest.
+_OUTPUT_ARGS = {
+    "decompose": ("out",),
+    "optimize": ("out", "curves_out"),
+    "fisher": ("out",),
+    "field2d": ("out_pgm", "out_csv"),
+    "simulate": ("out", "dump_trials"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    outputs = [_resolve(args, getattr(args, name)) for name in _OUTPUT_ARGS[args.command]]
+    manifest = Path(f"{outputs[0]}.manifest.json")
+    created = [p for p in (*outputs, manifest) if p is not None and not os.path.lexists(p)]
     try:
         if args.seed is not None:
             _require_count("--seed", args.seed, 0)
-        return args.handler(args)
-    except Exception as exc:  # noqa: BLE001 - translated to documented exit codes
+        code, seed = args.handler(args, *outputs)
+        _write_manifest(args, manifest, [p for p in outputs if p is not None], seed)
+        return code
+    except BaseException as exc:  # noqa: BLE001 - translated to documented exit codes
+        for path in filter(os.path.lexists, created):
+            path.unlink()
+        if not isinstance(exc, Exception):
+            raise  # an interrupt, after removing what this run created
         for err_type, code in _EXIT_CODE_BY_ERROR:
             if isinstance(exc, err_type):
                 print(f"error: {exc}", file=sys.stderr)

@@ -99,13 +99,18 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
     c_0..c_{floor(n/2)} under ``values``; exponential takes ``c0`` and ``rho``;
     gaussian takes ``c0`` and ``length``.
     """
+    return kernel_from_dict(read_json_object(path, "kernel file"))
+
+
+def read_json_object(path: str | Path, noun: str) -> dict:
+    """The JSON object a file holds; MalformedKernelError, naming ``noun``, otherwise."""
     try:
         definition = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedKernelError(f"cannot read kernel file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedKernelError(f"cannot read {noun} {path}: {exc}") from exc
     if not isinstance(definition, dict):
-        raise MalformedKernelError("kernel file must hold a JSON object")
-    return kernel_from_dict(definition)
+        raise MalformedKernelError(f"{noun} must hold a JSON object")
+    return definition
 
 
 def write_decomposition_csv(decomp: SpectralDecomposition, path: str | Path) -> None:
@@ -211,6 +216,15 @@ def write_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
             scaled *= 255.0
             scaled /= hi - lo
             handle.write(np.rint(scaled, out=scaled).astype(np.uint8).tobytes())
+
+
+def write_trials_csv(estimates: np.ndarray, path: str | Path) -> None:
+    """Columns trial, estimate: one row per trial, each estimate as its shortest
+    round-trip repr; lines end in LF."""
+    with open(path, "w", newline="") as handle:
+        handle.write("trial,estimate\n")
+        for i, value in enumerate(estimates.tolist()):
+            handle.write(f"{i},{value!r}\n")
 
 
 def write_json(payload: dict, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """CLI surface: artifacts, exit codes, warnings, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from ringfisher import io as rio
-from ringfisher.cli import main
+from ringfisher.cli import load_sim_config, main
+from ringfisher.errors import MalformedKernelError
+from ringfisher.mcsim import SimConfig
 from ringfisher.spectral import decompose, exponential_kernel
 from conftest import INVALID_SPECTRA, count_toroidal_maxima, read_field_csv
 
@@ -350,6 +353,28 @@ class TestSimulateCommand:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_bytes(b"\xff\xfe")
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        assert f"cannot read simulation config {config_file}" in capsys.readouterr().err
+
+    def test_omitted_fields_take_the_sim_config_defaults(self, tmp_path):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel_file": "k.json"}))
+        write_kernel(tmp_path / "k.json", 4, [1.0, 0.5, 0.25])
+        config = load_sim_config(config_file)
+        defaults = {f.name: f.default for f in dataclasses.fields(SimConfig) if f.name != "population"}
+        assert {name: getattr(config, name) for name in defaults} == defaults
+
+    def test_seed_override_skips_the_config_seed(self, tmp_path):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel_file": "k.json", "seed": "not a seed"}))
+        write_kernel(tmp_path / "k.json", 4, [1.0, 0.5, 0.25])
+        assert load_sim_config(config_file, seed_override=3).seed == 3
+        with pytest.raises(MalformedKernelError, match="seed must be a number"):
+            load_sim_config(config_file)
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), str(tmp_path / "r.json")]) == 2
 
@@ -483,6 +508,7 @@ class TestInvalidSpectrum:
         out = tmp_path / "decomp.csv"
         assert main(["decompose", str(kernel_file), str(out)]) == code
         assert len(out.read_text().splitlines()) == 1 + 5
+        assert (tmp_path / "decomp.csv.manifest.json").exists()
 
 
 class TestOverflowingSpectrum:
@@ -600,6 +626,7 @@ class TestParameterRanges:
         argv = ["optimize", str(n4_kernel_file), str(out), "--curves-out", str(curves)]
         assert main([*argv, f"--curves-samples={10**15}"]) == 5
         assert capsys.readouterr().err.startswith("error: cannot allocate memory")
+        assert not out.exists()
         assert not curves.exists()
         assert not (tmp_path / "o.json.manifest.json").exists()
 
@@ -658,6 +685,48 @@ class TestParameterRanges:
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
+
+
+class TestFailedRunOutputs:
+    """A failed command removes every output file it created and leaves files that were there."""
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [("missing", "No such file or directory"), ("kernel.json", "Not a directory")],
+        ids=["missing-directory", "under-a-file"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "field2d", "simulate"])
+    def test_unwritable_second_output_exit_2(self, tmp_path, n4_kernel_file, capsys, command, parent, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernel_file": "kernel.json", "trials": 200}))
+        k, unwritable = str(n4_kernel_file), tmp_path / parent
+        argv = {
+            "optimize": ["optimize", k, str(tmp_path / "o.json"), "--curves-out", str(unwritable / "c.csv")],
+            "field2d": ["field2d", k, str(tmp_path / "f.pgm"), str(unwritable / "f.csv"), "--k", "1", "--res", "8"],
+            "simulate": ["simulate", str(config), str(tmp_path / "r.json"), "--dump-trials", str(unwritable / "t.csv")],
+        }[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "kernel.json"]
+
+    def test_existing_outputs_keep_their_bytes(self, tmp_path, n4_kernel_file, capsys):
+        out, manifest = tmp_path / "f.json", tmp_path / "f.json.manifest.json"
+        out.write_bytes(b"earlier report\n")
+        manifest.write_bytes(b"earlier manifest\n")
+        assert main(["fisher", str(n4_kernel_file), str(out), "--power", "-1"]) == 5
+        assert "--power" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier report\n"
+        assert manifest.read_bytes() == b"earlier manifest\n"
+
+    def test_interrupt_removes_the_files_written_so_far(self, tmp_path, monkeypatch):
+        def interrupt(estimates, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rio, "write_trials_csv", interrupt)
+        out = tmp_path / "r.json"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", demo_config_path(), str(out), "--dump-trials", str(tmp_path / "t.csv")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifests:

@@ -130,6 +130,25 @@ class TestKernelFiles:
         with pytest.raises(MalformedKernelError):
             rio.load_kernel(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read {noun} {path}: [Errno 2]"),
+            (b"{", "cannot read {noun} {path}: Expecting property name"),
+            (b"\xff\xfe", "cannot read {noun} {path}: 'utf-8' codec can't decode"),
+            (b"[1, 2]", "{noun} must hold a JSON object"),
+        ],
+        ids=["missing", "bad-json", "not-utf8", "list"],
+    )
+    @pytest.mark.parametrize("noun", ["kernel file", "simulation config"])
+    def test_json_object_reader_names_the_file(self, tmp_path, content, message, noun):
+        path = tmp_path / "definition.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(MalformedKernelError) as excinfo:
+            rio.read_json_object(path, noun)
+        assert str(excinfo.value).startswith(message.format(noun=noun, path=path))
+
 
 class TestCsvFormats:
     def test_field_roundtrip(self, tmp_path, rng):
@@ -147,6 +166,11 @@ class TestCsvFormats:
         assert len(lines) == 17
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
+
+    def test_trials_rows_end_in_lf_with_shortest_repr(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        rio.write_trials_csv(np.array([0.1, -0.0, 1e-300]), path)
+        assert path.read_bytes() == b"trial,estimate\n0,0.1\n1,-0.0\n2,1e-300\n"
 
     def test_decomposition_columns(self, tmp_path, n6_decomp):
         path = tmp_path / "decomp.csv"
