@@ -126,7 +126,7 @@ def _resolve(args: argparse.Namespace, path: Path | None) -> Path | None:
     return args.out_dir / path
 
 
-def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path], seed: int | None) -> None:
+def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path | None], seed: int | None) -> None:
     """``manifest``: every parsed argument, the seed and the file digests."""
     settings = {
         name: str(value) if isinstance(value, Path) else value
@@ -140,7 +140,7 @@ def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path
         "seed": seed,
         "settings": settings,
         "inputs": {str(source): rio.sha256_file(source)},
-        "outputs": {str(p): rio.sha256_file(p) for p in outputs},
+        "outputs": {str(p): rio.sha256_file(p) for p in outputs if p is not None},
     }
     rio.write_json(payload, manifest)
 
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             _require_count("--seed", args.seed, 0)
         code, seed = args.handler(args, *outputs)
-        _write_manifest(args, manifest, [p for p in outputs if p is not None], seed)
+        _write_manifest(args, manifest, outputs, seed)
         return code
     except BaseException as exc:  # noqa: BLE001 - translated to documented exit codes
         for path in filter(os.path.lexists, created):
