@@ -33,17 +33,17 @@ _EXPORTS = {
         "synthesize", "validate_psd",
     ),
     "tuning": (
-        "AllocationEntry", "PowerAllocation", "TuningPopulation1D", "TuningPopulation2D",
-        "mean_derivative", "mean_response", "optimal_tuning_1d", "optimal_tuning_2d",
+        "AllocationEntry", "ConditionReport", "PowerAllocation", "TuningPopulation1D",
+        "TuningPopulation2D", "check_condition", "mean_derivative", "mean_response",
+        "optimal_tuning_1d", "optimal_tuning_2d",
     ),
     "fisher": (
         "FisherReport1D", "FisherReport2D", "crb", "fisher_1d", "fisher_1d_spectral",
         "fisher_2d", "fisher_derivative", "fisher_max_bound", "fisher_report_1d",
     ),
     "optimal": (
-        "AllocationSearchResult", "AuditReport", "ConditionReport",
-        "audit_random_allocations", "check_condition", "maximize_fisher_1d",
-        "maximize_fisher_2d",
+        "AllocationSearchResult", "AuditReport", "audit_random_allocations",
+        "maximize_fisher_1d", "maximize_fisher_2d",
     ),
     "mcsim": (
         "NoiseModel", "PathIntegrationReport", "SimConfig", "SimResult", "estimate_local",

@@ -7,13 +7,15 @@ output digests so runs can be reproduced and compared byte for byte.
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
 optimization, 5 bad parameter range, 6 simulation failure. A request too large
 to allocate exits 6 from ``simulate`` and 5 from any other command. A failed
-command removes every output file it created, its manifest included; a file
-that already existed at an output path is left in place.
+command changes no file: every output and the manifest are written to staging
+files beside their targets and renamed into place, the manifest last, only
+once all are written; a failure removes the staging files.
 
 Each command imports the analysis modules it calls when it runs, so a process
 loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
-``tuning``, ``optimize`` and ``fisher`` never load ``mcsim`` and ``simulate``
-never loads ``optimal``.
+``tuning``, ``fisher`` adds ``tuning`` and ``fisher``, ``optimize`` adds
+``tuning``, ``fisher`` and ``optimal``, and ``simulate`` adds ``tuning`` and
+``mcsim``.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ def _resolve(args: argparse.Namespace, path: Path | None) -> Path | None:
     return args.out_dir / path
 
 
-def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path | None], seed: int | None) -> None:
-    """``manifest``: every parsed argument, the seed and the file digests."""
+def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: dict[Path, Path], seed: int | None) -> None:
+    """``manifest``: every parsed argument, the seed and the file digests; ``outputs`` maps
+    each output's final path, the name listed, to the file holding its bytes."""
     settings = {
         name: str(value) if isinstance(value, Path) else value
         for name, value in vars(args).items()
@@ -140,7 +143,7 @@ def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: list[Path
         "seed": seed,
         "settings": settings,
         "inputs": {str(source): rio.sha256_file(source)},
-        "outputs": {str(p): rio.sha256_file(p) for p in outputs if p is not None},
+        "outputs": {str(path): rio.sha256_file(written) for path, written in outputs.items()},
     }
     rio.write_json(payload, manifest)
 
@@ -197,8 +200,8 @@ def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None]:
 
 def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) -> tuple[int, int]:
     from .fisher import crb, fisher_2d, fisher_max_bound
-    from .optimal import check_condition, maximize_fisher_1d, maximize_fisher_2d
-    from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties
+    from .optimal import maximize_fisher_1d, maximize_fisher_2d
+    from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties, check_condition
 
     kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
@@ -235,17 +238,14 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
     rio.write_json(payload, out)
     if curves_out is not None:
         pop = TuningPopulation1D(kernel, search.allocation)
-        rio.write_curves_csv(
-            pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0
-        )
+        rio.write_curves_csv(pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0)
     print(rio.dumps_json(payload["search"]))
     return EXIT_OK, seed
 
 
 def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None]:
     from .fisher import fisher_2d, fisher_report_1d
-    from .optimal import check_condition
-    from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, optimal_tuning_1d
+    from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, check_condition, optimal_tuning_1d
 
     kernel = rio.load_kernel(args.kernel)
     _require_power(args.power)
@@ -398,23 +398,40 @@ _OUTPUT_ARGS = {
 }
 
 
+def _staging_path(path: Path) -> Path:
+    """A name that no file has, beside the file that ``path`` names (a symlink's target); nothing is created."""
+    target = Path(os.path.realpath(path))
+    # only a symlink loop resolves to a link: a name inside it fails to open, as the loop itself does
+    directory = target if target.is_symlink() else target.parent
+    while True:
+        staged = directory / f".ringfisher-{os.urandom(6).hex()}.tmp"
+        if not os.path.lexists(staged):
+            return staged
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outputs = [_resolve(args, getattr(args, name)) for name in _OUTPUT_ARGS[args.command]]
     manifest = Path(f"{outputs[0]}.manifest.json")
-    created = [p for p in (*outputs, manifest) if p is not None and not os.path.lexists(p)]
+    # the handler and the manifest writer fill staging files, which replace the outputs only once all are written
+    staged = {path: _staging_path(path) for path in (*outputs, manifest) if path is not None}
     try:
         if args.seed is not None:
             _require_count("--seed", args.seed, 0)
-        code, seed = args.handler(args, *outputs)
-        _write_manifest(args, manifest, outputs, seed)
+        code, seed = args.handler(args, *(staged.get(path) for path in outputs))
+        _write_manifest(args, staged[manifest], {p: staged[p] for p in outputs if p is not None}, seed)
+        for path, written in staged.items():
+            os.replace(written, os.path.realpath(path))
         return code
     except BaseException as exc:  # noqa: BLE001 - translated to documented exit codes
-        for path in filter(os.path.lexists, created):
-            path.unlink()
+        for written in filter(os.path.lexists, staged.values()):
+            written.unlink()
         if not isinstance(exc, Exception):
-            raise  # an interrupt, after removing what this run created
+            raise  # an interrupt, after removing the staging files
+        named = {str(written): path for path, written in staged.items()}
+        if isinstance(exc, OSError) and exc.filename in named:  # name the output, not its staging file
+            exc = type(exc)(exc.errno, exc.strerror, str(named[exc.filename]))
         for err_type, code in _EXIT_CODE_BY_ERROR:
             if isinstance(exc, err_type):
                 print(f"error: {exc}", file=sys.stderr)

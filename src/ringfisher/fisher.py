@@ -7,10 +7,12 @@ On the separable torus the information splits into a product of two one-axis
 quadratic forms per direction plus a cross term that vanishes for the
 zero-integration-constant populations built here.
 
-Every function reads the spectrum from the population's own decomposition
-(``pop.decomp``), so a population and its covariance cannot be mismatched.
-The spectral forms sum T_k^2 / (k^p lambda_k) over the active frequencies:
-p = 0 gives the ring information, p = 2 the torus factor.
+Every function that takes a population reads the spectrum from its own
+decomposition (``pop.decomp``), so a population and its covariance cannot be
+mismatched; ``fisher_1d_spectral`` and ``fisher_max_bound`` take the
+decomposition itself. The spectral forms sum T_k^2 / (k^p lambda_k) over the
+active frequencies with ``tuning._spectral_sum``: p = 0 gives the ring
+information, p = 2 the torus factor.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonpositiveInformationError
-from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, apply_inverse
+from .spectral import TWO_PI, SpectralDecomposition, apply_inverse
 from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
     _paired_arrays,
+    _spectral_sum,
     mean_derivative,
     mean_response,
     mean_second_derivative,
@@ -36,18 +39,6 @@ def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     """Quadratic-form Fisher information at one position."""
     d = mean_derivative(pop, theta)
     return float(d @ apply_inverse(pop.decomp, d))
-
-
-def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p: int) -> float:
-    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k).
-
-    NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite sum.
-    """
-    lams = _nonnegative(decomp.eigenvalues)
-    total = 0.0
-    for e in allocation.entries:
-        total += e.amplitude**2 / (e.frequency**p * lams[e.frequency])
-    return float(total)
 
 
 def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecomposition) -> float:
@@ -132,7 +123,7 @@ def fisher_2d(
     (sum T^2/lambda) * (sum T^2/(k^2 lambda)), and ``minimum_variance`` the
     x-variance bound from inverting the 2x2 information matrix.
     """
-    decomp = pop2d.x.decomp
+    decomp, allocation = pop2d.x.decomp, pop2d.x.allocation
     theta_x, theta_y = theta
     gx = mean_derivative(pop2d.x, theta_x)
     fx = mean_response(pop2d.x, theta_x)
@@ -143,14 +134,12 @@ def fisher_2d(
     i_x = float((gx @ dgx) * (fy @ dfy))
     i_y = float((fx @ dfx) * (gy @ dgy))
     i_xy = float((gx @ dfx) * (fy @ dgy))
-    spectral_g = _spectral_sum(pop2d.x.allocation, decomp, 0)
-    spectral_f = _spectral_sum(pop2d.x.allocation, decomp, 2)
     det = i_x * i_y - i_xy * i_xy
     minimum_variance = i_y / det if det > 0 else float("inf")
     return FisherReport2D(
         i_x=i_x,
         i_y=i_y,
         i_xy=i_xy,
-        product_form=spectral_g * spectral_f,
+        product_form=_spectral_sum(allocation, decomp, 0) * _spectral_sum(allocation, decomp, 2),
         minimum_variance=minimum_variance,
     )

@@ -11,7 +11,8 @@ C^-1 f'(theta_ref) and divides by the information I = sum_k T_k^2 / lambda_k;
 mode's angular ambiguity. The Monte Carlo runs never form a response: the DFT
 diagonalizes the noise, so both readouts have closed forms in the allocation
 and the eigenvalues. The local estimate of a step delta is
-sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position, with noise
+sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position (both sums are
+``tuning._spectral_sum``), with noise
 variance sigma^2 / I per snapshot; the phase projections of f(theta) are
 (T/k)(sin psi, -cos psi) with psi = k theta + c, with noise sigma^2 lambda_k
 times the 2 x 2 identity. A snapshot costs one normal (local) or two (phase)
@@ -35,7 +36,6 @@ from typing import Literal
 import numpy as np
 
 from .errors import MultiModePopulationError
-from .fisher import fisher_1d_spectral
 from .spectral import (
     TWO_PI,
     SpectralDecomposition,
@@ -45,7 +45,7 @@ from .spectral import (
     _positive,
     apply_inverse,
 )
-from .tuning import TuningPopulation1D, mean_derivative
+from .tuning import TuningPopulation1D, _spectral_sum, mean_derivative
 
 Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
@@ -214,13 +214,9 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
         raise ValueError("the population has no active frequency, so no displacement is observable")
     if config.estimator == "local_linear":
         _positive(pop.decomp.eigenvalues)
-        info = fisher_1d_spectral(pop.allocation, pop.decomp)
+        info = _spectral_sum(pop.allocation, pop.decomp, 0)
         sd = config.noise_scale * math.sqrt(info)
-        lams = pop.decomp.eigenvalues
-        shift = 0.0
-        for e in pop.allocation.entries:
-            k = e.frequency
-            shift += e.amplitude**2 * math.sin(k * delta) / (k * lams[k])
+        shift = _spectral_sum(pop.allocation, pop.decomp, 1, lambda k: math.sin(k * delta))
 
         def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
             change = sd * rng.standard_normal(trials)
@@ -232,7 +228,7 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
         k, amplitude, phase = _single_frequency(pop)
         sd = config.noise_scale * float(_sqrt_eigenvalues(pop.decomp)[k])
         period = TWO_PI / k
-        info = fisher_1d_spectral(pop.allocation, pop.decomp)
+        info = _spectral_sum(pop.allocation, pop.decomp, 0)
 
         def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
             psi = k * np.array([theta + delta, theta]) + phase

@@ -11,7 +11,9 @@ vertex when one point dominates in both coordinates (the eigenvalue and
 frequency-squared-weighted orderings pick the same frequency), otherwise the
 interior of one hull edge, where the objective is a concave quadratic solved
 in closed form. A Dirichlet audit over random allocations acts as the
-brute-force optimality oracle for both objectives.
+brute-force optimality oracle for both objectives. The 1D optimum is
+``tuning.optimal_tuning_1d``'s allocation, and the orderings come from
+``tuning.check_condition``, so this module only searches and audits.
 """
 
 from __future__ import annotations
@@ -22,26 +24,12 @@ from typing import Literal
 import numpy as np
 
 from .spectral import SpectralDecomposition
-from .tuning import ORDER_TIE_TOL, PowerAllocation, _k2_weighted, _paired_arrays, _tie_argmin
+from .tuning import PowerAllocation, _paired_arrays, check_condition, optimal_tuning_1d
 
 Objective = Literal["fi1d", "fi2d_x"]
 
 #: Dirichlet draws per block of the optimality audit, which holds one block at a time.
 _AUDIT_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Orderings of the paired spectrum that govern 2D concentration."""
-
-    lambda_order_ok: bool
-    k2lambda_order_ok: bool
-    argmin_lambda: int
-    argmin_k2lambda: int
-    concentration_valid: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,25 +53,6 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _strictly_decreasing(scores: np.ndarray) -> bool:
-    return bool(np.all(scores[:-1] - scores[1:] > ORDER_TIE_TOL))
-
-
-def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
-    """Evaluate both spectral orderings over paired frequencies (ascending k)."""
-    freqs, lams = _paired_arrays(decomp)
-    weighted = _k2_weighted(freqs, lams)
-    argmin_lambda = _tie_argmin(freqs, lams)
-    argmin_weighted = _tie_argmin(freqs, weighted)
-    return ConditionReport(
-        lambda_order_ok=_strictly_decreasing(lams),
-        k2lambda_order_ok=_strictly_decreasing(weighted),
-        argmin_lambda=argmin_lambda,
-        argmin_k2lambda=argmin_weighted,
-        concentration_valid=argmin_lambda == argmin_weighted,
-    )
 
 
 def _objective_coefficients(
@@ -161,20 +130,13 @@ def maximize_fisher_1d(
     audit_trials: int = 0,
     seed: int = 0,
 ) -> AllocationSearchResult:
-    """Concentrate all power on the smallest paired eigenvalue (closed form)."""
-    freqs, lams = _paired_arrays(decomp)
-    k_star = _tie_argmin(freqs, lams)
-    achieved = power / decomp.mode(k_star).eigenvalue
+    """All power on the smallest paired eigenvalue (``optimal_tuning_1d``), in closed form."""
+    allocation = optimal_tuning_1d(decomp, power).allocation
+    achieved = power / float(decomp.eigenvalues[allocation.entries[0].frequency])
     margin = None
     if audit_trials > 0:
-        audit = audit_random_allocations(decomp, power, "fi1d", audit_trials, seed)
-        margin = audit.max_objective - achieved
-    return AllocationSearchResult(
-        allocation=PowerAllocation.single(k_star, power),
-        achieved_fi=achieved,
-        method="closed_form",
-        audit_margin=margin,
-    )
+        margin = audit_random_allocations(decomp, power, "fi1d", audit_trials, seed).max_objective - achieved
+    return AllocationSearchResult(allocation=allocation, achieved_fi=achieved, method="closed_form", audit_margin=margin)
 
 
 def _upper_hull(u: np.ndarray, v: np.ndarray) -> list[int]:
@@ -237,11 +199,6 @@ def maximize_fisher_2d(
 
     margin = None
     if audit_trials > 0:
-        audit = audit_random_allocations(decomp, power, "fi2d_x", audit_trials, seed)
-        margin = audit.max_objective - best_val
-    return AllocationSearchResult(
-        allocation=_allocation_from_weights(freqs, best_w, power),
-        achieved_fi=best_val,
-        method=method,
-        audit_margin=margin,
-    )
+        margin = audit_random_allocations(decomp, power, "fi2d_x", audit_trials, seed).max_objective - best_val
+    allocation = _allocation_from_weights(freqs, best_w, power)
+    return AllocationSearchResult(allocation=allocation, achieved_fi=best_val, method=method, audit_margin=margin)

@@ -10,7 +10,8 @@ read-only array, one entry per frequency 0..floor(n/2), is computed once when
 the kernel is built and is the whole decomposition: ``CorrelationKernel``
 reads its modes, pairing (0 < k < n/2) and eigenvectors off the array and n,
 ``SpectralDecomposition`` is another name for it and ``decompose`` returns
-its argument. ``_nonnegative`` and ``_positive`` judge its sign for every caller.
+its argument. ``_nonnegative`` and ``_positive`` reject a spectrum by its sign for every
+caller; ``validate_psd`` reports on it against the same ``PSD_TOLERANCE`` without raising.
 Inversion, synthesis from eigen-coefficients and projection onto them are one
 ``rfft``/``irfft`` each: O(n log n) per vector, with no n x n matrix built.
 Frequency k's rfft bin is conj(a + ib) times ``_bin_scale(n)[k]`` for its

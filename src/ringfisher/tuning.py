@@ -6,7 +6,10 @@ with the squared amplitudes summing to the signal power budget. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
 optimal constructions concentrate the whole budget on a single frequency.
-The torus is separable: its y axis is the x axis with each phase c_k moved by
+Only this module reads the paired spectrum to choose or score an allocation:
+``check_condition`` decides whether lambda_k and k^2 lambda_k share their
+minimizer, and ``_spectral_sum`` sums T_k^2 g(k) / (k^p lambda_k) over the
+active frequencies for ``fisher`` and ``mcsim``. The torus is separable: its y axis is the x axis with each phase c_k moved by
 k times a phase shift, and a neuron's firing field is the product of its two
 axis curves, which are sampled as exact shifts of the one waveform.
 """
@@ -14,6 +17,7 @@ axis curves, which are sampled as exact shifts of the one waveform.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -151,19 +155,16 @@ class TuningPopulation2D:
         return self.x.n
 
 
-def _as_theta_array(theta) -> tuple[np.ndarray, bool]:
-    arr = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _entry_sum(pop: TuningPopulation1D, thetas: np.ndarray, order: int) -> np.ndarray:
-    """Theta-derivative of the given order (0, 1 or 2) of the mean activity, thetas x neurons.
+def _entry_sum(pop: TuningPopulation1D, theta, order: int) -> np.ndarray:
+    """Theta-derivative of the given order (0, 1 or 2) of the mean activity at ``theta``
+    (mod 2 pi): one row of n neurons per angle, or the bare row for a scalar ``theta``.
 
     With psi = k theta + c, each active frequency contributes
     (T/k) [sin(psi) w_k - cos(psi) w'_k] at order 0, T [cos(psi) w_k + sin(psi) w'_k]
     at order 1 and T k [cos(psi) w'_k - sin(psi) w_k] at order 2.
     """
+    angles = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    thetas = np.atleast_1d(angles)
     out = np.zeros((thetas.size, pop.n))
     outer = np.multiply.outer
     for e in pop.allocation.entries:
@@ -177,7 +178,7 @@ def _entry_sum(pop: TuningPopulation1D, thetas: np.ndarray, order: int) -> np.nd
             out += e.amplitude * (outer(cos, w) + outer(sin, wp))
         else:
             out += e.amplitude * e.frequency * (outer(cos, wp) - outer(sin, w))
-    return out
+    return out[0] if angles.ndim == 0 else out
 
 
 def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
@@ -186,23 +187,17 @@ def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
     The integral of the derivative profile with integration constants fixed
     to zero.
     """
-    thetas, scalar = _as_theta_array(theta)
-    out = _entry_sum(pop, thetas, 0)
-    return out[0] if scalar else out
+    return _entry_sum(pop, theta, 0)
 
 
 def mean_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Derivative of the mean activity with respect to theta (closed form)."""
-    thetas, scalar = _as_theta_array(theta)
-    out = _entry_sum(pop, thetas, 1)
-    return out[0] if scalar else out
+    return _entry_sum(pop, theta, 1)
 
 
 def mean_second_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Second derivative of the mean activity (closed form)."""
-    thetas, scalar = _as_theta_array(theta)
-    out = _entry_sum(pop, thetas, 2)
-    return out[0] if scalar else out
+    return _entry_sum(pop, theta, 2)
 
 
 def _quarter_sine(quarters: np.ndarray, lattice: int) -> np.ndarray:
@@ -255,11 +250,6 @@ def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarra
     return freqs, _positive(decomp.eigenvalues[freqs], first=paired.start)
 
 
-def _k2_weighted(freqs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Torus ordering scores k^2 lambda_k."""
-    return freqs.astype(float) ** 2 * lams
-
-
 def _ties(freqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Frequencies whose score ties the minimum within ORDER_TIE_TOL."""
     return freqs[scores <= scores.min() + ORDER_TIE_TOL]
@@ -268,6 +258,55 @@ def _ties(freqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def _tie_argmin(freqs: np.ndarray, scores: np.ndarray) -> int:
     """Smallest frequency whose score ties the minimum."""
     return int(_ties(freqs, scores).min())
+
+
+def _strictly_decreasing(scores: np.ndarray) -> bool:
+    return bool(np.all(scores[:-1] - scores[1:] > ORDER_TIE_TOL))
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Orderings of the paired spectrum that govern 2D concentration."""
+
+    lambda_order_ok: bool
+    k2lambda_order_ok: bool
+    argmin_lambda: int
+    argmin_k2lambda: int
+    concentration_valid: bool
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
+    """Evaluate both spectral orderings, of lambda_k and of k^2 lambda_k, over paired
+    frequencies (ascending k)."""
+    freqs, lams = _paired_arrays(decomp)
+    weighted = freqs.astype(float) ** 2 * lams
+    argmin_lambda = _tie_argmin(freqs, lams)
+    argmin_weighted = _tie_argmin(freqs, weighted)
+    return ConditionReport(
+        lambda_order_ok=_strictly_decreasing(lams),
+        k2lambda_order_ok=_strictly_decreasing(weighted),
+        argmin_lambda=argmin_lambda,
+        argmin_k2lambda=argmin_weighted,
+        concentration_valid=argmin_lambda == argmin_weighted,
+    )
+
+
+def _spectral_sum(
+    allocation: PowerAllocation, decomp: SpectralDecomposition, p: int, g: Callable[[int], float] | None = None
+) -> float:
+    """Sum over the allocation's entries, in order, of T^2 g(k) / (k^p lambda_k), g = 1 if None.
+
+    NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite sum.
+    """
+    lams = _nonnegative(decomp.eigenvalues)
+    total = 0.0
+    for e in allocation.entries:
+        k = e.frequency
+        total += e.amplitude**2 * (1.0 if g is None else g(k)) / (k**p * lams[k])
+    return float(total)
 
 
 def optimal_tuning_1d(decomp: SpectralDecomposition, power: float) -> TuningPopulation1D:
@@ -286,18 +325,18 @@ def optimal_tuning_2d(
     """Single-frequency rectangular-grid optimum for the separable torus.
 
     Valid only when the eigenvalue minimizer and the (frequency^2 * eigenvalue)
-    minimizer coincide over paired modes; otherwise the concentration argument
-    does not apply and the general simplex search must be used instead.
+    minimizer coincide over paired modes (``check_condition``); otherwise the
+    concentration argument does not apply, ConditionViolatedError is raised and
+    the general simplex search must be used instead.
     """
-    freqs, lams = _paired_arrays(decomp)
-    k_lam = _tie_argmin(freqs, lams)
-    k_klam = _tie_argmin(freqs, _k2_weighted(freqs, lams))
-    if k_lam != k_klam:
+    condition = check_condition(decomp)
+    if not condition.concentration_valid:
         raise ConditionViolatedError(
-            f"eigenvalue minimizer {k_lam} and weighted minimizer {k_klam} disagree; "
+            f"eigenvalue minimizer {condition.argmin_lambda} and weighted minimizer "
+            f"{condition.argmin_k2lambda} disagree; "
             "use the general allocation search (optimal.maximize_fisher_2d)"
         )
-    x = TuningPopulation1D(decomp, PowerAllocation.single(k_lam, power))
+    x = TuningPopulation1D(decomp, PowerAllocation.single(condition.argmin_lambda, power))
     return TuningPopulation2D(x, phase_shift)
 
 

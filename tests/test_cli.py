@@ -718,6 +718,53 @@ class TestFailedRunOutputs:
         assert out.read_bytes() == b"earlier report\n"
         assert manifest.read_bytes() == b"earlier manifest\n"
 
+    def test_failure_after_the_first_output_keeps_every_existing_byte(self, tmp_path, n4_kernel_file, capsys):
+        out, manifest = tmp_path / "o.json", tmp_path / "o.json.manifest.json"
+        assert main(["optimize", str(n4_kernel_file), str(out)]) == 0
+        before = {path: path.read_bytes() for path in (out, manifest)}
+        curves = tmp_path / "missing" / "c.csv"
+        assert main(["optimize", str(n4_kernel_file), str(out), "--dim", "2", "--curves-out", str(curves)]) == 2
+        assert f"No such file or directory: '{curves}'" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel.json", "o.json", "o.json.manifest.json"]
+
+    def test_parameter_error_precedes_an_unwritable_output(self, tmp_path, n4_kernel_file):
+        argv = ["optimize", str(n4_kernel_file), str(tmp_path / "o.json"), "--power", "-1",
+                "--curves-out", str(tmp_path / "missing" / "c.csv")]
+        assert main(argv) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel.json"]
+
+    def test_symlinked_output_updates_its_target(self, tmp_path, n4_kernel_file):
+        target, link = tmp_path / "real" / "f.json", tmp_path / "f.json"
+        target.parent.mkdir()
+        target.write_bytes(b"earlier report\n")
+        link.symlink_to(target)
+        assert main(["fisher", str(n4_kernel_file), str(link)]) == 0
+        assert link.is_symlink() and json.loads(target.read_text())["fi_spectral"] == pytest.approx(4.0 / 3.0)
+        manifest = json.loads((tmp_path / "f.json.manifest.json").read_text())
+        assert manifest["outputs"] == {str(link): rio.sha256_file(target)}
+        assert sorted(p.name for p in target.parent.iterdir()) == ["f.json"]
+
+    def test_symlink_loop_output_exit_2_and_stays_a_link(self, tmp_path, n4_kernel_file, capsys):
+        loop = tmp_path / "f.json"
+        loop.symlink_to(loop)
+        assert main(["fisher", str(n4_kernel_file), str(loop)]) == 2
+        assert f"Too many levels of symbolic links: '{loop}'" in capsys.readouterr().err
+        assert loop.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "kernel.json"]
+
+    def test_staging_names_skip_existing_files(self, tmp_path, n4_kernel_file, monkeypatch):
+        # the first staging name drawn is taken by a file the run must not touch
+        taken = tmp_path / f".ringfisher-{bytes(6).hex()}.tmp"
+        taken.write_bytes(b"someone else's\n")
+        for power in ("1", "-1"):
+            draws = iter(range(100))
+            monkeypatch.setattr("os.urandom", lambda size: next(draws).to_bytes(size, "big"))
+            main(["fisher", str(n4_kernel_file), str(tmp_path / "f.json"), "--power", power])
+            assert taken.read_bytes() == b"someone else's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [taken.name, "f.json", "f.json.manifest.json", "kernel.json"]
+        )
+
     def test_interrupt_removes_the_files_written_so_far(self, tmp_path, monkeypatch):
         def interrupt(estimates, path):
             raise KeyboardInterrupt

@@ -16,9 +16,9 @@ ANALYSIS = ("tuning", "fisher", "optimal", "mcsim")
 NOT_LOADED = {
     "decompose": ANALYSIS,
     "field2d": ("fisher", "optimal", "mcsim"),
-    "fisher": ("mcsim",),
+    "fisher": ("optimal", "mcsim"),
     "optimize": ("mcsim",),
-    "simulate": ("optimal",),
+    "simulate": ("fisher", "optimal"),
 }
 
 

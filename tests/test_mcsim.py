@@ -381,6 +381,38 @@ class TestLocalReadoutMatchesDenseGls:
         np.testing.assert_allclose(_estimates(config), expected, rtol=0, atol=1e-12)
 
 
+class TestLocalReadoutSums:
+    """The local readout's information and noiseless shift are the sums of a sequential loop."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 40),
+        seed=st.integers(0, 2**32 - 1),
+        delta=st.sampled_from([1e-3, 0.05, -0.3]),
+        mode=st.sampled_from(["known_reference", "two_snapshot"]),
+    )
+    def test_zero_noise_run_returns_shift_over_information_bit_for_bit(self, n, seed, delta, mode):
+        g = np.random.default_rng(seed)
+        decomp = decompose(random_psd_kernel(g, n))
+        paired = list(decomp.paired_frequencies)
+        ks = g.choice(paired, size=int(g.integers(3, len(paired) + 1)), replace=False)
+        entries = tuple(AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.0, 6.0))) for k in ks)
+        pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
+        info = shift = 0.0
+        for e in entries:
+            k, lam = e.frequency, decomp.eigenvalues[e.frequency]
+            info += e.amplitude**2 / lam
+            shift += e.amplitude**2 * math.sin(k * delta) / (k * lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k * delta may pass the linearization guard
+            config = SimConfig(
+                population=pop, delta_theta=delta, trials=100, seed=seed, mode=mode, noise_scale=0.0
+            )
+        result, estimates = run_displacement_trials(config, with_estimates=True)
+        assert result.fisher_information == info
+        assert estimates.tobytes() == np.full(100, shift / info).tobytes()
+
+
 class TestMemoryBound:
     """No n x n matrix on the hot paths: one would be 128 MB at n = 4096."""
 

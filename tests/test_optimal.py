@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringfisher import optimal
-from ringfisher.errors import SingularCovarianceError
+from ringfisher.errors import ConditionViolatedError, SingularCovarianceError
 from ringfisher.fisher import fisher_max_bound
 from ringfisher.optimal import (
     audit_random_allocations,
@@ -180,6 +180,31 @@ class TestCheckCondition:
         report = check_condition(decompose(decompose_kernel_n4()))
         assert report.lambda_order_ok and report.k2lambda_order_ok
         assert report.concentration_valid
+
+
+class TestOneOrderingDecision:
+    """The constructions and the searches read the orderings that ``check_condition`` reports."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spectrum=torus_spectra(), power=st.sampled_from([1.0, 2.5]))
+    def test_torus_construction_follows_the_report(self, spectrum, power):
+        decomp = decompose(kernel_from_spectrum(*spectrum))
+        report = check_condition(decomp)
+        if not report.concentration_valid:
+            with pytest.raises(ConditionViolatedError):
+                optimal_tuning_2d(decomp, power)
+            return
+        (entry,) = optimal_tuning_2d(decomp, power).x.allocation.entries
+        assert entry.frequency == report.argmin_lambda
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spectrum=torus_spectra(), power=st.sampled_from([1.0, 2.5, 0.3]))
+    def test_ring_search_is_the_ring_construction(self, spectrum, power):
+        decomp = decompose(kernel_from_spectrum(*spectrum))
+        result = maximize_fisher_1d(decomp, power)
+        allocation = optimal_tuning_1d(decomp, power).allocation
+        assert result.allocation == allocation
+        assert result.achieved_fi == power / decomp.eigenvalues[allocation.entries[0].frequency]
 
 
 def decompose_kernel_n4():
