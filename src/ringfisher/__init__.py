@@ -46,8 +46,8 @@ _EXPORTS = {
         "maximize_fisher_1d", "maximize_fisher_2d",
     ),
     "mcsim": (
-        "NoiseModel", "PathIntegrationReport", "SimConfig", "SimResult", "estimate_local",
-        "estimate_phase", "run_displacement_trials", "run_path_integration",
+        "NoiseModel", "PathIntegrationReport", "SimConfig", "SimResult",
+        "run_displacement_trials", "run_path_integration",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

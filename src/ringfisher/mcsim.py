@@ -4,13 +4,15 @@ Noise is drawn spectrally: independent standard normals per eigen-mode scaled
 by the square root of the eigenvalue reproduce the circulant covariance
 exactly. ``NoiseModel.sample`` lays them out like the eigenbasis columns
 (cos0, cos1, sin1, ...) and synthesizes responses with one ``irfft`` per axis,
-O(n log n) per draw. ``estimate_local`` projects a response change on
+O(n log n) per draw. The local readout projects a response change on
 C^-1 f'(theta_ref) and divides by the information I = sum_k T_k^2 / lambda_k;
-``estimate_phase`` projects a response on the single active frequency's
+the phase readout projects a response on the single active frequency's
 (cos, sin) eigenvector pair and reads the angle, reference-free up to the
 mode's angular ambiguity. The Monte Carlo runs never form a response: the DFT
 diagonalizes the noise, so both readouts have closed forms in the allocation
-and the eigenvalues. The local estimate of a step delta is
+and the eigenvalues, and ``_step_estimates`` is their only implementation (the
+tests read whole responses with a dense solve and explicit cos/sin projections
+as its oracle). The local estimate of a step delta is
 sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position (both sums are
 ``tuning._spectral_sum``), with noise
 variance sigma^2 / I per snapshot; the phase projections of f(theta) are
@@ -43,9 +45,9 @@ from .spectral import (
     _columns_to_bins,
     _nonnegative,
     _positive,
-    apply_inverse,
 )
-from .tuning import TuningPopulation1D, _spectral_sum, mean_derivative
+# not called here: perfbench/tests pin mcsim.mean_derivative as the traced tuning.mean_derivative
+from .tuning import TuningPopulation1D, _spectral_sum, mean_derivative  # noqa: F401
 
 Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
@@ -90,26 +92,6 @@ class NoiseModel:
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
 
-def estimate_local(
-    pop: TuningPopulation1D,
-    theta_ref: float,
-    r_minus: np.ndarray,
-    r_plus: np.ndarray,
-) -> np.ndarray | float:
-    """Local linear displacement estimate from a response change.
-
-    Projects r_plus - r_minus onto the inverse-covariance-weighted derivative
-    at the reference position and normalizes by the information; r_minus may be
-    the exact mean response (known-reference paradigm) or a noisy snapshot.
-    Accepts stacked (trials, n) inputs.
-    """
-    d = mean_derivative(pop, theta_ref)
-    weighted = apply_inverse(pop.decomp, d)
-    delta = np.asarray(r_plus, dtype=float) - np.asarray(r_minus, dtype=float)
-    est = delta @ weighted / float(d @ weighted)
-    return float(est) if np.ndim(est) == 0 else est
-
-
 def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
     if len(pop.allocation.entries) != 1:
         raise MultiModePopulationError(
@@ -122,20 +104,6 @@ def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
 def _phase_angle(k: int, phase: float, a, b):
     """Position modulo 2 pi / k whose (cos, sin) projections are (a, b)."""
     return np.mod((np.arctan2(a, -b) - phase) / k, TWO_PI / k)
-
-
-def estimate_phase(pop: TuningPopulation1D, r: np.ndarray) -> np.ndarray | float:
-    """Position estimate modulo 2 pi / k for a single-frequency population.
-
-    Projects the response onto the frequency's (cos, sin) eigenvector pair and
-    reads the angle; no reference position is needed, so differencing two calls
-    gives a reference-free displacement estimate.
-    """
-    k, _, phase = _single_frequency(pop)
-    readout = np.column_stack([pop.decomp.cos_vector(k), pop.decomp.sin_vector(k)])
-    ab = np.asarray(r, dtype=float) @ readout
-    out = _phase_angle(k, phase, ab[..., 0], ab[..., 1])
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """CLI surface: artifacts, exit codes, warnings, manifests, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringfisher
 from ringfisher import io as rio
-from ringfisher.cli import load_sim_config, main
+from ringfisher.cli import _OUTPUT_ARGS, load_sim_config, main
 from ringfisher.errors import MalformedKernelError
 from ringfisher.mcsim import SimConfig
 from ringfisher.spectral import decompose, exponential_kernel
@@ -993,3 +999,73 @@ class TestCliPlumbing:
         outdir.mkdir()
         assert main(["--out-dir", str(outdir), "decompose", str(n4_kernel_file), "decomp.csv"]) == 0
         assert (outdir / "decomp.csv").exists()
+
+
+class TestEntryPoint:
+    """``python -m ringfisher`` behaves exactly as ``main`` called in process with the same argv."""
+
+    INPUTS = {
+        "kernel.json": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+        "bad.json": {"n": 4, "family": "explicit", "params": {"values": [1.0, 1.2, 0.0]}},
+        "white.json": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0, 0, 0, 0]}},
+        "sim.json": {
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "allocation": "optimal", "trials": 200, "seed": 3, "mode": "two_snapshot", "estimator": "phase",
+        },
+        "badsim.json": {"kernel_file": "kernel.json", "allocation": "optimal", "trials": 200, "estimator": "oracle"},
+    }
+
+    #: case -> (argv, exit status)
+    CASES = {
+        "decompose": (["decompose", "kernel.json", "decomp.csv"], 0),
+        "optimize": (["optimize", "kernel.json", "opt.json", "--curves-out", "c.csv", "--curves-samples", "16"], 0),
+        "optimize-tie-warning": (["optimize", "white.json", "tie.json"], 0),
+        "fisher": (["fisher", "kernel.json", "fisher.json", "--dim", "2"], 0),
+        "field2d": (["field2d", "kernel.json", "f.pgm", "f.csv", "--optimal", "--res", "16"], 0),
+        "simulate": (["--seed", "5", "simulate", "sim.json", "sim-out.json", "--dump-trials", "trials.csv"], 0),
+        "exit-2-missing-input": (["decompose", "missing.json", "o.csv"], 2),
+        "exit-3-invalid-covariance": (["decompose", "bad.json", "o.csv"], 3),
+        "exit-4-condition-violated": (["field2d", "violated.json", "v.pgm", "v.csv", "--optimal"], 4),
+        "exit-5-resolution": (["field2d", "kernel.json", "r.pgm", "r.csv", "--k", "1", "--res", "7"], 5),
+        "exit-6-estimator": (["simulate", "badsim.json", "r.json"], 6),
+        "help": (["--help"], 0),
+        "usage-error": (["decompose"], 2),
+    }
+
+    def _workdir(self, path):
+        path.mkdir()
+        for name, payload in self.INPUTS.items():
+            (path / name).write_text(json.dumps(payload))
+        spectrum_kernel_file(path, 6, [1.2, 1.0, 0.5, 0.8], name="violated.json")
+        return path
+
+    @staticmethod
+    def _files(path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_module_run_matches_in_process_main(self, case, tmp_path, monkeypatch, capsys):
+        argv, expected_code = self.CASES[case]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text at the terminal width
+        env = dict(os.environ)
+        package_root = str(Path(ringfisher.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        child_dir, local_dir = self._workdir(tmp_path / "child"), self._workdir(tmp_path / "local")
+        child = subprocess.run(
+            [sys.executable, "-m", "ringfisher", *argv], cwd=child_dir, env=env, capture_output=True, text=True
+        )
+
+        monkeypatch.chdir(local_dir)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert gc.get_freeze_count() == 0
+        local = capsys.readouterr()
+
+        assert code == expected_code
+        assert (child.returncode, child.stdout, child.stderr) == (code, local.out, local.err)
+        files = self._files(child_dir)
+        assert files == self._files(local_dir)
+        if case in _OUTPUT_ARGS:  # the five commands' successful runs compare written files
+            assert any(name.endswith(".manifest.json") for name in files)
