@@ -42,7 +42,7 @@ _EXPORTS = {
         "fisher_2d", "fisher_derivative", "fisher_max_bound", "fisher_report_1d",
     ),
     "optimal": (
-        "AllocationSearchResult", "AuditReport", "audit_random_allocations",
+        "AllocationSearchResult", "audit_random_allocations",
         "maximize_fisher_1d", "maximize_fisher_2d",
     ),
     "mcsim": (

@@ -10,10 +10,13 @@ coordinates, so its maximum lies on the upper-right part of that hull: a
 vertex when one point dominates in both coordinates (the eigenvalue and
 frequency-squared-weighted orderings pick the same frequency), otherwise the
 interior of one hull edge, where the objective is a concave quadratic solved
-in closed form. A Dirichlet audit over random allocations acts as the
-brute-force optimality oracle for both objectives. The 1D optimum is
-``tuning.optimal_tuning_1d``'s allocation, and the orderings come from
-``tuning.check_condition``, so this module only searches and audits.
+in closed form. A vertex or an edge point has at most two non-zero weights,
+so it is scored as (u_i w_i + u_j w_j)(v_i w_i + v_j w_j), never as an
+m-vector. A Dirichlet audit over random allocations acts as the brute-force
+optimality oracle for both objectives: it returns the largest objective value
+it draws and holds one block of a fixed number of values at a time. The 1D
+optimum is ``tuning.optimal_tuning_1d``'s allocation, and the orderings come
+from ``tuning.check_condition``, so this module only searches and audits.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .tuning import PowerAllocation, _paired_arrays, check_condition, optimal_tu
 
 Objective = Literal["fi1d", "fi2d_x"]
 
-#: Dirichlet draws per block of the optimality audit, which holds one block at a time.
-_AUDIT_BLOCK_ROWS = 256
+#: Weights (rows x frequencies) per block of the optimality audit, which holds one block at a time.
+_AUDIT_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -38,18 +41,6 @@ class AllocationSearchResult:
     achieved_fi: float
     method: Literal["closed_form", "vertex_edge"]
     audit_margin: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    objective: Objective
-    trials: int
-    seed: int
-    max_objective: float
-    best_allocation: PowerAllocation
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -69,21 +60,15 @@ def _objective_values(
 ) -> np.ndarray:
     """Objective at each weight vector (rows of ``weights``, or one vector).
 
-    einsum sums each row on its own, so a row's value has the same bits in any
-    block of rows and alone, which a BLAS matrix-vector product does not promise.
+    ``np.add.reduce`` sums each contiguous row pairwise on its own, so a row's
+    value has the same bits in any block of rows and alone. Neither a BLAS
+    matrix-vector product nor einsum promises that: einsum's bits for a row
+    change with the block's row count from m = 16 383 frequencies on.
     """
-    fi = np.einsum("...j,j->...", weights, u)
+    fi = np.add.reduce(weights * u, axis=-1)
     if objective == "fi1d":
         return fi
-    return fi * np.einsum("...j,j->...", weights, v)
-
-
-def _allocation_from_weights(
-    freqs: np.ndarray, weights: np.ndarray, power: float
-) -> PowerAllocation:
-    keep = weights > 1e-15 * power
-    powers = {int(k): float(w) for k, w in zip(freqs[keep], weights[keep])}
-    return PowerAllocation.from_powers(powers)
+    return fi * np.add.reduce(weights * v, axis=-1)
 
 
 def audit_random_allocations(
@@ -92,14 +77,15 @@ def audit_random_allocations(
     objective: Objective,
     trials: int,
     seed: int,
-) -> AuditReport:
-    """Uniform Dirichlet sweep of the power simplex, reporting the best point found.
+) -> float:
+    """Largest objective value over a uniform Dirichlet sweep of the power simplex.
 
-    Counter-based generator keyed by the seed, so reports are bit-identical for
+    Counter-based generator keyed by the seed, so the value is bit-identical for
     identical seeds. The draws stream from that one generator in blocks of
-    _AUDIT_BLOCK_ROWS rows, which are the rows of a single draw of ``trials``,
-    and only the best row so far (the first on ties) is kept, so memory does
-    not grow with ``trials``.
+    max(1, _AUDIT_BLOCK_VALUES // m) rows of m weights, which are the rows of a
+    single draw of ``trials``, and only the running maximum is kept, so memory
+    holds one block, of at most max(_AUDIT_BLOCK_VALUES, m) weights, whatever
+    ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -108,20 +94,13 @@ def audit_random_allocations(
     freqs, u, v = _objective_coefficients(decomp)
     rng = np.random.Generator(np.random.Philox(seed))
     alpha = np.ones(freqs.size)
-    best_value, best_weights = -np.inf, None
-    for start in range(0, trials, _AUDIT_BLOCK_ROWS):
-        weights = power * rng.dirichlet(alpha, size=min(_AUDIT_BLOCK_ROWS, trials - start))
-        values = _objective_values(weights, u, v, objective)
-        best = int(np.argmax(values))
-        if best_weights is None or values[best] > best_value:
-            best_value, best_weights = float(values[best]), weights[best].copy()
-    return AuditReport(
-        objective=objective,
-        trials=trials,
-        seed=seed,
-        max_objective=best_value,
-        best_allocation=_allocation_from_weights(freqs, best_weights, power),
-    )
+    rows = max(1, _AUDIT_BLOCK_VALUES // freqs.size)
+    best = -np.inf
+    for start in range(0, trials, rows):
+        weights = rng.dirichlet(alpha, size=min(rows, trials - start))
+        weights *= power
+        best = max(best, float(np.max(_objective_values(weights, u, v, objective))))
+    return best
 
 
 def maximize_fisher_1d(
@@ -135,7 +114,7 @@ def maximize_fisher_1d(
     achieved = power / float(decomp.eigenvalues[allocation.entries[0].frequency])
     margin = None
     if audit_trials > 0:
-        margin = audit_random_allocations(decomp, power, "fi1d", audit_trials, seed).max_objective - achieved
+        margin = audit_random_allocations(decomp, power, "fi1d", audit_trials, seed) - achieved
     return AllocationSearchResult(allocation=allocation, achieved_fi=achieved, method="closed_form", audit_margin=margin)
 
 
@@ -173,14 +152,8 @@ def maximize_fisher_2d(
     SingularCovarianceError unless every paired eigenvalue is positive.
     """
     freqs, u, v = _objective_coefficients(decomp)
-    m = freqs.size
-
-    def value(w: np.ndarray) -> float:
-        return float(_objective_values(w, u, v, "fi2d_x"))
-
-    best_w = np.zeros(m)
-    best_w[int(np.argmax(u * v))] = power
-    best_val = value(best_w)
+    k = int(np.argmax(u * v))
+    best_w, best_val = {k: power}, float((u[k] * power) * (v[k] * power))
     method = "closed_form" if check_condition(decomp).concentration_valid else "vertex_edge"
 
     hull = _upper_hull(u, v)
@@ -191,14 +164,13 @@ def maximize_fisher_2d(
         if quad < 0.0:  # u and v trade off along the edge: an interior maximum may exist
             t = -lin / (2.0 * quad)
             if 0.0 < t < 1.0:
-                w = np.zeros(m)
-                w[i], w[j] = power * t, power * (1.0 - t)
-                val = value(w)
+                wi, wj = power * t, power * (1.0 - t)
+                val = float((u[i] * wi + u[j] * wj) * (v[i] * wi + v[j] * wj))
                 if val > best_val:
-                    best_val, best_w, method = val, w, "vertex_edge"
+                    best_w, best_val, method = {i: wi, j: wj}, val, "vertex_edge"
 
     margin = None
     if audit_trials > 0:
-        margin = audit_random_allocations(decomp, power, "fi2d_x", audit_trials, seed).max_objective - best_val
-    allocation = _allocation_from_weights(freqs, best_w, power)
+        margin = audit_random_allocations(decomp, power, "fi2d_x", audit_trials, seed) - best_val
+    allocation = PowerAllocation.from_powers({int(freqs[i]): w for i, w in best_w.items() if w > 1e-15 * power})
     return AllocationSearchResult(allocation=allocation, achieved_fi=best_val, method=method, audit_margin=margin)

@@ -11,7 +11,7 @@ import ringfisher
 from ringfisher.tuning import PowerAllocation
 
 PUBLIC_API = [
-    "AllocationEntry", "AllocationSearchResult", "AuditReport",
+    "AllocationEntry", "AllocationSearchResult",
     "ConditionReport", "ConditionViolatedError", "CorrelationKernel", "EigenMode",
     "FisherReport1D", "FisherReport2D", "MalformedKernelError", "MultiModePopulationError",
     "NoiseModel", "NonpositiveInformationError", "NotPositiveSemidefiniteError",

@@ -894,7 +894,7 @@ class TestGoldenOutputs:
         # exp16's spectral orderings disagree, so the torus optimum is a vertex_edge search
         "optimize-torus-audit": (
             ["--seed", "3", "optimize", "{exp16}", "{out}/opt2.json", "--dim", "2", "--audit-trials", "200"],
-            {"opt2.json": "313f6b49d78f994c118e931e94dda903df1283af091e868bb41823ce1e8a325e"},
+            {"opt2.json": "6b67bd7ce3885ef447faf4e1e9e46ac39044ec10bb212d61a6fd6117bcac4475"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

@@ -17,7 +17,7 @@ from ringfisher.optimal import (
     maximize_fisher_2d,
 )
 from ringfisher.spectral import decompose, exponential_kernel, kernel_from_spectrum
-from ringfisher.tuning import optimal_tuning_1d, optimal_tuning_2d
+from ringfisher.tuning import PowerAllocation, optimal_tuning_1d, optimal_tuning_2d
 
 from conftest import INVALID_SPECTRA, dense_ring_matrix, random_psd_kernel, white_kernel
 
@@ -50,6 +50,39 @@ def torus_search_oracle(decomp, power):
                     if val > best_val:
                         best_val, method = val, "vertex_edge"
     return best_val, method
+
+
+def vector_search_oracle(decomp, power):
+    """The torus search scoring every candidate as an m-vector of weights, each sum by einsum.
+
+    Returns the allocation, the achieved information and the method label, for a
+    bit-for-bit comparison with the two-weight closed form of the search under test.
+    """
+    freqs, u, v = optimal._objective_coefficients(decomp)
+
+    def value(w):
+        return float(np.einsum("j,j->", w, u) * np.einsum("j,j->", w, v))
+
+    best_w = np.zeros(freqs.size)
+    best_w[int(np.argmax(u * v))] = power
+    best_val = value(best_w)
+    method = "closed_form" if check_condition(decomp).concentration_valid else "vertex_edge"
+    hull = optimal._upper_hull(u, v)
+    for a, b in zip(hull, hull[1:]):
+        i, j = min(a, b), max(a, b)
+        quad = (u[i] - u[j]) * (v[i] - v[j])
+        lin = (u[i] - u[j]) * v[j] + u[j] * (v[i] - v[j])
+        if quad < 0.0:
+            t = -lin / (2.0 * quad)
+            if 0.0 < t < 1.0:
+                w = np.zeros(freqs.size)
+                w[i], w[j] = power * t, power * (1.0 - t)
+                val = value(w)
+                if val > best_val:
+                    best_val, best_w, method = val, w, "vertex_edge"
+    keep = best_w > 1e-15 * power
+    allocation = PowerAllocation.from_powers({int(k): float(w) for k, w in zip(freqs[keep], best_w[keep])})
+    return allocation, best_val, method
 
 
 @st.composite
@@ -152,6 +185,16 @@ class TestMaximize2D:
         assert result.achieved_fi == pytest.approx(expected_fi, rel=1e-12, abs=0.0)
         assert result.method == expected_method
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spectrum=torus_spectra(), power=st.sampled_from([1.0, 2.5, 0.3]))
+    def test_two_weight_scores_match_the_vector_search_bit_for_bit(self, spectrum, power):
+        decomp = decompose(kernel_from_spectrum(*spectrum))
+        allocation, achieved_fi, method = vector_search_oracle(decomp, power)
+        result = maximize_fisher_2d(decomp, power)
+        assert result.achieved_fi.hex() == achieved_fi.hex()
+        assert result.method == method
+        assert result.allocation == allocation
+
     def test_nonpositive_paired_eigenvalue_rejected(self):
         decomp = decompose(kernel_from_spectrum(6, [1.0, 0.8, 0.0, 0.5]))
         with pytest.raises(SingularCovarianceError):
@@ -215,13 +258,11 @@ def decompose_kernel_n4():
 
 class TestAudit:
     def test_n4_bounded_by_closed_form(self, n4_decomp):
-        report = audit_random_allocations(n4_decomp, 1.0, "fi1d", 10_000, seed=31)
-        assert report.max_objective <= 4.0 / 3.0 + 1e-12
+        assert audit_random_allocations(n4_decomp, 1.0, "fi1d", 10_000, seed=31) <= 4.0 / 3.0 + 1e-12
 
     def test_white_noise_constant_objective(self):
         decomp = decompose(white_kernel(8, sigma_sq=2.0))
-        report = audit_random_allocations(decomp, 1.0, "fi1d", 500, seed=8)
-        assert report.max_objective == pytest.approx(0.5, abs=1e-12)
+        assert audit_random_allocations(decomp, 1.0, "fi1d", 500, seed=8) == pytest.approx(0.5, abs=1e-12)
 
     def test_seed_determinism(self, n6_decomp):
         first = audit_random_allocations(n6_decomp, 1.0, "fi2d_x", 1000, seed=77)
@@ -272,7 +313,7 @@ class TestOptimalityProperties:
 
 
 def one_shot_draw(decomp, power, objective, trials, seed):
-    """Objective values and weights of the audit as a single draw of every trial:
+    """Objective values of the audit as a single draw of every trial, each row summed on its own:
     the oracle for the streamed blocks."""
     freqs = np.array(decomp.paired_frequencies)
     lams = decomp.eigenvalues[freqs]
@@ -280,48 +321,58 @@ def one_shot_draw(decomp, power, objective, trials, seed):
     v = u / freqs.astype(float) ** 2
     rng = np.random.Generator(np.random.Philox(seed))
     weights = power * rng.dirichlet(np.ones(freqs.size), size=trials)
-    fi = np.einsum("ij,j->i", weights, u)
-    values = fi if objective == "fi1d" else fi * np.einsum("ij,j->i", weights, v)
-    return values, weights
+    fi = np.add.reduce(weights * u, axis=1)
+    return fi if objective == "fi1d" else fi * np.add.reduce(weights * v, axis=1)
 
 
 class TestStreamedAudit:
     @pytest.mark.parametrize("n", [4, 9, 64, 300])
     @pytest.mark.parametrize("trials", [1, 255, 257, 1001])
-    @pytest.mark.parametrize("block", [64, 256, 512, 2048])
-    def test_blocks_reproduce_one_draw_exactly(self, monkeypatch, n, trials, block):
-        monkeypatch.setattr(optimal, "_AUDIT_BLOCK_ROWS", block)
+    @pytest.mark.parametrize("budget", [1, 1000, 2**16, 2**20])
+    def test_blocks_reproduce_one_draw_exactly(self, monkeypatch, n, trials, budget):
+        # a budget of 1 value holds one row per block
+        monkeypatch.setattr(optimal, "_AUDIT_BLOCK_VALUES", budget)
         decomp = decompose(exponential_kernel(n, rho=0.7))
-        freqs = np.array(decomp.paired_frequencies)
         for objective in ("fi1d", "fi2d_x"):
-            report = audit_random_allocations(decomp, 1.3, objective, trials, seed=11)
-            values, weights = one_shot_draw(decomp, 1.3, objective, trials, 11)
-            best = int(np.argmax(values))
-            assert report.max_objective == values[best]
-            assert report.best_allocation == optimal._allocation_from_weights(freqs, weights[best], 1.3)
+            expected = one_shot_draw(decomp, 1.3, objective, trials, 11).max()
+            assert audit_random_allocations(decomp, 1.3, objective, trials, seed=11) == expected
 
-    def test_ties_keep_the_first_row(self):
-        # white noise: the 1D objective is 0.5 * sum(w), so many rows tie exactly
-        decomp = decompose(white_kernel(16, sigma_sq=2.0))
-        values, weights = one_shot_draw(decomp, 1.0, "fi1d", 1000, 5)
-        tied = np.flatnonzero(values == values.max())
-        assert tied[-1] // optimal._AUDIT_BLOCK_ROWS > tied[0] // optimal._AUDIT_BLOCK_ROWS
-        report = audit_random_allocations(decomp, 1.0, "fi1d", 1000, seed=5)
-        freqs = np.array(decomp.paired_frequencies)
-        assert report.best_allocation == optimal._allocation_from_weights(freqs, weights[tied[0]], 1.0)
+    @pytest.mark.parametrize("trials", [1, 2, 257])
+    @pytest.mark.parametrize("budget", [1, 2 * 16_383, 2**16])
+    def test_large_m_blocks_reproduce_one_draw_exactly(self, monkeypatch, trials, budget):
+        # m = 16 383: blocks of one, two and four rows, where einsum's row sums change with the block
+        monkeypatch.setattr(optimal, "_AUDIT_BLOCK_VALUES", budget)
+        decomp = decompose(exponential_kernel(32_768, rho=0.5))
+        for objective in ("fi1d", "fi2d_x"):
+            expected = one_shot_draw(decomp, 1.0, objective, trials, 4).max()
+            assert audit_random_allocations(decomp, 1.0, objective, trials, seed=4) == expected
 
     @pytest.mark.parametrize("objective", ["fi1d", "fi2d_x"])
-    def test_row_values_keep_their_bits_in_any_block(self, objective):
-        # a BLAS matrix-vector product may group the last rows of a call differently
-        decomp = decompose(exponential_kernel(1024, rho=0.5))
+    @pytest.mark.parametrize("n", [1024, 32_768, 32_770])
+    def test_row_values_keep_their_bits_in_any_block(self, objective, n):
+        # a BLAS matrix-vector product may group the last rows of a call differently, and
+        # einsum gives a lone row other bits than the same row in a block from m = 16 383 on
+        decomp = decompose(exponential_kernel(n, rho=0.5))
         _, u, v = optimal._objective_coefficients(decomp)
         weights = np.random.Generator(np.random.Philox(3)).dirichlet(np.ones(u.size), size=257)
         alone = np.array([optimal._objective_values(w, u, v, objective) for w in weights])
-        for block in (1, 3, 256):
+        for block in (1, 2, 3, 256, 257):
             values = np.concatenate(
                 [optimal._objective_values(weights[s : s + block], u, v, objective) for s in range(0, 257, block)]
             )
-            assert values.tobytes() == alone.tobytes()
+            assert values.tobytes() == alone.tobytes(), block
+
+    def test_peak_memory_is_a_few_m_length_arrays(self):
+        # one block of 256 rows at m = 65 535 would hold 134 MB; value-sized blocks hold one row
+        decomp = decompose(exponential_kernel(2**17, rho=0.5))
+        m_bytes = (2**16 - 1) * 8
+        tracemalloc.start()
+        try:
+            audit_random_allocations(decomp, 1.0, "fi2d_x", 256, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * m_bytes, peak / m_bytes
 
     def test_peak_memory_flat_in_trials(self):
         decomp = decompose(exponential_kernel(1024, rho=0.5))
