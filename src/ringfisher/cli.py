@@ -137,13 +137,17 @@ def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: dict[Path
         for name, value in vars(args).items()
         if name != "handler"
     }
-    source = args.config if args.command == "simulate" else args.kernel
+    if args.command == "simulate":
+        kernel_file = _sim_kernel_file(args.config, rio.read_json_object(args.config, "simulation config"))
+        sources = [args.config] if kernel_file is None else [args.config, kernel_file]
+    else:
+        sources = [args.kernel]
     payload = {
         "command": args.command,
         "version": __version__,
         "seed": seed,
         "settings": settings,
-        "inputs": {str(source): rio.sha256_file(source)},
+        "inputs": {str(source): rio.sha256_file(source) for source in sources},
         "outputs": {str(path): rio.sha256_file(written) for path, written in outputs.items()},
     }
     rio.write_json(payload, manifest)
@@ -297,6 +301,15 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
     return EXIT_OK, None
 
 
+def _sim_kernel_file(path: Path, definition: dict) -> Path | None:
+    """The kernel file a simulation config names, relative to its directory, or None for an inline kernel."""
+    if "kernel" in definition:
+        return None
+    if not isinstance(definition.get("kernel_file"), str):
+        raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
+    return Path(path).parent / definition["kernel_file"]
+
+
 #: The SimConfig fields a simulation config may set, each with the reader of its JSON value
 #: (SimConfig itself checks the ``mode`` and ``estimator`` strings).
 _SIM_FIELDS = {
@@ -320,12 +333,8 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
     definition = rio.read_json_object(path, "simulation config")
     if seed_override is not None:
         definition = {**definition, "seed": seed_override}
-    if "kernel" in definition:
-        kernel = rio.kernel_from_dict(definition["kernel"])
-    elif isinstance(definition.get("kernel_file"), str):
-        kernel = rio.load_kernel(Path(path).parent / definition["kernel_file"])
-    else:
-        raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
+    kernel_file = _sim_kernel_file(path, definition)
+    kernel = rio.kernel_from_dict(definition["kernel"]) if kernel_file is None else rio.load_kernel(kernel_file)
     power = rio.json_number(definition, "power", 1.0)
     allocation = definition.get("allocation", "optimal")
     if allocation == "optimal":

@@ -7,6 +7,11 @@ On the separable torus the information splits into a product of two one-axis
 quadratic forms per direction plus a cross term that vanishes for the
 zero-integration-constant populations built here.
 
+The report's theta sweep, the torus terms and the position derivative contract
+the closed-form coefficients of ``tuning._coefficients`` with one 2m x 2m matrix
+G = W C^-1 W^T per population, W the m active frequencies' cos and sin rows:
+``_gram`` builds it in n-space, so a wrong eigenvector or eigenvalue still shows.
+
 Every function that takes a population reads the spectrum from its own
 decomposition (``pop.decomp``), so a population and its covariance cannot be
 mismatched; ``fisher_1d_spectral`` and ``fisher_max_bound`` take the
@@ -27,11 +32,11 @@ from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
+    _basis,
+    _coefficients,
     _paired_arrays,
     _spectral_sum,
     mean_derivative,
-    mean_response,
-    mean_second_derivative,
 )
 
 
@@ -39,6 +44,13 @@ def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     """Quadratic-form Fisher information at one position."""
     d = mean_derivative(pop, theta)
     return float(d @ apply_inverse(pop.decomp, d))
+
+
+def _gram(pop: TuningPopulation1D) -> np.ndarray:
+    """G = W C^-1 W^T over the ``tuning._basis`` rows W, one ``apply_inverse`` per row:
+    the information of coefficient vectors a and b is a^T G b. Shape (2m, 2m)."""
+    basis = _basis(pop)
+    return np.array([basis @ apply_inverse(pop.decomp, row) for row in basis]).reshape(len(basis), len(basis))
 
 
 def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecomposition) -> float:
@@ -57,8 +69,7 @@ def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     Vanishes identically for the populations built here; computed honestly so
     that deviations would surface.
     """
-    dd = mean_second_derivative(pop, theta)
-    return float(2.0 * (dd @ apply_inverse(pop.decomp, mean_derivative(pop, theta))))
+    return float(2.0 * (_coefficients(pop, theta, 2) @ _gram(pop) @ _coefficients(pop, theta, 1)))
 
 
 def crb(fi: float) -> float:
@@ -89,7 +100,8 @@ class FisherReport1D:
 def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> FisherReport1D:
     """Evaluate the quadratic form on a uniform grid next to its spectral value."""
     thetas = TWO_PI * np.arange(theta_samples) / theta_samples
-    values = tuple(fisher_1d(pop, t) for t in thetas)
+    d = _coefficients(pop, thetas, 1)
+    values = tuple(np.einsum("ti,ij,tj->t", d, _gram(pop), d).tolist())
     spectral = fisher_1d_spectral(pop.allocation, pop.decomp)
     return FisherReport1D(
         theta_samples=tuple(float(t) for t in thetas),
@@ -124,16 +136,12 @@ def fisher_2d(
     x-variance bound from inverting the 2x2 information matrix.
     """
     decomp, allocation = pop2d.x.decomp, pop2d.x.allocation
-    theta_x, theta_y = theta
-    gx = mean_derivative(pop2d.x, theta_x)
-    fx = mean_response(pop2d.x, theta_x)
-    gy = mean_derivative(pop2d.y, theta_y)
-    fy = mean_response(pop2d.y, theta_y)
-    dgx, dfx = apply_inverse(decomp, gx), apply_inverse(decomp, fx)
-    dgy, dfy = apply_inverse(decomp, gy), apply_inverse(decomp, fy)
-    i_x = float((gx @ dgx) * (fy @ dfy))
-    i_y = float((fx @ dfx) * (gy @ dgy))
-    i_xy = float((gx @ dfx) * (fy @ dgy))
+    # coefficient rows g_x, f_x, g_y, f_y: y has x's frequencies, so x's Gram serves both axes
+    rows = np.array([_coefficients(pop, t, order) for pop, t in zip((pop2d.x, pop2d.y), theta) for order in (1, 0)])
+    forms = rows @ _gram(pop2d.x) @ rows.T
+    i_x = float(forms[0, 0] * forms[3, 3])
+    i_y = float(forms[1, 1] * forms[2, 2])
+    i_xy = float(forms[0, 1] * forms[3, 2])
     det = i_x * i_y - i_xy * i_xy
     minimum_variance = i_y / det if det > 0 else float("inf")
     return FisherReport2D(

@@ -5,7 +5,9 @@ correlation: each active frequency k contributes amplitude T_k and phase c_k,
 with the squared amplitudes summing to the signal power budget. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
-optimal constructions concentrate the whole budget on a single frequency.
+response and its theta-derivatives are closed-form coefficients (``_coefficients``)
+on the 2m rows of the m active frequencies' cos and sin eigenvectors (``_basis``).
+The optimal constructions concentrate the whole budget on a single frequency.
 Only this module reads the paired spectrum to choose or score an allocation:
 ``check_condition`` decides whether lambda_k and k^2 lambda_k share their
 minimizer, and ``_spectral_sum`` sums T_k^2 g(k) / (k^p lambda_k) over the
@@ -155,30 +157,32 @@ class TuningPopulation2D:
         return self.x.n
 
 
-def _entry_sum(pop: TuningPopulation1D, theta, order: int) -> np.ndarray:
-    """Theta-derivative of the given order (0, 1 or 2) of the mean activity at ``theta``
-    (mod 2 pi): one row of n neurons per angle, or the bare row for a scalar ``theta``.
+def _coefficients(pop: TuningPopulation1D, theta, order: int) -> np.ndarray:
+    """Coefficients on the ``_basis`` rows of the theta-derivative of the given order
+    (0, 1 or 2) of the mean activity at ``theta`` (mod 2 pi): shape theta.shape + (2m,).
 
-    With psi = k theta + c, each active frequency contributes
-    (T/k) [sin(psi) w_k - cos(psi) w'_k] at order 0, T [cos(psi) w_k + sin(psi) w'_k]
-    at order 1 and T k [cos(psi) w'_k - sin(psi) w_k] at order 2.
+    With psi = k theta + c, active frequency k's (cos, sin) pair is (T/k)(sin psi, -cos psi)
+    at order 0, T (cos psi, sin psi) at order 1 and T k (-sin psi, cos psi) at order 2:
+    each derivative turns the pair a quarter turn and scales it by k.
     """
     angles = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    thetas = np.atleast_1d(angles)
-    out = np.zeros((thetas.size, pop.n))
-    outer = np.multiply.outer
-    for e in pop.allocation.entries:
-        psi = e.frequency * thetas + e.phase
-        sin, cos = np.sin(psi), np.cos(psi)
-        w = pop.decomp.cos_vector(e.frequency)
-        wp = pop.decomp.sin_vector(e.frequency)
-        if order == 0:
-            out += (e.amplitude / e.frequency) * (outer(sin, w) - outer(cos, wp))
-        elif order == 1:
-            out += e.amplitude * (outer(cos, w) + outer(sin, wp))
-        else:
-            out += e.amplitude * e.frequency * (outer(cos, wp) - outer(sin, w))
-    return out[0] if angles.ndim == 0 else out
+    entries = pop.allocation.entries
+    k = np.array([e.frequency for e in entries], dtype=float)
+    scale = np.array([e.amplitude for e in entries], dtype=float) * k ** (order - 1)
+    psi = np.multiply.outer(angles, k) + np.array([e.phase for e in entries])
+    on_cos, on_sin = np.sin(psi), -np.cos(psi)
+    for _ in range(order):
+        on_cos, on_sin = -on_sin, on_cos
+    return (np.stack((on_cos, on_sin), axis=-1) * scale[:, None]).reshape(angles.shape + (2 * k.size,))
+
+
+def _basis(pop: TuningPopulation1D) -> np.ndarray:
+    """The active frequencies' unit cos and sin eigenvectors as rows (2m, n), in allocation order."""
+    out = np.empty((2 * len(pop.allocation.entries), pop.n))
+    for i, e in enumerate(pop.allocation.entries):
+        out[2 * i] = pop.decomp.cos_vector(e.frequency)
+        out[2 * i + 1] = pop.decomp.sin_vector(e.frequency)
+    return out
 
 
 def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
@@ -187,17 +191,12 @@ def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
     The integral of the derivative profile with integration constants fixed
     to zero.
     """
-    return _entry_sum(pop, theta, 0)
+    return _coefficients(pop, theta, 0) @ _basis(pop)
 
 
 def mean_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Derivative of the mean activity with respect to theta (closed form)."""
-    return _entry_sum(pop, theta, 1)
-
-
-def mean_second_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
-    """Second derivative of the mean activity (closed form)."""
-    return _entry_sum(pop, theta, 2)
+    return _coefficients(pop, theta, 1) @ _basis(pop)
 
 
 def _quarter_sine(quarters: np.ndarray, lattice: int) -> np.ndarray:

@@ -792,6 +792,23 @@ class TestManifests:
         assert str(n4_kernel_file) in manifest["inputs"]
         assert manifest["command"] == "decompose"
 
+    def test_simulate_lists_the_kernel_file_it_read(self, tmp_path, n4_kernel_file):
+        config = tmp_path / "configs" / "sim.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({"kernel_file": f"../{n4_kernel_file.name}", "trials": 100, "seed": 1}))
+        assert main(["simulate", str(config), str(tmp_path / "r.json")]) == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        kernel = config.parent / f"../{n4_kernel_file.name}"
+        assert manifest["inputs"] == {
+            str(config): rio.sha256_file(config),
+            str(kernel): rio.sha256_file(n4_kernel_file),
+        }
+        # an inline kernel is part of the config, so the config is the only input
+        config.write_text(json.dumps({"kernel": json.loads(n4_kernel_file.read_text()), "trials": 100, "seed": 1}))
+        assert main(["simulate", str(config), str(tmp_path / "r.json")]) == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["inputs"] == {str(config): rio.sha256_file(config)}
+
     def test_repeat_runs_reproduce_digests(self, tmp_path, n4_kernel_file):
         out = tmp_path / "opt.json"
         main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "500"])
@@ -889,12 +906,12 @@ class TestGoldenOutputs:
         ),
         "fisher-torus": (
             ["fisher", "{torus15}", "{out}/fisher.json", "--dim", "2"],
-            {"fisher.json": "2fac04253b8efb57bc97dbe2a239e1c44dbac3e98ef3b343a22ce7f5446b66be"},
+            {"fisher.json": "ab732b567d2d0ce1e25d9027c3bc46eb2a24203b2328a4f10e02af6f681c95d4"},
         ),
         # exp16's spectral orderings disagree, so the torus optimum is a vertex_edge search
         "optimize-torus-audit": (
             ["--seed", "3", "optimize", "{exp16}", "{out}/opt2.json", "--dim", "2", "--audit-trials", "200"],
-            {"opt2.json": "6b67bd7ce3885ef447faf4e1e9e46ac39044ec10bb212d61a6fd6117bcac4475"},
+            {"opt2.json": "4d7cf09f38e4f5c0b69dfe349e8be0f97b5db9c01680885f65cf53325a4d4a72"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringfisher import fisher
 from ringfisher.errors import NonpositiveInformationError, NotPositiveSemidefiniteError
 from ringfisher.fisher import (
+    _gram,
     crb,
     fisher_1d,
     fisher_1d_spectral,
@@ -15,12 +19,14 @@ from ringfisher.fisher import (
     fisher_max_bound,
     fisher_report_1d,
 )
-from ringfisher.spectral import TWO_PI, decompose, kernel_from_spectrum
+from ringfisher.spectral import TWO_PI, apply_inverse, decompose, kernel_from_spectrum
 from ringfisher.tuning import (
     AllocationEntry,
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
+    _basis,
+    _coefficients,
     mean_derivative,
     mean_response,
     optimal_tuning_1d,
@@ -177,6 +183,55 @@ class TestFisher2D:
         pop2d = TuningPopulation2D(pop, phase_shift=0.77)
         report = fisher_2d(pop2d, theta=(2.2, 0.9))
         assert abs(report.i_xy) < CROSS_TERM_ABS
+
+
+class TestGram:
+    """One n-space Gram matrix per population serves every Fisher form."""
+
+    def test_matches_dense_solve(self, rng):
+        for n in (4, 5, 9, 16):
+            decomp = decompose(random_psd_kernel(rng, n, lam_lo=0.2))
+            pop = random_population(rng, decomp)
+            basis = _basis(pop)
+            dense = basis @ np.linalg.solve(dense_ring_matrix(decomp), basis.T)
+            np.testing.assert_allclose(_gram(pop), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    def test_empty_allocation_gives_empty_gram(self, n6_decomp):
+        pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
+        assert _gram(pop).shape == (0, 0)
+        assert _coefficients(pop, np.zeros(3), 1).shape == (3, 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 40))
+    def test_report_matches_per_theta_quadratic_form(self, n, seed, samples):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, decompose(random_psd_kernel(rng, n, lam_lo=0.2)))
+        report = fisher_report_1d(pop, theta_samples=samples)
+        expected = [fisher_1d(pop, t) for t in report.theta_samples]
+        np.testing.assert_allclose(report.fi_values, expected, rtol=1e-12, atol=0)
+
+    def test_one_inverse_per_basis_row(self, monkeypatch, rng):
+        decomp = decompose(random_psd_kernel(rng, 32, lam_lo=0.2))
+        entries = tuple(AllocationEntry(k, 0.5, 0.3 * k) for k in (1, 4, 7))
+        pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
+        calls = []
+        monkeypatch.setattr(fisher, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
+        for evaluate in (
+            lambda: fisher_report_1d(pop, theta_samples=64),
+            lambda: fisher_2d(TuningPopulation2D(pop, 0.4), theta=(0.2, 1.3)),
+            lambda: fisher_derivative(pop, 0.8),
+        ):
+            calls.clear()
+            evaluate()
+            assert calls == [(32,)] * 6
+
+    def test_second_order_coefficients_match_finite_difference(self, n6_decomp, rng):
+        pop = random_population(rng, n6_decomp)
+        h = 1e-5
+        for theta in rng.uniform(0.0, TWO_PI, size=4):
+            closed = _coefficients(pop, theta, 2) @ _basis(pop)
+            fd = (mean_derivative(pop, theta + h) - mean_derivative(pop, theta - h)) / (2.0 * h)
+            np.testing.assert_allclose(closed, fd, rtol=0, atol=FINITE_DIFFERENCE_REL * np.abs(closed).max())
 
 
 class TestCrb:
