@@ -10,7 +10,8 @@ zero-integration-constant populations built here.
 The report's theta sweep, the torus terms and the position derivative contract
 the closed-form coefficients of ``tuning._coefficients`` with one 2m x 2m matrix
 G = W C^-1 W^T per population, W the m active frequencies' cos and sin rows:
-``_gram`` builds it in n-space, so a wrong eigenvector or eigenvalue still shows.
+the population's ``_gram`` builds it once in n-space, so a wrong eigenvector or
+eigenvalue still shows.
 
 Every function that takes a population reads the spectrum from its own
 decomposition (``pop.decomp``), so a population and its covariance cannot be
@@ -32,7 +33,6 @@ from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
-    _basis,
     _coefficients,
     _paired_arrays,
     _spectral_sum,
@@ -44,13 +44,6 @@ def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     """Quadratic-form Fisher information at one position."""
     d = mean_derivative(pop, theta)
     return float(d @ apply_inverse(pop.decomp, d))
-
-
-def _gram(pop: TuningPopulation1D) -> np.ndarray:
-    """G = W C^-1 W^T over the ``tuning._basis`` rows W, one ``apply_inverse`` per row:
-    the information of coefficient vectors a and b is a^T G b. Shape (2m, 2m)."""
-    basis = _basis(pop)
-    return np.array([basis @ apply_inverse(pop.decomp, row) for row in basis]).reshape(len(basis), len(basis))
 
 
 def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecomposition) -> float:
@@ -69,7 +62,7 @@ def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     Vanishes identically for the populations built here; computed honestly so
     that deviations would surface.
     """
-    return float(2.0 * (_coefficients(pop, theta, 2) @ _gram(pop) @ _coefficients(pop, theta, 1)))
+    return float(2.0 * (_coefficients(pop, theta, 2) @ pop._gram @ _coefficients(pop, theta, 1)))
 
 
 def crb(fi: float) -> float:
@@ -101,7 +94,7 @@ def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> Fisher
     """Evaluate the quadratic form on a uniform grid next to its spectral value."""
     thetas = TWO_PI * np.arange(theta_samples) / theta_samples
     d = _coefficients(pop, thetas, 1)
-    values = tuple(np.einsum("ti,ij,tj->t", d, _gram(pop), d).tolist())
+    values = tuple(np.einsum("ti,ij,tj->t", d, pop._gram, d).tolist())
     spectral = fisher_1d_spectral(pop.allocation, pop.decomp)
     return FisherReport1D(
         theta_samples=tuple(float(t) for t in thetas),
@@ -138,7 +131,7 @@ def fisher_2d(
     decomp, allocation = pop2d.x.decomp, pop2d.x.allocation
     # coefficient rows g_x, f_x, g_y, f_y: y has x's frequencies, so x's Gram serves both axes
     rows = np.array([_coefficients(pop, t, order) for pop, t in zip((pop2d.x, pop2d.y), theta) for order in (1, 0)])
-    forms = rows @ _gram(pop2d.x) @ rows.T
+    forms = rows @ pop2d.x._gram @ rows.T
     i_x = float(forms[0, 0] * forms[3, 3])
     i_y = float(forms[1, 1] * forms[2, 2])
     i_xy = float(forms[0, 1] * forms[3, 2])

@@ -15,8 +15,8 @@ tests read whole responses with a dense solve and explicit cos/sin projections
 as its oracle). The local estimate of a step delta is
 sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position (both sums are
 ``tuning._spectral_sum``), with noise
-variance sigma^2 / I per snapshot; the phase projections of f(theta) are
-(T/k)(sin psi, -cos psi) with psi = k theta + c, with noise sigma^2 lambda_k
+variance sigma^2 / I per snapshot; the phase projections of f(theta) are its
+order-0 coefficients (``tuning._coefficients``), with noise sigma^2 lambda_k
 times the 2 x 2 identity. A snapshot costs one normal (local) or two (phase)
 per trial, whatever n. One noisy snapshot against a known mean bounds the
 variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the one
@@ -46,8 +46,9 @@ from .spectral import (
     _nonnegative,
     _positive,
 )
+from .tuning import TuningPopulation1D, _coefficients, _spectral_sum
 # not called here: perfbench/tests pin mcsim.mean_derivative as the traced tuning.mean_derivative
-from .tuning import TuningPopulation1D, _spectral_sum, mean_derivative  # noqa: F401
+from .tuning import mean_derivative  # noqa: F401
 
 Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
@@ -92,13 +93,13 @@ class NoiseModel:
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
 
-def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float, float]:
+def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float]:
     if len(pop.allocation.entries) != 1:
         raise MultiModePopulationError(
             f"phase readout needs exactly one active frequency, got {len(pop.allocation.entries)}"
         )
     e = pop.allocation.entries[0]
-    return e.frequency, e.amplitude, e.phase
+    return e.frequency, e.phase
 
 
 def _phase_angle(k: int, phase: float, a, b):
@@ -193,14 +194,13 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
             return (shift + change) / info
 
     else:
-        k, amplitude, phase = _single_frequency(pop)
+        k, phase = _single_frequency(pop)
         sd = config.noise_scale * float(_sqrt_eigenvalues(pop.decomp)[k])
         period = TWO_PI / k
         info = _spectral_sum(pop.allocation, pop.decomp, 0)
 
         def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
-            psi = k * np.array([theta + delta, theta]) + phase
-            plus, ref = (amplitude / k) * np.column_stack([np.sin(psi), -np.cos(psi)])
+            plus, ref = _coefficients(pop, np.array([theta + delta, theta]), 0)
             plus = plus + sd * rng.standard_normal((trials, 2))
             if two_snapshot:
                 ref = ref + sd * rng.standard_normal((trials, 2))

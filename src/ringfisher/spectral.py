@@ -345,7 +345,3 @@ class TorusCorrelation:
     """
 
     axis: SpectralDecomposition
-
-    @property
-    def n(self) -> int:
-        return self.axis.n

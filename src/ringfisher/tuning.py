@@ -6,7 +6,8 @@ with the squared amplitudes summing to the signal power budget. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
 response and its theta-derivatives are closed-form coefficients (``_coefficients``)
-on the 2m rows of the m active frequencies' cos and sin eigenvectors (``_basis``).
+on the 2m rows of the m active frequencies' cos and sin eigenvectors (``_basis``),
+and a population builds its Gram G = W C^-1 W^T on those rows once (``_gram``).
 The optimal constructions concentrate the whole budget on a single frequency.
 Only this module reads the paired spectrum to choose or score an allocation:
 ``check_condition`` decides whether lambda_k and k^2 lambda_k share their
@@ -18,6 +19,7 @@ axis curves, which are sampled as exact shifts of the one waveform.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConditionViolatedError, ResolutionOutOfRangeError
-from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive
+from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, apply_inverse
 
 FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
@@ -88,9 +90,6 @@ class PowerAllocation:
     def max_frequency(self) -> int:
         return max((e.frequency for e in self.entries), default=0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TuningPopulation1D:
@@ -109,6 +108,15 @@ class TuningPopulation1D:
     @property
     def n(self) -> int:
         return self.decomp.n
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        """G = W C^-1 W^T over the ``_basis`` rows W, one ``apply_inverse`` per row, built once
+        and read-only: the information of coefficient vectors a and b is a^T G b. Shape (2m, 2m)."""
+        basis = _basis(self)
+        gram = np.array([basis @ apply_inverse(self.decomp, row) for row in basis]).reshape(len(basis), len(basis))
+        gram.flags.writeable = False
+        return gram
 
 
 def _phase_shift_problem(shift: float, k_max: int) -> str | None:

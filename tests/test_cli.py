@@ -173,6 +173,23 @@ class TestFisherCommand:
         assert "(paired: 1..2047)" in err
         assert len(err) < 200
 
+    def test_non_optimal_paired_k_on_the_torus(self, tmp_path, monkeypatch):
+        from ringfisher import tuning
+        from ringfisher.spectral import apply_inverse
+
+        # the smallest eigenvalue is at k = 2, so k = 1 is paired but not the optimum
+        kernel_file = spectrum_kernel_file(tmp_path, 8, [2.0, 0.5, 0.25, 1.0, 3.0])
+        calls = []
+        monkeypatch.setattr(tuning, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
+        out = tmp_path / "fisher.json"
+        assert main(["fisher", str(kernel_file), str(out), "--k", "1", "--dim", "2", "--power", "2"]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["fi_spectral"] == pytest.approx(2.0 / 0.5, rel=1e-12)
+        np.testing.assert_allclose(payload["fi_theta"], payload["fi_spectral"], rtol=1e-12, atol=0)
+        assert payload["i_x"] == pytest.approx(payload["product_form"], rel=1e-12)
+        # one Gram of the one active frequency's two rows serves the report and the torus terms
+        assert calls == [(8,)] * 2
+
 
 class TestField2dCommand:
     def test_single_bump(self, tmp_path, n4_kernel_file):
@@ -552,8 +569,9 @@ class TestMalformedFieldTypes:
             ("exponential", {"rho": "0.5"}),
             ("exponential", {"c0": True, "rho": 0.5}),
             ("explicit", {"values": [1.0, None, 0.25, 0.1, 0.05]}),
+            ("gaussian", {"length": 0}),
         ],
-        ids=["params-list", "params-null", "rho-null", "rho-string", "c0-bool", "value-null"],
+        ids=["params-list", "params-null", "rho-null", "rho-string", "c0-bool", "value-null", "length-zero"],
     )
     def test_kernel_exit_2(self, tmp_path, capsys, family, params):
         kernel_file = tmp_path / "kernel.json"
@@ -583,6 +601,17 @@ class TestMalformedFieldTypes:
         config_file.write_text(json.dumps(config))
         assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unknown_allocation_names_both_forms(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "allocation": "best", "trials": 200,
+        }))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'optimal'" in err and "list of {frequency, amplitude, phase}" in err
         assert not (tmp_path / "r.json").exists()
 
 

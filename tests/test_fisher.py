@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringfisher import fisher
+from ringfisher import tuning
 from ringfisher.errors import NonpositiveInformationError, NotPositiveSemidefiniteError
 from ringfisher.fisher import (
-    _gram,
     crb,
     fisher_1d,
     fisher_1d_spectral,
@@ -194,11 +193,11 @@ class TestGram:
             pop = random_population(rng, decomp)
             basis = _basis(pop)
             dense = basis @ np.linalg.solve(dense_ring_matrix(decomp), basis.T)
-            np.testing.assert_allclose(_gram(pop), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+            np.testing.assert_allclose(pop._gram, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
     def test_empty_allocation_gives_empty_gram(self, n6_decomp):
         pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
-        assert _gram(pop).shape == (0, 0)
+        assert pop._gram.shape == (0, 0)
         assert _coefficients(pop, np.zeros(3), 1).shape == (3, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -215,15 +214,21 @@ class TestGram:
         entries = tuple(AllocationEntry(k, 0.5, 0.3 * k) for k in (1, 4, 7))
         pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
         calls = []
-        monkeypatch.setattr(fisher, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
-        for evaluate in (
-            lambda: fisher_report_1d(pop, theta_samples=64),
-            lambda: fisher_2d(TuningPopulation2D(pop, 0.4), theta=(0.2, 1.3)),
-            lambda: fisher_derivative(pop, 0.8),
-        ):
-            calls.clear()
-            evaluate()
-            assert calls == [(32,)] * 6
+        monkeypatch.setattr(tuning, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
+        fisher_report_1d(pop, theta_samples=64)
+        fisher_2d(TuningPopulation2D(pop, 0.4), theta=(0.2, 1.3))
+        fisher_derivative(pop, 0.8)
+        # the population builds its Gram once, whichever form reads it first
+        assert calls == [(32,)] * 6
+        twin = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
+        assert twin == pop and twin is not pop
+        fisher_derivative(twin, 0.8)
+        assert calls == [(32,)] * 12
+
+    def test_gram_is_read_only(self, rng):
+        pop = random_population(rng, decompose(random_psd_kernel(rng, 8, lam_lo=0.2)))
+        with pytest.raises(ValueError):
+            pop._gram[0, 0] = 1.0
 
     def test_second_order_coefficients_match_finite_difference(self, n6_decomp, rng):
         pop = random_population(rng, n6_decomp)

@@ -24,6 +24,7 @@ from ringfisher.mcsim import (
     run_path_integration,
 )
 from ringfisher.spectral import (
+    TWO_PI,
     CorrelationKernel,
     SpectralDecomposition,
     TorusCorrelation,
@@ -36,6 +37,7 @@ from ringfisher.tuning import (
     AllocationEntry,
     PowerAllocation,
     TuningPopulation1D,
+    _coefficients,
     mean_derivative,
     mean_response,
     optimal_tuning_1d,
@@ -509,6 +511,38 @@ class TestPhaseEstimator:
         )
         result = run_displacement_trials(config)
         assert result.empirical_variance == pytest.approx(result.crb_reference, rel=0.10)
+
+
+@st.composite
+def _phase_projection_cases(draw):
+    n = draw(st.integers(4, 256))
+    k = draw(st.integers(1, (n - 1) // 2))
+    power = draw(st.one_of(st.just(1.0), st.floats(1e-2, 1e9)))
+    phase, theta = (draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    return n, k, power, phase, theta, draw(st.floats(-0.01, 0.01))
+
+
+class TestPhaseProjections:
+    """The phase readout's projections are the order-0 coefficients of ``tuning``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_phase_projection_cases())
+    def test_match_the_inline_formula(self, case):
+        n, k, power, phase, theta, delta = case
+        pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation.single(k, power, phase))
+        amplitude = pop.allocation.entries[0].amplitude
+        thetas = np.array([theta + delta, theta])
+        got = _coefficients(pop, thetas, 0)
+        # reference: the projections in closed form, (T/k)(sin psi, -cos psi) with psi = k theta + c
+        psi = k * thetas + phase
+        expected = (amplitude / k) * np.column_stack([np.sin(psi), -np.cos(psi)])
+        if power == 1.0 and all(0.0 <= t < TWO_PI for t in thetas):
+            np.testing.assert_array_equal(got, expected)
+        else:
+            # _coefficients reduces theta mod 2 pi first and scales by T k^-1
+            eps = 2.0**-52
+            bound = 8 * eps * (k * (abs(theta) + abs(delta) + TWO_PI) + abs(phase)) * amplitude / k
+            assert np.max(np.abs(got - expected)) <= bound
 
 
 class TestRunDisplacementTrials:

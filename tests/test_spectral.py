@@ -432,6 +432,15 @@ class TestKernelFamilies:
         with pytest.raises(NotPositiveSemidefiniteError):
             gaussian_kernel(8, length=4.0)
 
+    def test_spectrum_of_the_wrong_length_rejected(self):
+        with pytest.raises(MalformedKernelError, match="need 5 eigenvalues for n=8"):
+            kernel_from_spectrum(8, [1.0, 0.5, 0.25, 0.1])
+
+    @pytest.mark.parametrize("frequency", [0, 3])
+    def test_singleton_has_no_sine_vector(self, n6_decomp, frequency):
+        with pytest.raises(UnpairedModeError):
+            n6_decomp.sin_vector(frequency)
+
 
 class TestOneSpectrumPerKernel:
     """The spectrum is transformed once, when the kernel is built, and shared from then on."""

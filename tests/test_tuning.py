@@ -62,6 +62,14 @@ class TestAllocation:
         with pytest.raises(ValueError, match="phase must be finite"):
             PowerAllocation(entries=(AllocationEntry(1, 0.5, phase),))
 
+    def test_frequency_zero_rejected(self):
+        with pytest.raises(ValueError, match="frequencies must be >= 1"):
+            PowerAllocation(entries=(AllocationEntry(0, 0.5),))
+
+    def test_single_needs_positive_power(self):
+        with pytest.raises(ValueError, match="power must be positive"):
+            PowerAllocation.single(1, 0.0)
+
     def test_unpaired_frequency_rejected_on_population(self, n4_decomp):
         with pytest.raises(ValueError):
             TuningPopulation1D(n4_decomp, PowerAllocation.single(2, 1.0))
