@@ -31,7 +31,7 @@ def main(argv: list[str]) -> int:
             sys.exit(f"{label} failed")
         peak_mb = usage.ru_maxrss / 1024
         worst = max(worst, peak_mb)
-        print(f"{label}: peak RSS {peak_mb:.1f} MB, wall {time.perf_counter() - start:.1f} s", flush=True)
+        print(f"{label}: peak RSS {peak_mb:.1f} MB, wall {time.perf_counter() - start:.3f} s", flush=True)
     return int(worst > bound_mb)
 
 

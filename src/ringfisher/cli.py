@@ -6,7 +6,8 @@ output digests so runs can be reproduced and compared byte for byte.
 
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
 optimization, 5 bad parameter range, 6 simulation failure. A request too large
-to allocate exits 6 from ``simulate`` and 5 from any other command. A failed
+to allocate, or a result that overflows to infinity or NaN at accepted flag
+values, exits 6 from ``simulate`` and 5 from any other command. A failed
 command changes no file: every output and the manifest are written to staging
 files beside their targets and renamed into place, the manifest last, only
 once all are written; a failure removes the staging files.
@@ -21,6 +22,7 @@ loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import os
@@ -184,6 +186,15 @@ def _require_count(flag: str, value: int, minimum: int) -> None:
         raise ParameterRangeError(f"{flag} must be >= {minimum}, got {value}")
 
 
+@contextlib.contextmanager
+def _finite_at(flags: str):
+    """Turn a result that is not finite into a ParameterRangeError naming the ``flags`` it was computed at."""
+    try:
+        yield
+    except rio.NonFiniteError as exc:
+        raise ParameterRangeError(f"the result is not finite at {flags}: {exc}") from None
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -240,7 +251,8 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
         "dim": args.dim,
         "power": args.power,
     }
-    rio.write_json(payload, out)
+    with _finite_at(f"--power {args.power!r}"):
+        rio.write_json(payload, out)
     if curves_out is not None:
         pop = TuningPopulation1D(kernel, search.allocation)
         rio.write_curves_csv(pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0)
@@ -267,7 +279,8 @@ def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None]:
     if args.dim == 2:
         pop2d = TuningPopulation2D(pop)
         payload.update(fisher_2d(pop2d).to_dict())
-    rio.write_json(payload, out)
+    with _finite_at(f"--power {args.power!r}"):
+        rio.write_json(payload, out)
     print(rio.dumps_json(payload))
     return EXIT_OK, None
 
@@ -296,7 +309,9 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
         raise ParameterRangeError(f"--phase-shift {problem}")
     pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
-    rio.write_pgm(cx, cy, out_pgm)
+    offset = "" if args.offset is None else f" and --offset {args.offset!r}"
+    with _finite_at(f"--power {args.power!r}{offset}"):
+        rio.write_pgm(cx, cy, out_pgm)
     rio.write_field_csv(cx, cy, out_csv)
     return EXIT_OK, None
 
@@ -370,17 +385,13 @@ def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tup
     for w in caught:
         _warn(str(w.message))
     payload = result.to_dict()
-    not_finite = [
-        f"{name} = {value}"
-        for name, value in payload.items()
-        if isinstance(value, float) and not math.isfinite(value)
-    ]
-    if not_finite:
+    try:
+        rio.write_json(payload, out)
+    except rio.NonFiniteError as exc:
         raise ValueError(
-            f"result is not finite ({', '.join(not_finite)}); there is no Cramer-Rao "
-            "bound to compare with, as when the active frequency's noise eigenvalue is 0"
-        )
-    rio.write_json(payload, out)
+            f"result is not finite ({exc}); there is no Cramer-Rao bound to compare "
+            "with, as when the active frequency's noise eigenvalue is 0"
+        ) from None
     if dump is not None:
         rio.write_trials_csv(estimates, dump)
     print(rio.dumps_json(payload))

@@ -23,12 +23,12 @@ information, p = 2 the torus factor.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonpositiveInformationError
-from .spectral import TWO_PI, SpectralDecomposition, apply_inverse
+from .spectral import TWO_PI, SpectralDecomposition, _Record, apply_inverse
 from .tuning import (
     PowerAllocation,
     TuningPopulation1D,
@@ -73,21 +73,12 @@ def crb(fi: float) -> float:
 
 
 @dataclass(frozen=True)
-class FisherReport1D:
+class FisherReport1D(_Record):
     theta_samples: tuple[float, ...]
-    fi_values: tuple[float, ...]
+    fi_theta: tuple[float, ...]
     fi_spectral: float
     fi_max_bound: float
     crb: float
-
-    def to_dict(self) -> dict:
-        return {
-            "fi_theta": list(self.fi_values),
-            "theta_samples": list(self.theta_samples),
-            "fi_spectral": self.fi_spectral,
-            "fi_max_bound": self.fi_max_bound,
-            "crb": self.crb,
-        }
 
 
 def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> FisherReport1D:
@@ -98,7 +89,7 @@ def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> Fisher
     spectral = fisher_1d_spectral(pop.allocation, pop.decomp)
     return FisherReport1D(
         theta_samples=tuple(float(t) for t in thetas),
-        fi_values=values,
+        fi_theta=values,
         fi_spectral=spectral,
         fi_max_bound=fisher_max_bound(pop.decomp, pop.allocation.power),
         crb=crb(spectral) if spectral > 0 else float("inf"),
@@ -106,15 +97,12 @@ def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> Fisher
 
 
 @dataclass(frozen=True)
-class FisherReport2D:
+class FisherReport2D(_Record):
     i_x: float
     i_y: float
     i_xy: float
     product_form: float
     minimum_variance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fisher_2d(
@@ -131,10 +119,11 @@ def fisher_2d(
     decomp, allocation = pop2d.x.decomp, pop2d.x.allocation
     # coefficient rows g_x, f_x, g_y, f_y: y has x's frequencies, so x's Gram serves both axes
     rows = np.array([_coefficients(pop, t, order) for pop, t in zip((pop2d.x, pop2d.y), theta) for order in (1, 0)])
-    forms = rows @ pop2d.x._gram @ rows.T
-    i_x = float(forms[0, 0] * forms[3, 3])
-    i_y = float(forms[1, 1] * forms[2, 2])
-    i_xy = float(forms[0, 1] * forms[3, 2])
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the CLI reports
+        forms = (rows @ pop2d.x._gram @ rows.T).tolist()
+    i_x = forms[0][0] * forms[3][3]
+    i_y = forms[1][1] * forms[2][2]
+    i_xy = forms[0][1] * forms[3][2]
     det = i_x * i_y - i_xy * i_xy
     minimum_variance = i_y / det if det > 0 else float("inf")
     return FisherReport2D(

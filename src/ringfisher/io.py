@@ -29,6 +29,10 @@ if TYPE_CHECKING:
 _HASH_CHUNK_BYTES = 1 << 20
 
 
+class NonFiniteError(ValueError):
+    """A result holds a NaN or infinite value, which no output format here can hold."""
+
+
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedKernelError(f"{name} must be a number, got {json.dumps(value)}")
@@ -199,22 +203,30 @@ def write_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
 
     The field's extremes are among the four products of the curves' extremes:
     each is an exact field entry and rounding is monotone, so they are the
-    min and max of ``np.outer(cx, cy)`` without forming it.
+    min and max of ``np.outer(cx, cy)`` without forming it. Raises
+    NonFiniteError, before the file is opened, when one of them is not finite.
     """
     cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
-    corners = np.multiply.outer([cx.min(), cx.max()], [cy.min(), cy.max()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = np.multiply.outer([cx.min(), cx.max()], [cy.min(), cy.max()])
     lo, hi = float(corners.min()), float(corners.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteError(f"field min = {lo}, field max = {hi}")
+    # where 255 (hi - lo) overflows, the row and the range are scaled by 2**-16 first: a power
+    # of two, so every step rounds as it would without the overflow
+    scale = 1.0 if math.isfinite(255.0 * (hi - lo)) else 2.0**-16
+    lo, span = lo * scale, hi * scale - lo * scale
     with open(path, "wb") as handle:
         handle.write(f"P5\n{cy.size} {cx.size}\n255\n".encode("ascii"))
         for value in cx.tolist():
-            if lo == hi:
+            if span == 0.0:
                 handle.write(bytes(cy.size))
                 continue
             # rint(255.0 * (f - lo) / (hi - lo)) in that operation order, in one working row
-            scaled = value * cy
+            scaled = (value * scale) * cy
             scaled -= lo
             scaled *= 255.0
-            scaled /= hi - lo
+            scaled /= span
             handle.write(np.rint(scaled, out=scaled).astype(np.uint8).tobytes())
 
 
@@ -230,14 +242,34 @@ def write_trials_csv(estimates: np.ndarray, path: str | Path) -> None:
 def write_json(payload: dict, path: str | Path) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
 
-    Raises ValueError, before the file is opened, on a NaN or infinite value,
-    which JSON cannot hold.
+    Raises NonFiniteError, before the file is opened, on a NaN or infinite
+    value, which JSON cannot hold.
     """
     Path(path).write_text(dumps_json(payload) + "\n")
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """``write_json``'s text; NonFiniteError lists ``key = value`` for the first NaN or
+    infinite value under each key, with nested keys dotted and a list's entries under its key."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found: dict[str, float] = {}
+        _non_finite(payload, "", found)
+        if not found:
+            raise
+        raise NonFiniteError(", ".join(f"{key} = {value}" for key, value in sorted(found.items()))) from None
+
+
+def _non_finite(value, key: str, found: dict[str, float]) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        found.setdefault(key, value)
+    elif isinstance(value, dict):
+        for name, entry in value.items():
+            _non_finite(entry, f"{key}.{name}" if key else str(name), found)
+    elif isinstance(value, (list, tuple)):
+        for entry in value:
+            _non_finite(entry, key, found)
 
 
 def sha256_file(path: str | Path) -> str:

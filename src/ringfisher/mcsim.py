@@ -32,7 +32,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -45,6 +45,7 @@ from .spectral import (
     _columns_to_bins,
     _nonnegative,
     _positive,
+    _Record,
 )
 from .tuning import TuningPopulation1D, _coefficients, _spectral_sum
 # not called here: perfbench/tests pin mcsim.mean_derivative as the traced tuning.mean_derivative
@@ -148,7 +149,7 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(_Record):
     """Aggregated displacement-estimation statistics versus the bound."""
 
     mean_estimate: float
@@ -163,9 +164,6 @@ class SimResult:
     mode: Mode
     estimator: Estimator
     delta_theta: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
@@ -247,7 +245,7 @@ def run_displacement_trials(
 
 
 @dataclass(frozen=True)
-class PathIntegrationReport:
+class PathIntegrationReport(_Record):
     """Drift statistics for accumulated small-displacement estimates."""
 
     steps: int
@@ -258,9 +256,6 @@ class PathIntegrationReport:
     single_step_variance: float
     linear_growth_ratio: float
     variance_by_step: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_path_integration(

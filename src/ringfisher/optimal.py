@@ -21,12 +21,12 @@ from ``tuning.check_condition``, so this module only searches and audits.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _Record
 from .tuning import PowerAllocation, _paired_arrays, check_condition, optimal_tuning_1d
 
 Objective = Literal["fi1d", "fi2d_x"]
@@ -36,14 +36,11 @@ _AUDIT_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
-class AllocationSearchResult:
+class AllocationSearchResult(_Record):
     allocation: PowerAllocation
     achieved_fi: float
     method: Literal["closed_form", "vertex_edge"]
     audit_margin: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _objective_coefficients(
@@ -96,10 +93,11 @@ def audit_random_allocations(
     alpha = np.ones(freqs.size)
     rows = max(1, _AUDIT_BLOCK_VALUES // freqs.size)
     best = -np.inf
-    for start in range(0, trials, rows):
-        weights = rng.dirichlet(alpha, size=min(rows, trials - start))
-        weights *= power
-        best = max(best, float(np.max(_objective_values(weights, u, v, objective))))
+    with np.errstate(over="ignore"):  # an overflowing objective is infinite
+        for start in range(0, trials, rows):
+            weights = rng.dirichlet(alpha, size=min(rows, trials - start))
+            weights *= power
+            best = max(best, float(np.max(_objective_values(weights, u, v, objective))))
     return best
 
 
@@ -124,15 +122,17 @@ def _upper_hull(u: np.ndarray, v: np.ndarray) -> list[int]:
     Andrew's monotone chain over the points sorted by u, then v; points on a
     hull edge's interior are dropped.
     """
+    order = np.lexsort((v, u))
+    u, v = u[order].tolist(), v[order].tolist()  # Python floats, in sorted order: the same IEEE operations
     hull: list[int] = []
-    for k in np.lexsort((v, u)):
+    for k in range(len(u)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             if (u[b] - u[a]) * (v[k] - v[a]) - (v[b] - v[a]) * (u[k] - u[a]) < 0.0:
                 break
             hull.pop()
-        hull.append(int(k))
-    return hull
+        hull.append(k)
+    return order[hull].tolist()
 
 
 def maximize_fisher_2d(
@@ -153,19 +153,20 @@ def maximize_fisher_2d(
     """
     freqs, u, v = _objective_coefficients(decomp)
     k = int(np.argmax(u * v))
-    best_w, best_val = {k: power}, float((u[k] * power) * (v[k] * power))
+    best_w, best_val = {k: power}, (u.item(k) * power) * (v.item(k) * power)
     method = "closed_form" if check_condition(decomp).concentration_valid else "vertex_edge"
 
     hull = _upper_hull(u, v)
     for a, b in zip(hull, hull[1:]):
         i, j = min(a, b), max(a, b)
-        quad = (u[i] - u[j]) * (v[i] - v[j])
-        lin = (u[i] - u[j]) * v[j] + u[j] * (v[i] - v[j])
+        ui, uj, vi, vj = u.item(i), u.item(j), v.item(i), v.item(j)
+        quad = (ui - uj) * (vi - vj)
+        lin = (ui - uj) * vj + uj * (vi - vj)
         if quad < 0.0:  # u and v trade off along the edge: an interior maximum may exist
             t = -lin / (2.0 * quad)
             if 0.0 < t < 1.0:
                 wi, wj = power * t, power * (1.0 - t)
-                val = float((u[i] * wi + u[j] * wj) * (v[i] * wi + v[j] * wj))
+                val = (ui * wi + uj * wj) * (vi * wi + vj * wj)
                 if val > best_val:
                     best_w, best_val, method = {i: wi, j: wj}, val, "vertex_edge"
 

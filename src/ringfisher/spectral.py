@@ -240,8 +240,15 @@ def decompose(kernel: CorrelationKernel) -> SpectralDecomposition:
     return kernel
 
 
+class _Record:
+    """Base of every result record, a frozen dataclass whose JSON form is its fields."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class PsdReport:
+class PsdReport(_Record):
     """Validity report for a decomposed kernel, never raised as an error."""
 
     min_eigenvalue: float
@@ -249,9 +256,6 @@ class PsdReport:
     valid: bool
     strictly_positive: bool
     negative_frequencies: tuple[int, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def validate_psd(decomp: SpectralDecomposition) -> PsdReport:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConditionViolatedError, ResolutionOutOfRangeError
-from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, apply_inverse
+from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, _Record, apply_inverse
 
 FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
@@ -272,7 +272,7 @@ def _strictly_decreasing(scores: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Record):
     """Orderings of the paired spectrum that govern 2D concentration."""
 
     lambda_order_ok: bool
@@ -280,9 +280,6 @@ class ConditionReport:
     argmin_lambda: int
     argmin_k2lambda: int
     concentration_valid: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
@@ -306,13 +303,15 @@ def _spectral_sum(
 ) -> float:
     """Sum over the allocation's entries, in order, of T^2 g(k) / (k^p lambda_k), g = 1 if None.
 
-    NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite sum.
+    NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite
+    sum, and so does an overflow, silently.
     """
     lams = _nonnegative(decomp.eigenvalues)
     total = 0.0
-    for e in allocation.entries:
-        k = e.frequency
-        total += e.amplitude**2 * (1.0 if g is None else g(k)) / (k**p * lams[k])
+    with np.errstate(over="ignore"):
+        for e in allocation.entries:
+            k = e.frequency
+            total += e.amplitude**2 * (1.0 if g is None else g(k)) / (k**p * lams[k])
     return float(total)
 
 

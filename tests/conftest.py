@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,16 @@ def whole_array_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
     with open(path, "wb") as handle:
         handle.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         handle.write(pixels.tobytes())
+
+
+def exact_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
+    """Exact oracle for ``io.write_pgm``: each field entry, the IEEE product cx[a] * cy[b],
+    as a Fraction, scaled as round(255 (f - lo) / (hi - lo)) with ties to even."""
+    field = [[Fraction(a * b) for b in cy.tolist()] for a in cx.tolist()]
+    lo, hi = min(map(min, field)), max(map(max, field))
+    pixels = bytes(0 if lo == hi else round(255 * (f - lo) / (hi - lo)) for row in field for f in row)
+    with open(path, "wb") as handle:
+        handle.write(f"P5\n{len(cy)} {len(cx)}\n255\n".encode("ascii") + pixels)
 
 
 def csv_module_curves_csv(

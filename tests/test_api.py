@@ -1,5 +1,6 @@
 """The public API is pinned, so test-only helpers cannot creep back into the package."""
 
+import dataclasses
 import importlib
 import inspect
 import types
@@ -53,6 +54,12 @@ DELETED_ATTRIBUTES = [
     ("spectral", "TorusCorrelation", "n"),
     ("tuning", "PowerAllocation", "to_dict"),
 ]
+# Result records, whose JSON form is their fields: all inherit the one ``to_dict``.
+RECORDS = [
+    ("spectral", "PsdReport"), ("tuning", "ConditionReport"), ("fisher", "FisherReport1D"),
+    ("fisher", "FisherReport2D"), ("optimal", "AllocationSearchResult"), ("mcsim", "SimResult"),
+    ("mcsim", "PathIntegrationReport"),
+]
 
 
 def test_all_is_pinned():
@@ -94,6 +101,19 @@ def test_test_only_name_absent(module, name):
 @pytest.mark.parametrize("module,owner,name", TEST_ONLY_ATTRIBUTES + DELETED_ATTRIBUTES)
 def test_test_only_attribute_absent(module, owner, name):
     assert not hasattr(getattr(importlib.import_module(f"ringfisher.{module}"), owner), name)
+
+
+@pytest.mark.parametrize("module,name", RECORDS)
+def test_record_inherits_the_one_serialiser(module, name):
+    record = getattr(importlib.import_module(f"ringfisher.{module}"), name)
+    assert dataclasses.is_dataclass(record)
+    assert "to_dict" not in vars(record)
+    assert record.to_dict is ringfisher.spectral._Record.to_dict
+
+
+def test_fisher_report_1d_fields_are_its_json_keys():
+    fields = [f.name for f in dataclasses.fields(ringfisher.FisherReport1D)]
+    assert fields == ["theta_samples", "fi_theta", "fi_spectral", "fi_max_bound", "crb"]
 
 
 def test_from_powers_takes_powers_only():

@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -720,6 +722,62 @@ class TestParameterRanges:
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
+
+
+class TestOverflowingResults:
+    """Accepted --power and --offset values whose results overflow: exit 5, no file and no
+    Python warning, or, when only the graymap's scaling overflowed, the exact image."""
+
+    @pytest.fixture
+    def kernel(self, tmp_path):
+        kernel = tmp_path / "K.json"
+        kernel.write_text(json.dumps({"n": 64, "family": "exponential", "params": {"c0": 1.0, "rho": 0.5}}))
+        return kernel
+
+    @staticmethod
+    def run(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        return code
+
+    @pytest.mark.parametrize(
+        "argv, flag, keys",
+        [
+            (
+                ["--offset", "1.7e308", "field2d", "K.json", "g.pgm", "g.csv", "--k", "2", "--res", "8"],
+                "--offset 1.7e+308",
+                "field max = inf",
+            ),
+            (["fisher", "K.json", "o.json", "--power", "1e308"], "--power 1e+308", "fi_spectral = inf"),
+            (["fisher", "K.json", "o.json", "--dim", "2", "--power", "1e200"], "--power 1e+200", "i_x = inf"),
+            (["fisher", "K.json", "o.json", "--dim", "2", "--power", "1e-200"], "--power 1e-200", "minimum_variance = inf"),
+            (["optimize", "K.json", "o.json", "--power", "1e308"], "--power 1e+308", "search.achieved_fi = inf"),
+            (["optimize", "K.json", "o.json", "--power", "1e-320"], "--power 1e-320", "fisher.crb = inf"),
+        ],
+        ids=["field2d-offset", "fisher-1d", "fisher-2d-large", "fisher-2d-small", "optimize-large", "optimize-small"],
+    )
+    def test_non_finite_result_exit_5(self, tmp_path, kernel, capsys, argv, flag, keys):
+        assert self.run([str(tmp_path / a) if a.endswith((".json", ".pgm", ".csv")) else a for a in argv]) == 5
+        err = capsys.readouterr().err
+        assert "error: the result is not finite at --power" in err and flag in err and keys in err
+        assert "Warning" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["K.json"]
+
+    def test_graymap_of_a_finite_field_whose_range_overflows_is_exact(self, tmp_path, kernel, capsys):
+        pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
+        argv = ["field2d", str(kernel), str(pgm), str(csv_out), "--k", "3", "--power", "1e308", "--res", "8"]
+        assert self.run(argv) == 0
+        assert "Warning" not in capsys.readouterr().err
+        field = read_field_csv(csv_out)
+        lo, hi = float(field.min()), float(field.max())
+        assert np.isfinite(field).all() and not math.isfinite(255.0 * (hi - lo))
+        pixels = np.frombuffer(pgm.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+        lo, hi = Fraction(lo), Fraction(hi)
+        expected = [round(255 * (Fraction(f) - lo) / (hi - lo)) for f in field.ravel().tolist()]
+        assert pixels.tolist() == expected
+        assert {186, 218, 255} <= set(expected)
 
 
 class TestFailedRunOutputs:

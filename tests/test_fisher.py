@@ -207,7 +207,7 @@ class TestGram:
         pop = random_population(rng, decompose(random_psd_kernel(rng, n, lam_lo=0.2)))
         report = fisher_report_1d(pop, theta_samples=samples)
         expected = [fisher_1d(pop, t) for t in report.theta_samples]
-        np.testing.assert_allclose(report.fi_values, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.fi_theta, expected, rtol=1e-12, atol=0)
 
     def test_one_inverse_per_basis_row(self, monkeypatch, rng):
         decomp = decompose(random_psd_kernel(rng, 32, lam_lo=0.2))
@@ -298,8 +298,8 @@ class TestFisherProperties:
         pop = random_population(rng, n6_decomp)
         report = fisher_report_1d(pop, theta_samples=64)
         bound = report.fi_max_bound * (1.0 + 1e-9)
-        assert all(v <= bound for v in report.fi_values)
-        assert max(abs(v - report.fi_spectral) for v in report.fi_values) < 1e-9 * report.fi_spectral
+        assert all(v <= bound for v in report.fi_theta)
+        assert max(abs(v - report.fi_spectral) for v in report.fi_theta) < 1e-9 * report.fi_spectral
         assert report.crb == pytest.approx(1.0 / report.fi_spectral)
         payload = report.to_dict()
         assert set(payload) == {"fi_theta", "theta_samples", "fi_spectral", "fi_max_bound", "crb"}

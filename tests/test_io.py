@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import conftest
 import ringfisher
@@ -35,6 +36,7 @@ from ringfisher.tuning import (
 from conftest import (
     csv_module_curves_csv,
     csv_module_field_csv,
+    exact_pgm,
     read_field_csv,
     white_kernel,
     whole_array_pgm,
@@ -81,6 +83,18 @@ def pooled_axis_curves(draw):
 pgm_elements = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 3.0, -3.0]), st.floats(-1e6, 1e6)
 )
+
+
+@st.composite
+def wide_axis_curves(draw):
+    """``axis_curves(pgm_elements)``, each non-zero curve scaled to a largest magnitude of
+    2**e, the two exponents summing to 1008..1024: the field's largest magnitude is 2**1008
+    to 2**1024, so its range, 255 times it and the field itself may overflow."""
+    total = draw(st.sampled_from(range(1008, 1025)))
+    return tuple(
+        c / np.abs(c).max() * 2.0**e if np.abs(c).max() > 0 else c
+        for c, e in zip(draw(axis_curves(pgm_elements)), (total // 2, total - total // 2))
+    )
 byte_oracle_settings = settings(
     max_examples=80,
     deadline=None,
@@ -414,6 +428,12 @@ class TestJson:
             rio.write_json(payload, tmp_path / "out.json")
         assert not (tmp_path / "out.json").exists()
 
+    def test_non_finite_error_names_each_key_once(self):
+        payload = {"z": math.inf, "fine": [1.0, 2.0], "sweep": (1.0, math.nan, -math.inf), "nested": {"bad": -math.inf}}
+        with pytest.raises(rio.NonFiniteError) as caught:
+            rio.dumps_json(payload)
+        assert str(caught.value) == "nested.bad = -inf, sweep = nan, z = inf"
+
 
 class TestPgm:
     def test_header_and_range(self, tmp_path, rng):
@@ -439,6 +459,43 @@ class TestPgm:
         rio.write_pgm(*curves, tmp_path / "rows.pgm")
         whole_array_pgm(*curves, tmp_path / "oracle.pgm")
         assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
+
+    @pytest.mark.parametrize("offset, power", [(None, 1e308), (0.0, 1.7e308)], ids=["lifted", "signed"])
+    def test_range_overflowing_255_matches_exact_fractions(self, tmp_path, offset, power):
+        # field2d --k 3 --power 1e308 --res 8 on the n = 64 exponential kernel (and its signed
+        # field, --offset 0, at 1.7e308): the field is finite, but 255 (hi - lo) is not
+        pop = TuningPopulation1D(decompose(exponential_kernel(64, 1.0, 0.5)), PowerAllocation.single(3, power))
+        cx, cy = sample_firing_field(TuningPopulation2D(pop), (0, 0), 8, offset=offset)
+        lo, hi = (float(f(np.outer(cx, cy))) for f in (np.min, np.max))
+        assert not math.isfinite(255.0 * (hi - lo))
+        rio.write_pgm(cx, cy, tmp_path / "rows.pgm")
+        exact_pgm(cx, cy, tmp_path / "exact.pgm")
+        assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "exact.pgm").read_bytes()
+        assert set((tmp_path / "rows.pgm").read_bytes().split(b"255\n", 1)[1]) >= {0, 255}
+
+    @byte_oracle_settings
+    @given(curves=wide_axis_curves())
+    @example(curves=(np.array([-1.2e154, 3e153, 1.2e154]), np.array([1.2e154, 5e153])))  # hi - lo = inf
+    def test_pixels_at_any_range(self, tmp_path, curves):
+        with np.errstate(over="ignore"):
+            field = np.outer(*curves)
+        if not np.isfinite(field).all():
+            with pytest.raises(rio.NonFiniteError):
+                rio.write_pgm(*curves, tmp_path / "rows.pgm")
+            return
+        lo, hi = float(field.min()), float(field.max())
+        oracle = whole_array_pgm if math.isfinite(255.0 * (hi - lo)) else exact_pgm
+        rio.write_pgm(*curves, tmp_path / "rows.pgm")
+        oracle(*curves, tmp_path / "oracle.pgm")
+        assert (tmp_path / "rows.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
+
+    @pytest.mark.parametrize("cx", [[1.0, 1e200], [1.0, math.inf], [math.nan, 1.0]], ids=["overflow", "inf", "nan"])
+    def test_non_finite_field_rejected_before_writing(self, tmp_path, cx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rio.NonFiniteError, match="field"):
+                rio.write_pgm(np.array(cx), np.array([1.0, 1e200]), tmp_path / "f.pgm")
+        assert not (tmp_path / "f.pgm").exists()
 
 
 def test_module_entry_point_help():
