@@ -216,7 +216,7 @@ def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None]:
 
 def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) -> tuple[int, int]:
     from .fisher import crb, fisher_2d, fisher_max_bound
-    from .optimal import maximize_fisher_1d, maximize_fisher_2d
+    from .optimal import audit_random_allocations, maximize_fisher_1d, maximize_fisher_2d
     from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties, check_condition
 
     kernel = rio.load_kernel(args.kernel)
@@ -229,7 +229,7 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
     if _ties(*_paired_arrays(kernel)).size > 1:
         _warn("degenerate spectrum: eigenvalue tie broken toward the smallest frequency")
     if args.dim == 1:
-        search = maximize_fisher_1d(kernel, args.power, audit_trials=args.audit_trials, seed=seed)
+        search = maximize_fisher_1d(kernel, args.power)
         fi_section = {
             "fi_spectral": search.achieved_fi,
             "crb": crb(search.achieved_fi),
@@ -241,11 +241,15 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
                 "spectral orderings disagree; reporting the numerically found optimum "
                 "instead of a single-frequency concentration"
             )
-        search = maximize_fisher_2d(kernel, args.power, audit_trials=args.audit_trials, seed=seed)
+        search = maximize_fisher_2d(kernel, args.power)
         pop2d = TuningPopulation2D(TuningPopulation1D(kernel, search.allocation))
         fi_section = fisher_2d(pop2d).to_dict()
+    margin = None
+    if args.audit_trials > 0:
+        objective = "fi1d" if args.dim == 1 else "fi2d_x"
+        margin = audit_random_allocations(kernel, args.power, objective, args.audit_trials, seed) - search.achieved_fi
     payload = {
-        "search": search.to_dict(),
+        "search": {**search.to_dict(), "audit_margin": margin},
         "condition": condition.to_dict(),
         "fisher": fi_section,
         "dim": args.dim,

@@ -12,11 +12,20 @@ frequency-squared-weighted orderings pick the same frequency), otherwise the
 interior of one hull edge, where the objective is a concave quadratic solved
 in closed form. A vertex or an edge point has at most two non-zero weights,
 so it is scored as (u_i w_i + u_j w_j)(v_i w_i + v_j w_j), never as an
-m-vector. A Dirichlet audit over random allocations acts as the brute-force
+m-vector. Both searches are exact, so they take no seed. A Dirichlet audit
+over random allocations, run beside a search, acts as the brute-force
 optimality oracle for both objectives: it returns the largest objective value
-it draws and holds one block of a fixed number of values at a time. The 1D
-optimum is ``tuning.optimal_tuning_1d``'s allocation, and the orderings come
-from ``tuning.check_condition``, so this module only searches and audits.
+it draws and holds one block of a fixed number of values at a time. A
+search's audit margin is that value minus the search's, which is at most
+rounding when the search is right::
+
+    result = maximize_fisher_2d(decomp, power)
+    margin = audit_random_allocations(decomp, power, "fi2d_x", trials, seed) - result.achieved_fi
+
+(``"fi1d"`` with ``maximize_fisher_1d``); ``optimize --audit-trials`` reports
+this margin. The 1D optimum is ``tuning.optimal_tuning_1d``'s allocation, and
+the orderings come from ``tuning.check_condition``, so this module only
+searches and audits.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ class AllocationSearchResult(_Record):
     allocation: PowerAllocation
     achieved_fi: float
     method: Literal["closed_form", "vertex_edge"]
-    audit_margin: float | None = None
 
 
 def _objective_coefficients(
@@ -101,19 +109,11 @@ def audit_random_allocations(
     return best
 
 
-def maximize_fisher_1d(
-    decomp: SpectralDecomposition,
-    power: float,
-    audit_trials: int = 0,
-    seed: int = 0,
-) -> AllocationSearchResult:
+def maximize_fisher_1d(decomp: SpectralDecomposition, power: float) -> AllocationSearchResult:
     """All power on the smallest paired eigenvalue (``optimal_tuning_1d``), in closed form."""
     allocation = optimal_tuning_1d(decomp, power).allocation
     achieved = power / float(decomp.eigenvalues[allocation.entries[0].frequency])
-    margin = None
-    if audit_trials > 0:
-        margin = audit_random_allocations(decomp, power, "fi1d", audit_trials, seed) - achieved
-    return AllocationSearchResult(allocation=allocation, achieved_fi=achieved, method="closed_form", audit_margin=margin)
+    return AllocationSearchResult(allocation=allocation, achieved_fi=achieved, method="closed_form")
 
 
 def _upper_hull(u: np.ndarray, v: np.ndarray) -> list[int]:
@@ -135,12 +135,7 @@ def _upper_hull(u: np.ndarray, v: np.ndarray) -> list[int]:
     return order[hull].tolist()
 
 
-def maximize_fisher_2d(
-    decomp: SpectralDecomposition,
-    power: float,
-    audit_trials: int = 0,
-    seed: int = 0,
-) -> AllocationSearchResult:
+def maximize_fisher_2d(decomp: SpectralDecomposition, power: float) -> AllocationSearchResult:
     """Maximize the torus x-direction information over the power simplex.
 
     The objective (u.w)(v.w) rises in both coordinates of the image point
@@ -170,8 +165,5 @@ def maximize_fisher_2d(
                 if val > best_val:
                     best_w, best_val, method = {i: wi, j: wj}, val, "vertex_edge"
 
-    margin = None
-    if audit_trials > 0:
-        margin = audit_random_allocations(decomp, power, "fi2d_x", audit_trials, seed) - best_val
     allocation = PowerAllocation.from_powers({int(freqs[i]): w for i, w in best_w.items() if w > 1e-15 * power})
-    return AllocationSearchResult(allocation=allocation, achieved_fi=best_val, method=method, audit_margin=margin)
+    return AllocationSearchResult(allocation=allocation, achieved_fi=best_val, method=method)

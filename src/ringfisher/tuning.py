@@ -47,7 +47,8 @@ class AllocationEntry:
 class PowerAllocation:
     """Signal power distributed over paired frequencies with phases.
 
-    ``power`` is derived: the sum of squared amplitudes. An empty allocation
+    ``power`` is derived: the sum of squared amplitudes, which must be finite
+    (ValueError names the largest entry otherwise). An empty allocation
     (zero power) is a valid degenerate object so that downstream evaluations
     can report zero cleanly.
     """
@@ -70,8 +71,15 @@ class PowerAllocation:
                 raise ValueError(f"phase must be finite, got {e.phase}")
             if e.frequency < 1:
                 raise ValueError(f"allocation frequencies must be >= 1, got {e.frequency}")
+        power = float(sum(e.amplitude * e.amplitude for e in entries))
+        if not math.isfinite(power):
+            top = max(entries, key=lambda e: e.amplitude)
+            raise ValueError(
+                f"allocation power (sum of squared amplitudes) is not finite; "
+                f"largest entry: frequency {top.frequency}, amplitude {top.amplitude!r}"
+            )
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "power", float(sum(e.amplitude**2 for e in entries)))
+        object.__setattr__(self, "power", power)
 
     @classmethod
     def single(cls, frequency: int, power: float, phase: float = 0.0) -> "PowerAllocation":
@@ -311,7 +319,7 @@ def _spectral_sum(
     with np.errstate(over="ignore"):
         for e in allocation.entries:
             k = e.frequency
-            total += e.amplitude**2 * (1.0 if g is None else g(k)) / (k**p * lams[k])
+            total += e.amplitude * e.amplitude * (1.0 if g is None else g(k)) / (k**p * lams[k])
     return float(total)
 
 
@@ -325,15 +333,14 @@ def optimal_tuning_1d(decomp: SpectralDecomposition, power: float) -> TuningPopu
     return TuningPopulation1D(decomp, PowerAllocation.single(k_star, power))
 
 
-def optimal_tuning_2d(
-    decomp: SpectralDecomposition, power: float, phase_shift: float = 0.0
-) -> TuningPopulation2D:
+def optimal_tuning_2d(decomp: SpectralDecomposition, power: float) -> TuningPopulation2D:
     """Single-frequency rectangular-grid optimum for the separable torus.
 
     Valid only when the eigenvalue minimizer and the (frequency^2 * eigenvalue)
     minimizer coincide over paired modes (``check_condition``); otherwise the
     concentration argument does not apply, ConditionViolatedError is raised and
-    the general simplex search must be used instead.
+    the general simplex search must be used instead. The y axis is the x axis
+    (no phase shift); ``TuningPopulation2D(pop.x, shift)`` moves it.
     """
     condition = check_condition(decomp)
     if not condition.concentration_valid:
@@ -343,7 +350,7 @@ def optimal_tuning_2d(
             "use the general allocation search (optimal.maximize_fisher_2d)"
         )
     x = TuningPopulation1D(decomp, PowerAllocation.single(condition.argmin_lambda, power))
-    return TuningPopulation2D(x, phase_shift)
+    return TuningPopulation2D(x)
 
 
 def sample_firing_field(

@@ -192,10 +192,11 @@ def csv_module_field_csv(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> No
 
 def whole_array_pgm(cx: np.ndarray, cy: np.ndarray, path: str | Path) -> None:
     """Byte oracle for ``io.write_pgm``: the whole ``np.outer(cx, cy)``, its extremes read
-    off the array, scaled out of place as rint(255 (f - lo) / (hi - lo))."""
+    off the array, scaled out of place as rint(255 (f - lo) / (hi - lo)); black only when
+    lo == hi, however narrow a non-zero range."""
     f = np.outer(cx, cy)
     lo, hi = float(f.min()), float(f.max())
-    if math.isclose(lo, hi):
+    if lo == hi:
         pixels = np.zeros_like(f, dtype=np.uint8)
     else:
         pixels = np.rint(255.0 * (f - lo) / (hi - lo)).astype(np.uint8)

@@ -120,6 +120,16 @@ def test_from_powers_takes_powers_only():
     assert list(inspect.signature(PowerAllocation.from_powers).parameters) == ["powers"]
 
 
+@pytest.mark.parametrize("name", ["maximize_fisher_1d", "maximize_fisher_2d", "optimal_tuning_2d"])
+def test_exact_optimum_takes_kernel_and_power_only(name):
+    assert list(inspect.signature(getattr(ringfisher, name)).parameters) == ["decomp", "power"]
+
+
+def test_search_result_holds_no_audit():
+    fields = [f.name for f in dataclasses.fields(ringfisher.AllocationSearchResult)]
+    assert fields == ["allocation", "achieved_fi", "method"]
+
+
 def test_readme_library_example_runs_as_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]
@@ -132,3 +142,5 @@ def test_readme_library_example_runs_as_documented():
     assert ringfisher.crb(ringfisher.fisher_1d(pop)) == pytest.approx(0.75, rel=1e-12)
     assert abs(result.empirical_variance - 0.75) <= 5.0 * result.variance_stderr
     assert abs(result.efficiency - 1.0) <= 5.0 * result.variance_stderr
+    assert namespace["search"].achieved_fi == pytest.approx(16.0 / 9.0, rel=1e-12)
+    assert namespace["margin"] <= 1e-9

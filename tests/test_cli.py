@@ -366,6 +366,19 @@ class TestSimulateCommand:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_allocation_power_exit_6_without_output(self, tmp_path, capsys):
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25, 0.125, 0.0625]}},
+            "allocation": [{"frequency": 1, "amplitude": 1e200}],
+            "trials": 200,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: allocation power") and "frequency 1, amplitude 1e+200" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_negative_config_seed_exit_6(self, tmp_path, capsys):
         config = {
             "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},

@@ -98,6 +98,13 @@ class TestFisherSpectral:
         assert fisher_1d_spectral(pop.allocation, n6_decomp) == pytest.approx(power / lam_min)
         assert fisher_max_bound(n6_decomp, power) == pytest.approx(power / lam_min)
 
+    @pytest.mark.parametrize("power", [3.0, 9.096524])
+    def test_concentration_equals_its_reported_bound(self, n6_decomp, power):
+        # the spectral sum and the allocation's power square each amplitude alike (a * a); at
+        # 9.096524 a C library's pow(a, 2) may round one ulp away from a * a
+        report = fisher_report_1d(optimal_tuning_1d(n6_decomp, power), theta_samples=4)
+        assert report.fi_spectral == report.fi_max_bound
+
     def test_uniform_split_over_equal_eigenvalues(self):
         decomp = decompose(white_kernel(8, sigma_sq=0.5))
         alloc = PowerAllocation.from_powers({1: 1.0 / 3, 2: 1.0 / 3, 3: 1.0 / 3})

@@ -455,6 +455,7 @@ class TestPgm:
 
     @byte_oracle_settings
     @given(curves=axis_curves(pgm_elements))
+    @example(curves=(np.array([1.0, 1.0 + 1e-12]), np.array([1.0])))  # a range of 1e-12 still spans 0..255
     def test_pixels_equal_out_of_place_scaling(self, tmp_path, curves):
         rio.write_pgm(*curves, tmp_path / "rows.pgm")
         whole_array_pgm(*curves, tmp_path / "oracle.pgm")

@@ -111,17 +111,17 @@ def torus_spectra(draw):
 
 class TestMaximize1D:
     def test_n4_concentration(self, n4_decomp):
-        result = maximize_fisher_1d(n4_decomp, 1.0, audit_trials=10_000, seed=5)
+        result = maximize_fisher_1d(n4_decomp, 1.0)
         assert result.achieved_fi == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert result.method == "closed_form"
         assert result.allocation.entries[0].frequency == 1
-        assert result.audit_margin <= 1e-12
+        assert audit_random_allocations(n4_decomp, 1.0, "fi1d", 10_000, 5) - result.achieved_fi <= 1e-12
 
     def test_white_noise_flat_objective(self):
         decomp = decompose(white_kernel(8, sigma_sq=2.0))
-        result = maximize_fisher_1d(decomp, 1.0, audit_trials=2000, seed=1)
+        result = maximize_fisher_1d(decomp, 1.0)
         assert result.achieved_fi == pytest.approx(0.5, rel=1e-12)
-        assert abs(result.audit_margin) < 1e-12
+        assert abs(audit_random_allocations(decomp, 1.0, "fi1d", 2000, 1) - result.achieved_fi) < 1e-12
 
     def test_exponential_kernel_argmin(self):
         kernel = exponential_kernel(8, rho=0.5)
@@ -134,29 +134,28 @@ class TestMaximize1D:
         expected = min(quotients, key=quotients.get)
         result = maximize_fisher_1d(decomp, 1.0)
         assert result.allocation.entries[0].frequency == expected
-        assert result.audit_margin is None
 
 
 class TestMaximize2D:
     def test_n4_single_paired_mode(self, n4_decomp):
-        result = maximize_fisher_2d(n4_decomp, 1.0, audit_trials=2000, seed=9)
+        result = maximize_fisher_2d(n4_decomp, 1.0)
         assert result.achieved_fi == pytest.approx(16.0 / 9.0, rel=1e-12)
         assert result.method == "closed_form"
-        assert result.audit_margin <= 1e-9
+        assert audit_random_allocations(n4_decomp, 1.0, "fi2d_x", 2000, 9) - result.achieved_fi <= 1e-9
 
     def test_white_noise_concentrates_at_lowest_frequency(self):
         sigma_sq = 2.0
         decomp = decompose(white_kernel(8, sigma_sq=sigma_sq))
-        result = maximize_fisher_2d(decomp, 1.0, audit_trials=5000, seed=2)
+        result = maximize_fisher_2d(decomp, 1.0)
         (entry,) = result.allocation.entries
         assert entry.frequency == 1
         assert result.achieved_fi == pytest.approx((1.0 / sigma_sq) ** 2, rel=1e-12)
-        assert result.audit_margin <= 1e-9
+        assert audit_random_allocations(decomp, 1.0, "fi2d_x", 5000, 2) - result.achieved_fi <= 1e-9
 
     def test_disagreeing_orderings_split_power(self):
         # eigenvalues 1.0 (k=1) and 0.5 (k=2): the 50/50 split beats both vertices
         decomp = decompose(kernel_from_spectrum(6, [1.2, 1.0, 0.5, 0.8]))
-        result = maximize_fisher_2d(decomp, 1.0, audit_trials=100_000, seed=13)
+        result = maximize_fisher_2d(decomp, 1.0)
         assert result.method == "vertex_edge"
         assert result.achieved_fi == pytest.approx(1.125, rel=1e-9)
         weights = {e.frequency: e.amplitude**2 for e in result.allocation.entries}
@@ -164,7 +163,7 @@ class TestMaximize2D:
         assert weights[2] == pytest.approx(0.5, rel=1e-9)
         # beats both single-frequency vertices and every audited point
         assert result.achieved_fi > 1.0
-        assert result.audit_margin <= 1e-9
+        assert audit_random_allocations(decomp, 1.0, "fi2d_x", 100_000, 13) - result.achieved_fi <= 1e-9
 
     def test_power_scaling(self, n6_decomp):
         base = maximize_fisher_2d(n6_decomp, 1.0)
@@ -280,8 +279,8 @@ class TestOptimalityProperties:
             n = int(rng.integers(4, 65))
             decomp = decompose(random_psd_kernel(rng, n, lam_lo=0.05))
             seed = int(rng.integers(0, 2**31))
-            result = maximize_fisher_1d(decomp, 1.0, audit_trials=2000, seed=seed)
-            assert result.audit_margin <= 1e-9
+            result = maximize_fisher_1d(decomp, 1.0)
+            assert audit_random_allocations(decomp, 1.0, "fi1d", 2000, seed) - result.achieved_fi <= 1e-9
 
     def test_2d_concentration_when_orderings_agree(self, rng):
         checked = 0
@@ -292,13 +291,13 @@ class TestOptimalityProperties:
             if not condition.concentration_valid:
                 continue
             checked += 1
-            result = maximize_fisher_2d(decomp, 1.0, audit_trials=2000, seed=checked)
+            result = maximize_fisher_2d(decomp, 1.0)
             (entry,) = result.allocation.entries
             k = entry.frequency
             lam = decomp.mode(k).eigenvalue
             assert k == condition.argmin_lambda
             assert result.achieved_fi == pytest.approx((1.0 / (k * lam)) ** 2, rel=1e-9)
-            assert result.audit_margin <= 1e-9
+            assert audit_random_allocations(decomp, 1.0, "fi2d_x", 2000, checked) - result.achieved_fi <= 1e-9
 
     def test_2d_search_dominates_audits_even_when_orderings_disagree(self, rng):
         found = 0
@@ -308,8 +307,8 @@ class TestOptimalityProperties:
             if check_condition(decomp).concentration_valid:
                 continue
             found += 1
-            result = maximize_fisher_2d(decomp, 1.0, audit_trials=20_000, seed=found)
-            assert result.audit_margin <= 1e-9
+            result = maximize_fisher_2d(decomp, 1.0)
+            assert audit_random_allocations(decomp, 1.0, "fi2d_x", 20_000, found) - result.achieved_fi <= 1e-9
 
 
 def one_shot_draw(decomp, power, objective, trials, seed):

@@ -1,6 +1,7 @@
 """Tuning populations: responses, derivatives, power, optima, fields, shifts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,21 @@ class TestAllocation:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             PowerAllocation(entries=(AllocationEntry(1, -0.5),))
+
+    @pytest.mark.parametrize(
+        "amplitudes,largest",
+        [((1e200,), "frequency 1, amplitude 1e+200"), ((1e154, 1.5e154), "frequency 2, amplitude 1.5e+154")],
+        ids=["square-overflows", "sum-overflows"],
+    )
+    def test_overflowing_power_rejected_naming_the_largest_entry(self, amplitudes, largest):
+        entries = tuple(AllocationEntry(k, a) for k, a in enumerate(amplitudes, start=1))
+        with pytest.raises(ValueError, match=f"power .* is not finite; largest entry: {re.escape(largest)}$"):
+            PowerAllocation(entries=entries)
+
+    def test_power_squares_each_amplitude_exactly_rounded(self):
+        # a * a is the correctly rounded square; a C library's pow(a, 2) need not be (glibc's is one ulp off here)
+        a = 0.2370392774833774
+        assert PowerAllocation(entries=(AllocationEntry(1, a),)).power == a * a
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phase):
