@@ -7,11 +7,13 @@ On the separable torus the information splits into a product of two one-axis
 quadratic forms per direction plus a cross term that vanishes for the
 zero-integration-constant populations built here.
 
-The report's theta sweep, the torus terms and the position derivative contract
-the closed-form coefficients of ``tuning._coefficients`` with one 2m x 2m matrix
-G = W C^-1 W^T per population, W the m active frequencies' cos and sin rows:
-the population's ``_gram`` builds it once in n-space, so a wrong eigenvector or
-eigenvalue still shows.
+The report's theta sweep, the torus terms and the position derivative weight
+the closed-form coefficients of ``tuning._coefficients`` by 1/lambda_k
+(``tuning._gram_weights``): on the m active frequencies' unit cos and sin
+eigenvectors W the Gram W C^-1 W^T is that diagonal, so none of them does
+n-space work. Only ``fisher_1d`` applies the inverse to an n-space derivative;
+the tests compare every form with it and with dense solves, where a wrong
+eigenvector or eigenvalue shows.
 
 Every function that takes a population reads the spectrum from its own
 decomposition (``pop.decomp``), so a population and its covariance cannot be
@@ -34,6 +36,7 @@ from .tuning import (
     TuningPopulation1D,
     TuningPopulation2D,
     _coefficients,
+    _gram_weights,
     _paired_arrays,
     _spectral_sum,
     mean_derivative,
@@ -62,7 +65,7 @@ def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:
     Vanishes identically for the populations built here; computed honestly so
     that deviations would surface.
     """
-    return float(2.0 * (_coefficients(pop, theta, 2) @ pop._gram @ _coefficients(pop, theta, 1)))
+    return float(2.0 * (_coefficients(pop, theta, 2) * _gram_weights(pop)) @ _coefficients(pop, theta, 1))
 
 
 def crb(fi: float) -> float:
@@ -85,7 +88,8 @@ def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> Fisher
     """Evaluate the quadratic form on a uniform grid next to its spectral value."""
     thetas = TWO_PI * np.arange(theta_samples) / theta_samples
     d = _coefficients(pop, thetas, 1)
-    values = tuple(np.einsum("ti,ij,tj->t", d, pop._gram, d).tolist())
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the CLI reports
+        values = tuple(((d * d) @ _gram_weights(pop)).tolist())
     spectral = fisher_1d_spectral(pop.allocation, pop.decomp)
     return FisherReport1D(
         theta_samples=tuple(float(t) for t in thetas),
@@ -117,10 +121,10 @@ def fisher_2d(
     x-variance bound from inverting the 2x2 information matrix.
     """
     decomp, allocation = pop2d.x.decomp, pop2d.x.allocation
-    # coefficient rows g_x, f_x, g_y, f_y: y has x's frequencies, so x's Gram serves both axes
+    # coefficient rows g_x, f_x, g_y, f_y: y has x's frequencies, so x's weights serve both axes
     rows = np.array([_coefficients(pop, t, order) for pop, t in zip((pop2d.x, pop2d.y), theta) for order in (1, 0)])
     with np.errstate(over="ignore"):  # an overflow gives inf, which the CLI reports
-        forms = (rows @ pop2d.x._gram @ rows.T).tolist()
+        forms = ((rows * _gram_weights(pop2d.x)) @ rows.T).tolist()
     i_x = forms[0][0] * forms[3][3]
     i_y = forms[1][1] * forms[2][2]
     i_xy = forms[0][1] * forms[3][2]

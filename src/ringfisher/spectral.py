@@ -146,22 +146,25 @@ class CorrelationKernel:
     def is_paired(self, frequency: int) -> bool:
         return self.mode(frequency).paired
 
+    def _angles(self, frequency: int) -> np.ndarray:
+        """2 pi k i / n for i in 0..n-1, with k i reduced mod n in integers first, so
+        no angle exceeds 2 pi and the eigenvectors keep their unit norm at any n."""
+        return TWO_PI * ((frequency * np.arange(self.n, dtype=np.int64)) % self.n) / self.n
+
     def cos_vector(self, frequency: int) -> np.ndarray:
         """Unit-norm cosine eigenvector at the given frequency."""
         n = self.n
-        idx = np.arange(n)
         if frequency == 0:
             return np.full(n, 1.0 / math.sqrt(n))
         if n % 2 == 0 and frequency == n // 2:
-            return np.where(idx % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-        return math.sqrt(2.0 / n) * np.cos(TWO_PI * frequency * idx / n)
+            return np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+        return math.sqrt(2.0 / n) * np.cos(self._angles(frequency))
 
     def sin_vector(self, frequency: int) -> np.ndarray:
         """Unit-norm sine eigenvector; only paired frequencies have one."""
         if not self.is_paired(frequency):
             raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
-        idx = np.arange(self.n)
-        return math.sqrt(2.0 / self.n) * np.sin(TWO_PI * frequency * idx / self.n)
+        return math.sqrt(2.0 / self.n) * np.sin(self._angles(frequency))
 
 
 #: A kernel is its own spectral decomposition; this name for it stays public.

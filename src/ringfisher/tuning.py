@@ -6,8 +6,11 @@ with the squared amplitudes summing to the signal power budget. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
 response and its theta-derivatives are closed-form coefficients (``_coefficients``)
-on the 2m rows of the m active frequencies' cos and sin eigenvectors (``_basis``),
-and a population builds its Gram G = W C^-1 W^T on those rows once (``_gram``).
+on the 2m rows of the m active frequencies' cos and sin eigenvectors (``_basis``).
+Those rows are eigenvectors of the noise, so their Gram G = W C^-1 W^T is
+diag(1/lambda_k), each lambda_k once for cos and once for sin (``_gram_weights``):
+the Fisher forms weight the coefficients by it and do no n-space work. The
+dense G, built from the eigenvectors, stays a test oracle.
 The optimal constructions concentrate the whole budget on a single frequency.
 Only this module reads the paired spectrum to choose or score an allocation:
 ``check_condition`` decides whether lambda_k and k^2 lambda_k share their
@@ -19,7 +22,6 @@ axis curves, which are sampled as exact shifts of the one waveform.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionViolatedError, ResolutionOutOfRangeError
-from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, _Record, apply_inverse
+from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, _Record
 
 FIELD_RESOLUTION_MIN = 8
 FIELD_RESOLUTION_MAX = 4096
@@ -117,15 +119,6 @@ class TuningPopulation1D:
     def n(self) -> int:
         return self.decomp.n
 
-    @functools.cached_property
-    def _gram(self) -> np.ndarray:
-        """G = W C^-1 W^T over the ``_basis`` rows W, one ``apply_inverse`` per row, built once
-        and read-only: the information of coefficient vectors a and b is a^T G b. Shape (2m, 2m)."""
-        basis = _basis(self)
-        gram = np.array([basis @ apply_inverse(self.decomp, row) for row in basis]).reshape(len(basis), len(basis))
-        gram.flags.writeable = False
-        return gram
-
 
 def _phase_shift_problem(shift: float, k_max: int) -> str | None:
     """Why the y axis cannot move phase c_k by k * shift for k up to k_max, or None.
@@ -190,6 +183,19 @@ def _coefficients(pop: TuningPopulation1D, theta, order: int) -> np.ndarray:
     for _ in range(order):
         on_cos, on_sin = -on_sin, on_cos
     return (np.stack((on_cos, on_sin), axis=-1) * scale[:, None]).reshape(angles.shape + (2 * k.size,))
+
+
+def _gram_weights(pop: TuningPopulation1D) -> np.ndarray:
+    """1/lambda_k per ``_basis`` row, cos then sin for each active frequency: shape (2m,).
+
+    The diagonal of G = W C^-1 W^T, whose off-diagonal entries vanish because the
+    rows are eigenvectors, so the information of coefficient vectors a and b is
+    sum(a * w * b). SingularCovarianceError unless every eigenvalue exceeds
+    PSD_TOLERANCE, as for ``apply_inverse``.
+    """
+    lams = _positive(pop.decomp.eigenvalues)
+    active = np.array([e.frequency for e in pop.allocation.entries], dtype=int)
+    return np.repeat(1.0 / lams[active], 2)
 
 
 def _basis(pop: TuningPopulation1D) -> np.ndarray:

@@ -18,6 +18,7 @@ from ringfisher.spectral import (
     SpectralDecomposition,
     apply_inverse,
     decompose,
+    exponential_kernel,
     kernel_from_spectrum,
 )
 from ringfisher.tuning import TuningPopulation1D, _lattice_waveform
@@ -110,6 +111,13 @@ def n6_kernel() -> CorrelationKernel:
 @pytest.fixture
 def n6_decomp(n6_kernel):
     return decompose(n6_kernel)
+
+
+@pytest.fixture(scope="session")
+def exp1m_decomp() -> SpectralDecomposition:
+    """Exponential rho = 0.5 at n = 2**20: its optimum k = 2**19 - 1 puts 2 pi k i up to
+    about 3.5e12 rad, so phases that are not reduced mod 2 pi lose digits here."""
+    return decompose(exponential_kernel(2**20))
 
 
 def cosine_sum_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:

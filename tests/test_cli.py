@@ -176,21 +176,54 @@ class TestFisherCommand:
         assert len(err) < 200
 
     def test_non_optimal_paired_k_on_the_torus(self, tmp_path, monkeypatch):
-        from ringfisher import tuning
-        from ringfisher.spectral import apply_inverse
+        from ringfisher import fisher, spectral, tuning
 
         # the smallest eigenvalue is at k = 2, so k = 1 is paired but not the optimum
         kernel_file = spectrum_kernel_file(tmp_path, 8, [2.0, 0.5, 0.25, 1.0, 3.0])
         calls = []
-        monkeypatch.setattr(tuning, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
+        apply_inverse = spectral.apply_inverse
+
+        def record(d, v):
+            calls.append(v.shape)
+            return apply_inverse(d, v)
+
+        # every module that could hold its own reference to the inverse
+        for module in (spectral, tuning, fisher):
+            monkeypatch.setattr(module, "apply_inverse", record, raising=False)
         out = tmp_path / "fisher.json"
         assert main(["fisher", str(kernel_file), str(out), "--k", "1", "--dim", "2", "--power", "2"]) == 0
         payload = json.loads(out.read_text())
         assert payload["fi_spectral"] == pytest.approx(2.0 / 0.5, rel=1e-12)
         np.testing.assert_allclose(payload["fi_theta"], payload["fi_spectral"], rtol=1e-12, atol=0)
         assert payload["i_x"] == pytest.approx(payload["product_form"], rel=1e-12)
-        # one Gram of the one active frequency's two rows serves the report and the torus terms
-        assert calls == [(8,)] * 2
+        # the report and the torus terms weight coefficients by 1/lambda_k: no n-space inverse
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher", "{kernel}", "{out}", "--dim", "2"],
+            ["fisher", "{kernel}", "{out}", "--k", "3", "--dim", "2"],
+            ["--seed", "3", "optimize", "{kernel}", "{out}", "--dim", "2", "--audit-trials", "50"],
+        ],
+        ids=["fisher-optimal", "fisher-k3", "optimize-audit"],
+    )
+    def test_torus_commands_build_no_eigenvector(self, tmp_path, monkeypatch, argv):
+        from ringfisher import fisher, spectral, tuning
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("n-space work in a Fisher form")
+
+        for owner, name in [
+            (spectral, "apply_inverse"), (fisher, "apply_inverse"), (tuning, "_basis"),
+            (spectral.CorrelationKernel, "cos_vector"), (spectral.CorrelationKernel, "sin_vector"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        kernel_file = tmp_path / "exp64.json"
+        kernel_file.write_text(json.dumps({"n": 64, "family": "exponential", "params": {"rho": 0.5}}))
+        out = tmp_path / "out.json"
+        assert main([a.format(kernel=kernel_file, out=out) for a in argv]) == 0
+        assert out.exists()
 
 
 class TestField2dCommand:
@@ -1006,12 +1039,12 @@ class TestGoldenOutputs:
         ),
         "fisher-torus": (
             ["fisher", "{torus15}", "{out}/fisher.json", "--dim", "2"],
-            {"fisher.json": "ab732b567d2d0ce1e25d9027c3bc46eb2a24203b2328a4f10e02af6f681c95d4"},
+            {"fisher.json": "8302f9a4117906d74c6472ab8821faf54c442ae857778b4180d7533764eb514f"},
         ),
         # exp16's spectral orderings disagree, so the torus optimum is a vertex_edge search
         "optimize-torus-audit": (
             ["--seed", "3", "optimize", "{exp16}", "{out}/opt2.json", "--dim", "2", "--audit-trials", "200"],
-            {"opt2.json": "4d7cf09f38e4f5c0b69dfe349e8be0f97b5db9c01680885f65cf53325a4d4a72"},
+            {"opt2.json": "f1c9754004dec9b4ba6e7097c6dcfe19a6db1dbac1d5443d50e447c40e14430e"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

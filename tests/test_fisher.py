@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringfisher import tuning
+from ringfisher import fisher, spectral, tuning
 from ringfisher.errors import NonpositiveInformationError, NotPositiveSemidefiniteError
 from ringfisher.fisher import (
     crb,
@@ -26,6 +26,7 @@ from ringfisher.tuning import (
     TuningPopulation2D,
     _basis,
     _coefficients,
+    _gram_weights,
     mean_derivative,
     mean_response,
     optimal_tuning_1d,
@@ -192,19 +193,23 @@ class TestFisher2D:
 
 
 class TestGram:
-    """One n-space Gram matrix per population serves every Fisher form."""
+    """The Gram of the ``_basis`` rows is diag(1/lambda_k): every Fisher form weights by it."""
 
     def test_matches_dense_solve(self, rng):
         for n in (4, 5, 9, 16):
             decomp = decompose(random_psd_kernel(rng, n, lam_lo=0.2))
             pop = random_population(rng, decomp)
-            basis = _basis(pop)
-            dense = basis @ np.linalg.solve(dense_ring_matrix(decomp), basis.T)
-            np.testing.assert_allclose(pop._gram, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+            # the unit cos and sin rows from their definition, not from the package's eigenvectors
+            angles = TWO_PI * np.outer([e.frequency for e in pop.allocation.entries], np.arange(n)) / n
+            rows = math.sqrt(2.0 / n) * np.stack((np.cos(angles), np.sin(angles)), axis=1).reshape(-1, n)
+            dense = rows @ np.linalg.solve(dense_ring_matrix(decomp), rows.T)
+            np.testing.assert_allclose(
+                np.diag(_gram_weights(pop)), dense, rtol=0, atol=1e-12 * np.abs(dense).max()
+            )
 
     def test_empty_allocation_gives_empty_gram(self, n6_decomp):
         pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
-        assert pop._gram.shape == (0, 0)
+        assert _gram_weights(pop).shape == (0,)
         assert _coefficients(pop, np.zeros(3), 1).shape == (3, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -216,26 +221,23 @@ class TestGram:
         expected = [fisher_1d(pop, t) for t in report.theta_samples]
         np.testing.assert_allclose(report.fi_theta, expected, rtol=1e-12, atol=0)
 
-    def test_one_inverse_per_basis_row(self, monkeypatch, rng):
+    def test_no_form_applies_the_inverse(self, monkeypatch, rng):
         decomp = decompose(random_psd_kernel(rng, 32, lam_lo=0.2))
         entries = tuple(AllocationEntry(k, 0.5, 0.3 * k) for k in (1, 4, 7))
         pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
         calls = []
-        monkeypatch.setattr(tuning, "apply_inverse", lambda d, v: calls.append(v.shape) or apply_inverse(d, v))
+
+        def record(d, v):
+            calls.append(v.shape)
+            return apply_inverse(d, v)
+
+        # every module that could hold its own reference to the inverse
+        for module in (spectral, tuning, fisher):
+            monkeypatch.setattr(module, "apply_inverse", record, raising=False)
         fisher_report_1d(pop, theta_samples=64)
         fisher_2d(TuningPopulation2D(pop, 0.4), theta=(0.2, 1.3))
         fisher_derivative(pop, 0.8)
-        # the population builds its Gram once, whichever form reads it first
-        assert calls == [(32,)] * 6
-        twin = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
-        assert twin == pop and twin is not pop
-        fisher_derivative(twin, 0.8)
-        assert calls == [(32,)] * 12
-
-    def test_gram_is_read_only(self, rng):
-        pop = random_population(rng, decompose(random_psd_kernel(rng, 8, lam_lo=0.2)))
-        with pytest.raises(ValueError):
-            pop._gram[0, 0] = 1.0
+        assert calls == []
 
     def test_second_order_coefficients_match_finite_difference(self, n6_decomp, rng):
         pop = random_population(rng, n6_decomp)
@@ -244,6 +246,30 @@ class TestGram:
             closed = _coefficients(pop, theta, 2) @ _basis(pop)
             fd = (mean_derivative(pop, theta + h) - mean_derivative(pop, theta - h)) / (2.0 * h)
             np.testing.assert_allclose(closed, fd, rtol=0, atol=FINITE_DIFFERENCE_REL * np.abs(closed).max())
+
+
+class TestDiagonalGramExactness:
+    """Weighting by 1/lambda_k keeps every form at the rounding of its closed form, at any n."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 4096), seed=st.integers(0, 2**32 - 1), power=st.floats(1e-3, 1e3))
+    def test_optimum_report_within_4_ulp_of_spectral(self, n, seed, power):
+        rng = np.random.default_rng(seed)
+        pop = optimal_tuning_1d(decompose(random_psd_kernel(rng, n)), power)
+        report = fisher_report_1d(pop)
+        ulps = np.abs(np.array(report.fi_theta) - report.fi_spectral) / np.spacing(report.fi_spectral)
+        assert ulps.max() <= 4
+
+    def test_derivative_vanishes_at_n_2_20(self, exp1m_decomp):
+        pop = optimal_tuning_1d(exp1m_decomp, 1.0)
+        info = fisher_1d_spectral(pop.allocation, exp1m_decomp)
+        for theta in np.linspace(0.0, TWO_PI, 16, endpoint=False):
+            assert abs(fisher_derivative(pop, theta)) <= 1e-9 * info
+
+    def test_torus_information_is_the_product_form_at_n_2_20(self, exp1m_decomp):
+        report = fisher_2d(TuningPopulation2D(optimal_tuning_1d(exp1m_decomp, 1.0)))
+        assert report.i_x == report.product_form
+        assert report.i_xy == 0.0
 
 
 class TestCrb:

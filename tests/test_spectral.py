@@ -17,6 +17,7 @@ from ringfisher.errors import (
     UnpairedModeError,
 )
 from ringfisher import io as rio
+from ringfisher.fisher import fisher_1d, fisher_1d_spectral
 from ringfisher.mcsim import make_rng
 from ringfisher.spectral import (
     TWO_PI,
@@ -32,6 +33,7 @@ from ringfisher.spectral import (
     synthesize,
     validate_psd,
 )
+from ringfisher.tuning import optimal_tuning_1d
 
 from conftest import (
     assert_close_relative,
@@ -517,3 +519,21 @@ class TestOneSpectrumPerKernel:
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(MalformedKernelError, match="finite"):
             CorrelationKernel(4, (1.0, bad, 0.25))
+
+
+class TestEigenvectorsAtLargeN:
+    """k i is reduced mod n in integers before it becomes an angle, so the eigenvectors
+    of the optimum at n = 2**20 stay unit and the n-space quadratic form stays exact."""
+
+    K = 2**19 - 1
+
+    def test_unit_norms(self, exp1m_decomp):
+        for vec in (exp1m_decomp.cos_vector(self.K), exp1m_decomp.sin_vector(self.K)):
+            assert abs(vec @ vec - 1.0) <= 1e-15
+
+    def test_quadratic_form_matches_spectral(self, exp1m_decomp):
+        pop = optimal_tuning_1d(exp1m_decomp, 1.0)
+        assert pop.allocation.entries[0].frequency == self.K
+        spectral = fisher_1d_spectral(pop.allocation, exp1m_decomp)
+        for theta in (0.0, 0.3, 1.7, 4.1):
+            assert fisher_1d(pop, theta) == pytest.approx(spectral, rel=4e-15, abs=0)
