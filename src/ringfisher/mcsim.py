@@ -4,26 +4,27 @@ Noise is drawn spectrally: independent standard normals per eigen-mode scaled
 by the square root of the eigenvalue reproduce the circulant covariance
 exactly. ``NoiseModel.sample`` lays them out like the eigenbasis columns
 (cos0, cos1, sin1, ...) and synthesizes responses with one ``irfft`` per axis,
-O(n log n) per draw. The local readout projects a response change on
-C^-1 f'(theta_ref) and divides by the information I = sum_k T_k^2 / lambda_k;
-the phase readout projects a response on the single active frequency's
-(cos, sin) eigenvector pair and reads the angle, reference-free up to the
-mode's angular ambiguity. The Monte Carlo runs never form a response: the DFT
-diagonalizes the noise, so both readouts have closed forms in the allocation
-and the eigenvalues, and ``_step_estimates`` is their only implementation (the
-tests read whole responses with a dense solve and explicit cos/sin projections
-as its oracle). The local estimate of a step delta is
-sum_k T_k^2 sin(k delta) / (k lambda_k) / I at every position (both sums are
-``tuning._spectral_sum``), with noise
-variance sigma^2 / I per snapshot; the phase projections of f(theta) are its
-order-0 coefficients (``tuning._coefficients``), with noise sigma^2 lambda_k
-times the 2 x 2 identity. A snapshot costs one normal (local) or two (phase)
-per trial, whatever n. One noisy snapshot against a known mean bounds the
-variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the one
+O(n log n) per draw. The Monte Carlo runs never form a response: the m active
+frequencies' unit cos and sin eigenvectors (the rows of ``tuning._basis``)
+diagonalize the noise, so a snapshot's noise on their 2m coefficients is 2m
+independent normals, frequency k's cos and sin with variance sigma^2 lambda_k.
+``_step_estimates`` draws them once per snapshot, shape (trials, 2m), and adds
+them to the noiseless order-0 coefficients of f(theta) (``tuning._coefficients``).
+Both estimators are readouts of that one draw. The local readout is the
+coefficient change weighted by the order-1 coefficients of f'(theta_ref) over
+lambda_k (``tuning._gram_weights``) and divided by the information
+I = sum_k T_k^2 / lambda_k (``tuning._spectral_sum``): the projection of the
+response change on C^-1 f'(theta_ref), over I. The phase readout reads each
+snapshot's angle from the single active frequency's (cos, sin) pair, needing
+no reference up to the mode's angular ambiguity, and wraps their difference
+into one period. The tests read whole responses with a dense solve and
+explicit cos/sin projections as the oracle of both. A snapshot costs 2m
+normals per trial, whatever n. One noisy snapshot against a known mean bounds
+the variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the one
 description and validator of an experiment, and one step loop draws for both
 runners: ``run_displacement_trials`` takes its first step and
-``run_path_integration`` its first ``steps``, with the readout's noise, the
-information and the local readout's noiseless value computed once per run.
+``run_path_integration`` its first ``steps``, with the noise scales and the
+information computed once per run.
 """
 
 from __future__ import annotations
@@ -44,17 +45,17 @@ from .spectral import (
     TorusCorrelation,
     _columns_to_bins,
     _nonnegative,
-    _positive,
     _Record,
 )
-from .tuning import TuningPopulation1D, _coefficients, _spectral_sum
+from .tuning import TuningPopulation1D, _coefficients, _gram_weights, _spectral_sum
 # not called here: perfbench/tests pin mcsim.mean_derivative as the traced tuning.mean_derivative
 from .tuning import mean_derivative  # noqa: F401
 
 Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
 
-#: Linearization guard: warn when max frequency times displacement exceeds this.
+#: Linearization guard of the local estimator: warn when max frequency times displacement
+#: exceeds this. The phase estimator warns from pi on, where its wrapped estimate aliases.
 SMALL_DISPLACEMENT_LIMIT = 0.1
 
 
@@ -140,12 +141,17 @@ class SimConfig:
         if self.estimator not in ("local_linear", "phase"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         k_max = self.population.allocation.max_frequency()
-        if k_max * abs(self.delta_theta) > SMALL_DISPLACEMENT_LIMIT:
-            warnings.warn(
-                f"displacement {self.delta_theta} is large for frequency {k_max}; "
-                "the local estimator linearization degrades",
-                stacklevel=3,  # past the dataclass-generated __init__, to its caller
-            )
+        turn = k_max * abs(self.delta_theta)
+        if self.estimator == "local_linear" and turn > SMALL_DISPLACEMENT_LIMIT:
+            problem = "the local estimator linearization degrades"
+        elif self.estimator == "phase" and turn >= math.pi:
+            problem = f"the phase estimate wraps into [-pi/{k_max}, pi/{k_max}) and aliases"
+        else:
+            return
+        warnings.warn(
+            f"displacement {self.delta_theta} is large for frequency {k_max}; {problem}",
+            stacklevel=3,  # past the dataclass-generated __init__, to its caller
+        )
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,9 @@ class SimResult(_Record):
 
 def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
     """The information I and the estimates of steps 0, 1, ..., each of delta_theta from
-    theta0 + s delta_theta, with noise drawn from one ``make_rng(seed)`` stream: the plus
-    snapshot of every trial, then, in two_snapshot mode, the reference snapshot.
+    theta0 + s delta_theta, with noise drawn from one ``make_rng(seed)`` stream: the
+    (trials, 2m) coefficient noise of the plus snapshot, then, in two_snapshot mode, of the
+    reference snapshot. Both estimators read the same draws.
 
     Raises before any draw: ValueError with no active frequency, SingularCovarianceError
     (local) unless every eigenvalue is positive, MultiModePopulationError (phase) unless
@@ -180,35 +187,32 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
     if not pop.allocation.entries:
         raise ValueError("the population has no active frequency, so no displacement is observable")
     if config.estimator == "local_linear":
-        _positive(pop.decomp.eigenvalues)
-        info = _spectral_sum(pop.allocation, pop.decomp, 0)
-        sd = config.noise_scale * math.sqrt(info)
-        shift = _spectral_sum(pop.allocation, pop.decomp, 1, lambda k: math.sin(k * delta))
+        weights = _gram_weights(pop)
 
-        def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
-            change = sd * rng.standard_normal(trials)
-            if two_snapshot:
-                change -= sd * rng.standard_normal(trials)
-            return (shift + change) / info
+        def read(plus: np.ndarray, ref: np.ndarray, theta: float) -> np.ndarray:
+            return (plus - ref) @ (_coefficients(pop, theta, 1) * weights) / info
 
     else:
         k, phase = _single_frequency(pop)
-        sd = config.noise_scale * float(_sqrt_eigenvalues(pop.decomp)[k])
         period = TWO_PI / k
-        info = _spectral_sum(pop.allocation, pop.decomp, 0)
 
-        def estimate(rng: np.random.Generator, theta: float) -> np.ndarray:
-            plus, ref = _coefficients(pop, np.array([theta + delta, theta]), 0)
-            plus = plus + sd * rng.standard_normal((trials, 2))
-            if two_snapshot:
-                ref = ref + sd * rng.standard_normal((trials, 2))
+        def read(plus: np.ndarray, ref: np.ndarray, theta: float) -> np.ndarray:
             angle_change = _phase_angle(k, phase, *plus.T) - _phase_angle(k, phase, *ref.T)
             return (angle_change + period / 2.0) % period - period / 2.0
+
+    active = [e.frequency for e in pop.allocation.entries]
+    sd = config.noise_scale * np.repeat(_sqrt_eigenvalues(pop.decomp)[active], 2)
+    info = _spectral_sum(pop.allocation, pop.decomp, 0)
 
     def steps() -> Iterator[np.ndarray]:
         rng = make_rng(config.seed)
         for s in itertools.count():
-            yield estimate(rng, config.theta0 + s * delta)
+            theta = config.theta0 + s * delta
+            plus, ref = _coefficients(pop, np.array([theta + delta, theta]), 0)
+            plus = plus + sd * rng.standard_normal((trials, sd.size))
+            if two_snapshot:
+                ref = ref + sd * rng.standard_normal((trials, sd.size))
+            yield read(plus, ref, theta)
 
     return info, steps()
 

@@ -14,16 +14,16 @@ dense G, built from the eigenvectors, stays a test oracle.
 The optimal constructions concentrate the whole budget on a single frequency.
 Only this module reads the paired spectrum to choose or score an allocation:
 ``check_condition`` decides whether lambda_k and k^2 lambda_k share their
-minimizer, and ``_spectral_sum`` sums T_k^2 g(k) / (k^p lambda_k) over the
-active frequencies for ``fisher`` and ``mcsim``. The torus is separable: its y axis is the x axis with each phase c_k moved by
-k times a phase shift, and a neuron's firing field is the product of its two
-axis curves, which are sampled as exact shifts of the one waveform.
+minimizer, and ``_spectral_sum`` sums T_k^2 / (k^p lambda_k) over the
+active frequencies for ``fisher`` and ``mcsim``. The torus is separable: its y
+axis is the x axis with each phase c_k moved by k times a phase shift, and a
+neuron's firing field is the product of its two axis curves, which are sampled
+as exact shifts of the one waveform.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,10 +312,8 @@ def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
     )
 
 
-def _spectral_sum(
-    allocation: PowerAllocation, decomp: SpectralDecomposition, p: int, g: Callable[[int], float] | None = None
-) -> float:
-    """Sum over the allocation's entries, in order, of T^2 g(k) / (k^p lambda_k), g = 1 if None.
+def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p: int) -> float:
+    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k).
 
     NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite
     sum, and so does an overflow, silently.
@@ -325,7 +323,7 @@ def _spectral_sum(
     with np.errstate(over="ignore"):
         for e in allocation.entries:
             k = e.frequency
-            total += e.amplitude * e.amplitude * (1.0 if g is None else g(k)) / (k**p * lams[k])
+            total += e.amplitude * e.amplitude / (k**p * lams[k])
     return float(total)
 
 

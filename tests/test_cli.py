@@ -1063,7 +1063,15 @@ class TestGoldenOutputs:
         ),
         "simulate-dump": (
             ["simulate", "{sim}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
-            {"trials.csv": "571512bc33df894af94885c04c21c0d775d4cece053170ceb0e6dd166fb46ccb"},
+            {"trials.csv": "0266450796f2eb080afcf18f0898361c4d8a2748bff3212bc952af150abab8c4"},
+        ),
+        # two active frequencies: pins the (trials, 2m) layout of the coefficient draws
+        "simulate-two-freq": (
+            ["simulate", "{sim_two_freq}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
+            {
+                "r.json": "a6bb5a8db114fac4105bc1a19a6f9e9485c374db025f044af1091f5f933dcb1b",
+                "trials.csv": "a311a31813c1b16785c778133523d1fe6af8ee9930b537a141ddc61d0219b4e8",
+            },
         ),
         "simulate-phase-known": (
             ["simulate", "{sim_phase_known}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
@@ -1084,6 +1092,14 @@ class TestGoldenOutputs:
     #: simulate configs on the ring8 kernel, by path key: extra fields over the local_linear default
     SIM_CONFIGS = {
         "sim": {},
+        "sim_two_freq": {
+            "allocation": [
+                {"frequency": 1, "amplitude": 0.8, "phase": 0.4},
+                {"frequency": 3, "amplitude": 0.6, "phase": 1.1},
+            ],
+            "mode": "two_snapshot",
+            "theta0": 0.7,
+        },
         "sim_phase_known": {"estimator": "phase"},
         "sim_phase_two": {"estimator": "phase", "mode": "two_snapshot"},
     }

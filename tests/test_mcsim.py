@@ -398,16 +398,23 @@ class TestLocalReadoutMatchesDenseGls:
 
 
 class TestLocalReadoutSums:
-    """The local readout's information and noiseless shift are the sums of a sequential loop."""
+    """The local readout's information is a sequential loop's sum bit for bit, and its noiseless
+    estimate is that loop's shift / information to 1e-13.
+
+    Independent of ``_coefficients``: the dense-oracle tests build f' with the same
+    coefficients as the readout, so only this closed form catches a swapped cos/sin or a
+    flipped sign in the order-1 coefficients.
+    """
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         n=st.integers(8, 40),
         seed=st.integers(0, 2**32 - 1),
+        theta0=st.sampled_from([0.0, 1.3, 5.9]),
         delta=st.sampled_from([1e-3, 0.05, -0.3]),
         mode=st.sampled_from(["known_reference", "two_snapshot"]),
     )
-    def test_zero_noise_run_returns_shift_over_information_bit_for_bit(self, n, seed, delta, mode):
+    def test_zero_noise_run_returns_shift_over_information_bit_for_bit(self, n, seed, theta0, delta, mode):
         g = np.random.default_rng(seed)
         decomp = decompose(random_psd_kernel(g, n))
         paired = list(decomp.paired_frequencies)
@@ -422,11 +429,12 @@ class TestLocalReadoutSums:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k * delta may pass the linearization guard
             config = SimConfig(
-                population=pop, delta_theta=delta, trials=100, seed=seed, mode=mode, noise_scale=0.0
+                population=pop, delta_theta=delta, trials=100, seed=seed, mode=mode,
+                theta0=theta0, noise_scale=0.0,
             )
         result, estimates = run_displacement_trials(config, with_estimates=True)
         assert result.fisher_information == info
-        assert estimates.tobytes() == np.full(100, shift / info).tobytes()
+        np.testing.assert_allclose(estimates, shift / info, rtol=0, atol=1e-13)
 
 
 class TestMemoryBound:
@@ -605,6 +613,25 @@ class TestRunDisplacementTrials:
             SimConfig(pop, delta_theta=0.01)
         assert [w.filename for w in seen] == [__file__, __file__]
         assert seen[0].lineno + 1 == seen[1].lineno
+
+    def test_phase_run_past_the_linearization_guard_does_not_warn(self):
+        # k* = 31, k* delta = 0.31: the phase readout has no linearization to degrade
+        pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = SimConfig(pop, delta_theta=0.01, trials=2000, seed=3, estimator="phase")
+            run_path_integration(pop, steps=2, step_delta=0.01, trials=200, estimator="phase")
+        result = run_displacement_trials(config)
+        assert abs(result.empirical_variance - result.crb_reference) < 5.0 * result.variance_stderr
+
+    def test_phase_run_warns_where_the_wrapped_estimate_aliases(self):
+        # k* delta = 3.41 >= pi: the step lies outside the wrapped interval [-pi/31, pi/31)
+        pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1e6)
+        aliases = r"wraps into \[-pi/31, pi/31\) and aliases"
+        with pytest.warns(UserWarning, match=aliases):
+            SimConfig(pop, delta_theta=0.11, trials=100, estimator="phase")
+        with pytest.warns(UserWarning, match=aliases):
+            run_path_integration(pop, steps=2, step_delta=0.11, trials=100, estimator="phase")
 
     def test_seed_determinism(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
