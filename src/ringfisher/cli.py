@@ -131,25 +131,23 @@ def _resolve(args: argparse.Namespace, path: Path | None) -> Path | None:
     return args.out_dir / path
 
 
-def _write_manifest(args: argparse.Namespace, manifest: Path, outputs: dict[Path, Path], seed: int | None) -> None:
-    """``manifest``: every parsed argument, the seed and the file digests; ``outputs`` maps
-    each output's final path, the name listed, to the file holding its bytes."""
+def _write_manifest(
+    args: argparse.Namespace, manifest: Path, inputs: list[Path], outputs: dict[Path, Path], seed: int | None
+) -> None:
+    """``manifest``: every parsed argument, the seed and the file digests; ``inputs`` are the
+    files the command read, and ``outputs`` maps each output's final path, the name listed, to
+    the file holding its bytes."""
     settings = {
         name: str(value) if isinstance(value, Path) else value
         for name, value in vars(args).items()
         if name != "handler"
     }
-    if args.command == "simulate":
-        kernel_file = _sim_kernel_file(args.config, rio.read_json_object(args.config, "simulation config"))
-        sources = [args.config] if kernel_file is None else [args.config, kernel_file]
-    else:
-        sources = [args.kernel]
     payload = {
         "command": args.command,
         "version": __version__,
         "seed": seed,
         "settings": settings,
-        "inputs": {str(source): rio.sha256_file(source) for source in sources},
+        "inputs": {str(source): rio.sha256_file(source) for source in inputs},
         "outputs": {str(path): rio.sha256_file(written) for path, written in outputs.items()},
     }
     rio.write_json(payload, manifest)
@@ -199,7 +197,7 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None]:
+def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None, list[Path]]:
     kernel = rio.load_kernel(args.kernel)
     rio.write_decomposition_csv(kernel, out)
     report = validate_psd(kernel)
@@ -209,12 +207,12 @@ def _cmd_decompose(args: argparse.Namespace, out: Path) -> tuple[int, None]:
             f"error: kernel is not positive semidefinite; negative eigenvalue at k = {offending}",
             file=sys.stderr,
         )
-        return EXIT_INVALID_COVARIANCE, None
+        return EXIT_INVALID_COVARIANCE, None, [args.kernel]
     print(rio.dumps_json(report.to_dict()))
-    return EXIT_OK, None
+    return EXIT_OK, None, [args.kernel]
 
 
-def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) -> tuple[int, int]:
+def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) -> tuple[int, int, list[Path]]:
     from .fisher import crb, fisher_2d, fisher_max_bound
     from .optimal import audit_random_allocations, maximize_fisher_1d, maximize_fisher_2d
     from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties, check_condition
@@ -261,10 +259,10 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
         pop = TuningPopulation1D(kernel, search.allocation)
         rio.write_curves_csv(pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0)
     print(rio.dumps_json(payload["search"]))
-    return EXIT_OK, seed
+    return EXIT_OK, seed, [args.kernel]
 
 
-def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None]:
+def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None, list[Path]]:
     from .fisher import fisher_2d, fisher_report_1d
     from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, check_condition, optimal_tuning_1d
 
@@ -286,10 +284,10 @@ def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None]:
     with _finite_at(f"--power {args.power!r}"):
         rio.write_json(payload, out)
     print(rio.dumps_json(payload))
-    return EXIT_OK, None
+    return EXIT_OK, None, [args.kernel]
 
 
-def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tuple[int, None]:
+def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tuple[int, None, list[Path]]:
     from .tuning import (
         PowerAllocation,
         TuningPopulation1D,
@@ -317,16 +315,7 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
     with _finite_at(f"--power {args.power!r}{offset}"):
         rio.write_pgm(cx, cy, out_pgm)
     rio.write_field_csv(cx, cy, out_csv)
-    return EXIT_OK, None
-
-
-def _sim_kernel_file(path: Path, definition: dict) -> Path | None:
-    """The kernel file a simulation config names, relative to its directory, or None for an inline kernel."""
-    if "kernel" in definition:
-        return None
-    if not isinstance(definition.get("kernel_file"), str):
-        raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
-    return Path(path).parent / definition["kernel_file"]
+    return EXIT_OK, None, [args.kernel]
 
 
 #: The SimConfig fields a simulation config may set, each with the reader of its JSON value
@@ -337,14 +326,17 @@ _SIM_FIELDS = {
 }
 
 
-def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
-    """Build a SimConfig from a JSON file mirroring its fields.
+def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimConfig, list[Path]]:
+    """Build a SimConfig from a JSON file mirroring its fields, with the files read for it:
+    ``path``, then the kernel file if it names one.
 
     The kernel is given inline under ``kernel`` or by path under
     ``kernel_file`` (relative to the config file). ``allocation`` is either
-    the string "optimal" or a list of {frequency, amplitude, phase} entries.
-    A field the file leaves out takes SimConfig's default; ``seed_override``
-    replaces the file's seed, which is then not read.
+    the string "optimal", which spends ``power`` on the optimal frequency, or a
+    list of {frequency, amplitude, phase} entries, amplitude a standing for the
+    power a * a; ``power`` goes with "optimal" only. A field the file leaves
+    out takes SimConfig's default; ``seed_override`` replaces the file's seed,
+    which is then not read.
     """
     from .mcsim import SimConfig
     from .tuning import AllocationEntry, PowerAllocation, TuningPopulation1D, optimal_tuning_1d
@@ -352,39 +344,50 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> SimConfig:
     definition = rio.read_json_object(path, "simulation config")
     if seed_override is not None:
         definition = {**definition, "seed": seed_override}
-    kernel_file = _sim_kernel_file(path, definition)
-    kernel = rio.kernel_from_dict(definition["kernel"]) if kernel_file is None else rio.load_kernel(kernel_file)
-    power = rio.json_number(definition, "power", 1.0)
+    inputs = [path]
+    if "kernel" in definition:
+        kernel = rio.kernel_from_dict(definition["kernel"])
+    elif isinstance(definition.get("kernel_file"), str):
+        inputs.append(Path(path).parent / definition["kernel_file"])
+        kernel = rio.load_kernel(inputs[-1])
+    else:
+        raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
     allocation = definition.get("allocation", "optimal")
     if allocation == "optimal":
-        pop = optimal_tuning_1d(kernel, power)
+        pop = optimal_tuning_1d(kernel, rio.json_number(definition, "power", 1.0))
     elif isinstance(allocation, list):
-        entries = [rio.json_object(e, "allocation entry") for e in allocation]
-        alloc = PowerAllocation(
-            entries=tuple(
-                AllocationEntry(
-                    rio.json_integer(e, "frequency"),
-                    rio.json_number(e, "amplitude"),
-                    rio.json_number(e, "phase", 0.0),
-                )
-                for e in entries
+        if "power" in definition:
+            raise MalformedKernelError(
+                "'power' applies only to the 'optimal' allocation; "
+                "a list under 'allocation' sets each entry's power by its amplitude"
             )
-        )
+        entries = [rio.json_object(e, "allocation entry") for e in allocation]
+        parsed = [
+            (rio.json_integer(e, "frequency"), rio.json_number(e, "amplitude"), rio.json_number(e, "phase", 0.0))
+            for e in entries
+        ]
+        for frequency, amplitude, _ in parsed:
+            if amplitude < 0.0 or not math.isfinite(amplitude * amplitude):
+                raise ValueError(
+                    "allocation power (the square of an amplitude) must be finite, and the amplitude >= 0; "
+                    f"got frequency {frequency}, amplitude {amplitude!r}"
+                )
+        alloc = PowerAllocation(tuple(AllocationEntry(k, a * a, phase) for k, a, phase in parsed))
         pop = TuningPopulation1D(kernel, alloc)
     else:
         raise MalformedKernelError(
             "allocation must be 'optimal' or a list of {frequency, amplitude, phase}"
         )
     fields = {key: read(definition, key) for key, read in _SIM_FIELDS.items() if key in definition}
-    return SimConfig(population=pop, **fields)
+    return SimConfig(population=pop, **fields), inputs
 
 
-def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tuple[int, int]:
+def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tuple[int, int, list[Path]]:
     from .mcsim import run_displacement_trials
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        config = load_sim_config(args.config, seed_override=args.seed)
+        config, inputs = load_sim_config(args.config, seed_override=args.seed)
         result, estimates = run_displacement_trials(config, with_estimates=True)
     for w in caught:
         _warn(str(w.message))
@@ -399,7 +402,7 @@ def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tup
     if dump is not None:
         rio.write_trials_csv(estimates, dump)
     print(rio.dumps_json(payload))
-    return EXIT_OK, config.seed
+    return EXIT_OK, config.seed, inputs
 
 
 _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
@@ -444,8 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None:
             _require_count("--seed", args.seed, 0)
-        code, seed = args.handler(args, *(staged.get(path) for path in outputs))
-        _write_manifest(args, staged[manifest], {p: staged[p] for p in outputs if p is not None}, seed)
+        code, seed, inputs = args.handler(args, *(staged.get(path) for path in outputs))
+        _write_manifest(args, staged[manifest], inputs, {p: staged[p] for p in outputs if p is not None}, seed)
         for path, written in staged.items():
             os.replace(written, os.path.realpath(path))
         return code

@@ -1,7 +1,7 @@
 """Fisher information of ring and torus populations under circulant Gaussian noise.
 
 The quadratic form (derivative profile against the inverse covariance) reduces
-in the eigenbasis to a sum of squared per-mode amplitudes over eigenvalues, so
+in the eigenbasis to a sum of per-mode powers over eigenvalues, so
 it is independent of position; its position derivative vanishes identically.
 On the separable torus the information splits into a product of two one-axis
 quadratic forms per direction plus a cross term that vanishes for the
@@ -18,7 +18,7 @@ eigenvector or eigenvalue shows.
 Every function that takes a population reads the spectrum from its own
 decomposition (``pop.decomp``), so a population and its covariance cannot be
 mismatched; ``fisher_1d_spectral`` and ``fisher_max_bound`` take the
-decomposition itself. The spectral forms sum T_k^2 / (k^p lambda_k) over the
+decomposition itself. The spectral forms sum w_k / (k^p lambda_k) over the
 active frequencies with ``tuning._spectral_sum``: p = 0 gives the ring
 information, p = 2 the torus factor.
 """
@@ -50,7 +50,7 @@ def fisher_1d(pop: TuningPopulation1D, theta: float = 0.0) -> float:
 
 
 def fisher_1d_spectral(allocation: PowerAllocation, decomp: SpectralDecomposition) -> float:
-    """Position-free spectral form: sum of squared amplitudes over eigenvalues."""
+    """Position-free spectral form: sum of the entries' powers over eigenvalues."""
     return _spectral_sum(allocation, decomp, 0)
 
 
@@ -117,7 +117,7 @@ def fisher_2d(
     i_x contracts the x derivative and the y response against the axis inverse
     (and symmetrically for i_y); the cross term pairs derivative with response
     on both axes. ``product_form`` is the equivalent spectral expression
-    (sum T^2/lambda) * (sum T^2/(k^2 lambda)), and ``minimum_variance`` the
+    (sum w/lambda) * (sum w/(k^2 lambda)), and ``minimum_variance`` the
     x-variance bound from inverting the 2x2 information matrix.
     """
     decomp, allocation = pop2d.x.decomp, pop2d.x.allocation

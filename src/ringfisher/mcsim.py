@@ -13,7 +13,7 @@ them to the noiseless order-0 coefficients of f(theta) (``tuning._coefficients``
 Both estimators are readouts of that one draw. The local readout is the
 coefficient change weighted by the order-1 coefficients of f'(theta_ref) over
 lambda_k (``tuning._gram_weights``) and divided by the information
-I = sum_k T_k^2 / lambda_k (``tuning._spectral_sum``): the projection of the
+I = sum_k w_k / lambda_k (``tuning._spectral_sum``): the projection of the
 response change on C^-1 f'(theta_ref), over I. The phase readout reads each
 snapshot's angle from the single active frequency's (cos, sin) pair, needing
 no reference up to the mode's angular ambiguity, and wraps their difference

@@ -1,8 +1,9 @@
 """Tuning-curve populations expressed as power allocations over eigen-modes.
 
 A population's derivative profile lives in the paired eigen-modes of the noise
-correlation: each active frequency k contributes amplitude T_k and phase c_k,
-with the squared amplitudes summing to the signal power budget. Integrating
+correlation: each active frequency k contributes power w_k and phase c_k,
+with the powers summing to the signal power budget; its amplitude
+T_k = sqrt(w_k) scales the frequency's eigenvectors. Integrating
 once (constants fixed to zero) gives the mean responses, so every neuron's
 tuning curve is the same waveform shifted by the inter-neuron spacing. The
 response and its theta-derivatives are closed-form coefficients (``_coefficients``)
@@ -14,7 +15,7 @@ dense G, built from the eigenvectors, stays a test oracle.
 The optimal constructions concentrate the whole budget on a single frequency.
 Only this module reads the paired spectrum to choose or score an allocation:
 ``check_condition`` decides whether lambda_k and k^2 lambda_k share their
-minimizer, and ``_spectral_sum`` sums T_k^2 / (k^p lambda_k) over the
+minimizer, and ``_spectral_sum`` sums w_k / (k^p lambda_k) over the
 active frequencies for ``fisher`` and ``mcsim``. The torus is separable: its y
 axis is the x axis with each phase c_k moved by k times a phase shift, and a
 neuron's firing field is the product of its two axis curves, which are sampled
@@ -40,16 +41,36 @@ ORDER_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AllocationEntry:
+    """One active frequency with its power w (the number every objective reads) and phase.
+
+    ``amplitude`` is derived, sqrt(w): the derivative profile's coefficient on
+    the frequency's cos and sin eigenvectors. ValueError unless the frequency
+    is >= 1, the power finite and >= 0 and the phase finite.
+    """
+
     frequency: int
-    amplitude: float
+    power: float
     phase: float = 0.0
+    amplitude: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "frequency", int(self.frequency))
+        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "phase", float(self.phase))
+        if self.frequency < 1:
+            raise ValueError(f"allocation frequencies must be >= 1, got {self.frequency}")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(f"power must be finite and >= 0, got {self.power!r} at frequency {self.frequency}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
+        object.__setattr__(self, "amplitude", math.sqrt(self.power))
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
     """Signal power distributed over paired frequencies with phases.
 
-    ``power`` is derived: the sum of squared amplitudes, which must be finite
+    ``power`` is derived: the sum of the entries' powers, which must be finite
     (ValueError names the largest entry otherwise). An empty allocation
     (zero power) is a valid degenerate object so that downstream evaluations
     can report zero cleanly.
@@ -59,43 +80,29 @@ class PowerAllocation:
     power: float = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            AllocationEntry(int(e.frequency), float(e.amplitude), float(e.phase))
-            for e in self.entries
-        )
-        freqs = [e.frequency for e in entries]
+        freqs = [e.frequency for e in self.entries]
         if len(set(freqs)) != len(freqs):
             raise ValueError(f"duplicate frequencies in allocation: {sorted(freqs)}")
-        for e in entries:
-            if e.amplitude < 0.0 or not math.isfinite(e.amplitude):
-                raise ValueError(f"amplitude must be finite and >= 0, got {e.amplitude}")
-            if not math.isfinite(e.phase):
-                raise ValueError(f"phase must be finite, got {e.phase}")
-            if e.frequency < 1:
-                raise ValueError(f"allocation frequencies must be >= 1, got {e.frequency}")
-        power = float(sum(e.amplitude * e.amplitude for e in entries))
+        power = float(sum(e.power for e in self.entries))
         if not math.isfinite(power):
-            top = max(entries, key=lambda e: e.amplitude)
+            top = max(self.entries, key=lambda e: e.power)
             raise ValueError(
-                f"allocation power (sum of squared amplitudes) is not finite; "
-                f"largest entry: frequency {top.frequency}, amplitude {top.amplitude!r}"
+                f"allocation power (sum of entry powers) is not finite; "
+                f"largest entry: frequency {top.frequency}, power {top.power!r}"
             )
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "power", power)
 
     @classmethod
     def single(cls, frequency: int, power: float, phase: float = 0.0) -> "PowerAllocation":
         if power <= 0.0:
             raise ValueError(f"power must be positive, got {power}")
-        return cls(entries=(AllocationEntry(frequency, math.sqrt(power), phase),))
+        return cls(entries=(AllocationEntry(frequency, power, phase),))
 
     @classmethod
     def from_powers(cls, powers: dict[int, float]) -> "PowerAllocation":
-        """Build entries from per-frequency power shares (amplitudes are square roots)."""
-        entries = tuple(
-            AllocationEntry(k, math.sqrt(p)) for k, p in sorted(powers.items()) if p > 0.0
-        )
-        return cls(entries=entries)
+        """Build entries from per-frequency power shares, dropping those that are not positive."""
+        return cls(entries=tuple(AllocationEntry(k, p) for k, p in sorted(powers.items()) if p > 0.0))
 
     def max_frequency(self) -> int:
         return max((e.frequency for e in self.entries), default=0)
@@ -141,7 +148,7 @@ class TuningPopulation2D:
     """Separable torus population: one axis population plus a phase shift.
 
     The y axis is ``x`` with each phase c_k moved by k * phase_shift, so both
-    axes share the kernel and the amplitude spectrum by construction.
+    axes share the kernel and the power spectrum by construction.
     ValueError unless |k * phase_shift| < 2**52 at the largest active frequency k.
     """
 
@@ -156,7 +163,7 @@ class TuningPopulation2D:
     @property
     def y(self) -> TuningPopulation1D:
         entries = tuple(
-            AllocationEntry(e.frequency, e.amplitude, e.phase + e.frequency * self.phase_shift)
+            AllocationEntry(e.frequency, e.power, e.phase + e.frequency * self.phase_shift)
             for e in self.x.allocation.entries
         )
         return TuningPopulation1D(self.x.decomp, PowerAllocation(entries))
@@ -313,7 +320,7 @@ def check_condition(decomp: SpectralDecomposition) -> ConditionReport:
 
 
 def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p: int) -> float:
-    """Sum over the allocation's entries, in order, of T^2 / (k^p lambda_k).
+    """Sum over the allocation's entries, in order, of w / (k^p lambda_k).
 
     NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite
     sum, and so does an overflow, silently.
@@ -323,7 +330,7 @@ def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p:
     with np.errstate(over="ignore"):
         for e in allocation.entries:
             k = e.frequency
-            total += e.amplitude * e.amplitude / (k**p * lams[k])
+            total += e.power / (k**p * lams[k])
     return float(total)
 
 

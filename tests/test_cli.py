@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ringfisher
 from ringfisher import io as rio
@@ -226,6 +228,34 @@ class TestFisherCommand:
         assert out.exists()
 
 
+class TestExactPower:
+    """A power budget P is stored as given: on the demo kernel ``fisher --power P`` reports
+    P / lambda_k* as one division, and ``optimize --power P`` writes P with the amplitude sqrt(P)."""
+
+    @staticmethod
+    def check(out_dir, power):
+        kernel_file = resources.files("ringfisher").joinpath("data/demo_kernel.json")
+        lam = float(rio.load_kernel(kernel_file).eigenvalues[1])  # k* = 1, the n = 4 ring's one paired frequency
+        fisher_out, optimize_out = out_dir / "fisher.json", out_dir / "opt.json"
+        assert main(["fisher", str(kernel_file), str(fisher_out), "--power", repr(power)]) == 0
+        report = json.loads(fisher_out.read_text())
+        assert report["fi_spectral"] == report["fi_max_bound"] == power / lam
+        assert main(["optimize", str(kernel_file), str(optimize_out), "--power", repr(power), "--dim", "1"]) == 0
+        allocation = json.loads(optimize_out.read_text())["search"]["allocation"]
+        (entry,) = allocation["entries"]
+        assert allocation["power"] == entry["power"] == power
+        assert entry["amplitude"] == math.sqrt(power)
+
+    @pytest.mark.parametrize("power", range(1, 21))
+    def test_integer_powers(self, tmp_path, capsys, power):
+        self.check(tmp_path, float(power))
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(power=st.floats(1e-300, 1e300))
+    def test_any_power(self, tmp_path, capsys, power):
+        self.check(tmp_path, power)
+
+
 class TestField2dCommand:
     def test_single_bump(self, tmp_path, n4_kernel_file):
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"
@@ -412,6 +442,45 @@ class TestSimulateCommand:
         assert err.startswith("error: allocation power") and "frequency 1, amplitude 1e+200" in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    def test_negative_amplitude_exit_6_without_output(self, tmp_path, capsys):
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25, 0.125, 0.0625]}},
+            "allocation": [{"frequency": 2, "amplitude": -0.5}],
+            "trials": 200,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 6
+        assert "frequency 2, amplitude -0.5" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(amplitude=st.just(0.0) | st.floats(2.0**-511, 1.3e154))
+    def test_config_amplitude_round_trips(self, tmp_path, amplitude):
+        # an amplitude a stands for the power a * a, whose square root is a again while a * a is
+        # a normal float (from 2**-511 up to sqrt of the largest double, 1.34e154)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25, 0.125, 0.0625]}},
+            "allocation": [{"frequency": 3, "amplitude": amplitude, "phase": 0.5}],
+        }))
+        (entry,) = load_sim_config(config_file)[0].population.allocation.entries
+        assert (entry.frequency, entry.power, entry.amplitude, entry.phase) == (3, amplitude * amplitude, amplitude, 0.5)
+
+    def test_power_beside_an_allocation_list_exit_2(self, tmp_path, capsys):
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.45, 0.2, 0.1, 0.05]}},
+            "allocation": [{"frequency": 1, "amplitude": 0.8}],
+            "power": 5.0,
+            "trials": 200,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'power'" in err and "'allocation'" in err and "'optimal'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_negative_config_seed_exit_6(self, tmp_path, capsys):
         config = {
             "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
@@ -434,7 +503,7 @@ class TestSimulateCommand:
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"kernel_file": "k.json"}))
         write_kernel(tmp_path / "k.json", 4, [1.0, 0.5, 0.25])
-        config = load_sim_config(config_file)
+        config, _ = load_sim_config(config_file)
         defaults = {f.name: f.default for f in dataclasses.fields(SimConfig) if f.name != "population"}
         assert {name: getattr(config, name) for name in defaults} == defaults
 
@@ -442,7 +511,7 @@ class TestSimulateCommand:
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"kernel_file": "k.json", "seed": "not a seed"}))
         write_kernel(tmp_path / "k.json", 4, [1.0, 0.5, 0.25])
-        assert load_sim_config(config_file, seed_override=3).seed == 3
+        assert load_sim_config(config_file, seed_override=3)[0].seed == 3
         with pytest.raises(MalformedKernelError, match="seed must be a number"):
             load_sim_config(config_file)
 
@@ -942,6 +1011,14 @@ class TestManifests:
         manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
         assert manifest["inputs"] == {str(config): rio.sha256_file(config)}
 
+    def test_simulate_reads_each_input_once(self, tmp_path, n4_kernel_file, monkeypatch):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"kernel_file": n4_kernel_file.name, "trials": 100, "seed": 1}))
+        read, reads = rio.read_json_object, []
+        monkeypatch.setattr(rio, "read_json_object", lambda path, noun: reads.append(path) or read(path, noun))
+        assert main(["simulate", str(config), str(tmp_path / "r.json")]) == 0
+        assert reads == [config, n4_kernel_file]
+
     def test_repeat_runs_reproduce_digests(self, tmp_path, n4_kernel_file):
         out = tmp_path / "opt.json"
         main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "500"])
@@ -1044,7 +1121,7 @@ class TestGoldenOutputs:
         # exp16's spectral orderings disagree, so the torus optimum is a vertex_edge search
         "optimize-torus-audit": (
             ["--seed", "3", "optimize", "{exp16}", "{out}/opt2.json", "--dim", "2", "--audit-trials", "200"],
-            {"opt2.json": "f1c9754004dec9b4ba6e7097c6dcfe19a6db1dbac1d5443d50e447c40e14430e"},
+            {"opt2.json": "038b776733ff981eea45adf986c2927d03e4959a485ad3e8b179916f78486889"},
         ),
         "field2d-optimal": (
             ["field2d", "{torus15}", "{out}/f.pgm", "{out}/f.csv", "--optimal", "--res", "16"],

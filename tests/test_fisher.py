@@ -83,7 +83,7 @@ class TestFisher1D:
     def test_two_mode_contributions_sum(self):
         decomp = decompose(kernel_from_spectrum(6, [1.0, 0.75, 0.5, 0.9]))
         alloc = PowerAllocation(
-            entries=(AllocationEntry(1, math.sqrt(0.5)), AllocationEntry(2, math.sqrt(0.5)))
+            entries=(AllocationEntry(1, 0.5), AllocationEntry(2, 0.5))
         )
         pop = TuningPopulation1D(decomp, alloc)
         expected = 0.5 / 0.75 + 0.5 / 0.5  # direct summation oracle
@@ -101,8 +101,7 @@ class TestFisherSpectral:
 
     @pytest.mark.parametrize("power", [3.0, 9.096524])
     def test_concentration_equals_its_reported_bound(self, n6_decomp, power):
-        # the spectral sum and the allocation's power square each amplitude alike (a * a); at
-        # 9.096524 a C library's pow(a, 2) may round one ulp away from a * a
+        # the spectral sum divides the entry's power and the bound the allocation's, both the power given
         report = fisher_report_1d(optimal_tuning_1d(n6_decomp, power), theta_samples=4)
         assert report.fi_spectral == report.fi_max_bound
 
@@ -223,7 +222,7 @@ class TestGram:
 
     def test_no_form_applies_the_inverse(self, monkeypatch, rng):
         decomp = decompose(random_psd_kernel(rng, 32, lam_lo=0.2))
-        entries = tuple(AllocationEntry(k, 0.5, 0.3 * k) for k in (1, 4, 7))
+        entries = tuple(AllocationEntry(k, 0.5 * 0.5, 0.3 * k) for k in (1, 4, 7))
         pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
         calls = []
 
@@ -319,7 +318,7 @@ class TestFisherProperties:
         baseline = None
         for _ in range(5):
             entries = tuple(
-                AllocationEntry(k, a, float(rng.uniform(0.0, TWO_PI)))
+                AllocationEntry(k, a * a, float(rng.uniform(0.0, TWO_PI)))
                 for k, a in amplitudes.items()
             )
             pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=entries))

@@ -269,7 +269,7 @@ def curve_exports(draw, commensurate=False):
     samples = draw(multiple if commensurate else st.one_of(multiple, coprime, st.integers(1, 64)))
     frequencies = draw(st.lists(st.integers(1, (n - 1) // 2), min_size=1, max_size=3, unique=True))
     entries = tuple(
-        AllocationEntry(k, draw(st.floats(0.1, 2.0)), draw(st.floats(0.05, 6.0)))
+        AllocationEntry(k, draw(st.floats(0.1, 2.0)) ** 2, draw(st.floats(0.05, 6.0)))
         for k in frequencies
     )
     pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation(entries=entries))
@@ -332,7 +332,7 @@ class TestCurveLattice:
     def test_waveform_with_any_phase_matches_mean_response(self, n, lattice, data):
         frequencies = data.draw(st.lists(st.integers(1, (n - 1) // 2), min_size=1, max_size=3, unique=True))
         entries = tuple(
-            AllocationEntry(k, data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(-100.0, 100.0)))
+            AllocationEntry(k, data.draw(st.floats(0.1, 2.0)) ** 2, data.draw(st.floats(-100.0, 100.0)))
             for k in frequencies
         )
         pop = TuningPopulation1D(decompose(white_kernel(n)), PowerAllocation(entries=entries))
@@ -351,8 +351,8 @@ class TestCurveLattice:
         # k j is reduced before it becomes an angle
         decomp = decompose(white_kernel(64))
         k, amplitude, phase = 29, 1.7, 0.4
-        high = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(k, amplitude, phase),)))
-        low = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(1, amplitude / k, phase),)))
+        high = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(k, amplitude * amplitude, phase),)))
+        low = TuningPopulation1D(decomp, PowerAllocation((AllocationEntry(1, (amplitude / k) * (amplitude / k), phase),)))
         index = np.linspace(0, lattice - 1, 997).astype(np.int64)
         np.testing.assert_array_equal(
             _lattice_waveform(high, lattice, index), _lattice_waveform(low, lattice, (k * index) % lattice)

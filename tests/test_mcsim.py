@@ -177,11 +177,11 @@ def _random_population(seed: int, n: int, estimator: str) -> TuningPopulation1D:
     if estimator == "phase":
         k = int(g.choice(paired))
         # amplitude / k = 30 noise standard deviations: the readout never wraps
-        entries = (AllocationEntry(k, 30.0 * k, float(g.uniform(0.0, 6.0))),)
+        entries = (AllocationEntry(k, (30.0 * k) ** 2, float(g.uniform(0.0, 6.0))),)
     else:
         ks = g.choice(paired, size=min(len(paired), int(g.integers(1, 4))), replace=False)
         entries = tuple(
-            AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.0, 6.0))) for k in ks
+            AllocationEntry(int(k), float(g.uniform(0.2, 2.0)) ** 2, float(g.uniform(0.0, 6.0))) for k in ks
         )
     return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
 
@@ -366,7 +366,7 @@ def _multi_frequency_population(seed: int, n: int) -> TuningPopulation1D:
     paired = list(decomp.paired_frequencies)
     ks = g.choice(paired, size=min(len(paired), int(g.integers(2, 4))), replace=False)
     entries = tuple(
-        AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.1, 6.0))) for k in ks
+        AllocationEntry(int(k), float(g.uniform(0.2, 2.0)) ** 2, float(g.uniform(0.1, 6.0))) for k in ks
     )
     return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
 
@@ -419,13 +419,13 @@ class TestLocalReadoutSums:
         decomp = decompose(random_psd_kernel(g, n))
         paired = list(decomp.paired_frequencies)
         ks = g.choice(paired, size=int(g.integers(3, len(paired) + 1)), replace=False)
-        entries = tuple(AllocationEntry(int(k), float(g.uniform(0.2, 2.0)), float(g.uniform(0.0, 6.0))) for k in ks)
+        entries = tuple(AllocationEntry(int(k), float(g.uniform(0.2, 2.0)) ** 2, float(g.uniform(0.0, 6.0))) for k in ks)
         pop = TuningPopulation1D(decomp, PowerAllocation(entries=entries))
         info = shift = 0.0
         for e in entries:
             k, lam = e.frequency, decomp.eigenvalues[e.frequency]
-            info += e.amplitude**2 / lam
-            shift += e.amplitude**2 * math.sin(k * delta) / (k * lam)
+            info += e.power / lam
+            shift += e.power * math.sin(k * delta) / (k * lam)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k * delta may pass the linearization guard
             config = SimConfig(
@@ -503,7 +503,7 @@ class TestLocalEstimator:
 class TestPhaseEstimator:
     def test_multi_mode_rejected(self, n6_decomp):
         alloc = PowerAllocation(
-            entries=(AllocationEntry(1, 0.8), AllocationEntry(2, 0.6))
+            entries=(AllocationEntry(1, 0.64), AllocationEntry(2, 0.36))
         )
         pop = TuningPopulation1D(n6_decomp, alloc)
         with pytest.raises(MultiModePopulationError):

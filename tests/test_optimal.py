@@ -158,7 +158,7 @@ class TestMaximize2D:
         result = maximize_fisher_2d(decomp, 1.0)
         assert result.method == "vertex_edge"
         assert result.achieved_fi == pytest.approx(1.125, rel=1e-9)
-        weights = {e.frequency: e.amplitude**2 for e in result.allocation.entries}
+        weights = {e.frequency: e.power for e in result.allocation.entries}
         assert weights[1] == pytest.approx(0.5, rel=1e-9)
         assert weights[2] == pytest.approx(0.5, rel=1e-9)
         # beats both single-frequency vertices and every audited point
@@ -173,7 +173,7 @@ class TestMaximize2D:
         scaled_1d = maximize_fisher_1d(n6_decomp, 3.0)
         assert scaled_1d.achieved_fi == pytest.approx(3.0 * base_1d.achieved_fi, rel=1e-12)
         for b, s in zip(base.allocation.entries, scaled.allocation.entries):
-            assert s.amplitude**2 / 3.0 == pytest.approx(b.amplitude**2, rel=1e-9)
+            assert s.power / 3.0 == pytest.approx(b.power, rel=1e-9)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(spectrum=torus_spectra(), power=st.sampled_from([1.0, 2.5]))

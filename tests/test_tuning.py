@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringfisher.errors import ConditionViolatedError, ResolutionOutOfRangeError
 from ringfisher.spectral import TWO_PI, decompose, kernel_from_spectrum
@@ -33,7 +35,7 @@ def random_population(rng, decomp, power=1.0):
     chosen = sorted(rng.choice(paired, size=count, replace=False).tolist())
     shares = rng.dirichlet(np.ones(count)) * power
     entries = tuple(
-        AllocationEntry(int(k), math.sqrt(float(s)), float(rng.uniform(0.0, TWO_PI)))
+        AllocationEntry(int(k), float(s), float(rng.uniform(0.0, TWO_PI)))
         for k, s in zip(chosen, shares)
     )
     return TuningPopulation1D(decomp, PowerAllocation(entries=entries))
@@ -42,7 +44,7 @@ def random_population(rng, decomp, power=1.0):
 class TestAllocation:
     def test_power_is_sum_of_squares(self):
         alloc = PowerAllocation(
-            entries=(AllocationEntry(1, 0.6), AllocationEntry(2, 0.8))
+            entries=(AllocationEntry(1, 0.6 * 0.6), AllocationEntry(2, 0.8 * 0.8))
         )
         assert alloc.power == pytest.approx(1.0, abs=1e-12)
 
@@ -59,19 +61,26 @@ class TestAllocation:
             PowerAllocation(entries=(AllocationEntry(1, -0.5),))
 
     @pytest.mark.parametrize(
-        "amplitudes,largest",
-        [((1e200,), "frequency 1, amplitude 1e+200"), ((1e154, 1.5e154), "frequency 2, amplitude 1.5e+154")],
-        ids=["square-overflows", "sum-overflows"],
+        "powers,largest",
+        [((1e308, 1.5e308), "frequency 2, power 1.5e+308")],
+        ids=["sum-overflows"],
     )
-    def test_overflowing_power_rejected_naming_the_largest_entry(self, amplitudes, largest):
-        entries = tuple(AllocationEntry(k, a) for k, a in enumerate(amplitudes, start=1))
+    def test_overflowing_power_rejected_naming_the_largest_entry(self, powers, largest):
+        entries = tuple(AllocationEntry(k, w) for k, w in enumerate(powers, start=1))
         with pytest.raises(ValueError, match=f"power .* is not finite; largest entry: {re.escape(largest)}$"):
             PowerAllocation(entries=entries)
 
-    def test_power_squares_each_amplitude_exactly_rounded(self):
-        # a * a is the correctly rounded square; a C library's pow(a, 2) need not be (glibc's is one ulp off here)
-        a = 0.2370392774833774
-        assert PowerAllocation(entries=(AllocationEntry(1, a),)).power == a * a
+    @pytest.mark.parametrize("power", [-1e-300, math.inf, math.nan])
+    def test_entry_rejects_a_power_not_finite_and_nonnegative(self, power):
+        with pytest.raises(ValueError, match="power must be finite and >= 0, got .* at frequency 3$"):
+            AllocationEntry(3, power)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.7e308))
+    def test_entry_stores_its_power_and_derives_the_amplitude(self, power):
+        entry = AllocationEntry(2, power)
+        assert entry.power == power and entry.amplitude == math.sqrt(power)
+        assert PowerAllocation((entry,)).power == power
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phase):
@@ -143,7 +152,7 @@ class TestMeanDerivative:
 
     def test_two_mode_norm_is_power(self, n6_decomp):
         alloc = PowerAllocation(
-            entries=(AllocationEntry(1, math.sqrt(0.5)), AllocationEntry(2, math.sqrt(0.5)))
+            entries=(AllocationEntry(1, 0.5), AllocationEntry(2, 0.5))
         )
         pop = TuningPopulation1D(n6_decomp, alloc)
         for theta in (0.0, 0.9, 4.2):
@@ -172,7 +181,7 @@ class TestSignalPower:
             assert d @ d == pytest.approx(1.0, abs=1e-9)
 
     def test_quadratic_in_amplitude(self, n6_decomp):
-        doubled = TuningPopulation1D(n6_decomp, PowerAllocation((AllocationEntry(1, 2.0),)))
+        doubled = TuningPopulation1D(n6_decomp, PowerAllocation((AllocationEntry(1, 2.0 * 2.0),)))
         d = mean_derivative(doubled, 0.3)
         assert d @ d == pytest.approx(4.0, abs=1e-9)
 
@@ -241,7 +250,7 @@ class TestOptimalTuning2D:
         pop2d = TuningPopulation2D(x, shift)
         assert pop2d.y.decomp is x.decomp
         assert pop2d.y.allocation.entries == tuple(
-            AllocationEntry(e.frequency, e.amplitude, e.phase + e.frequency * shift)
+            AllocationEntry(e.frequency, e.power, e.phase + e.frequency * shift)
             for e in x.allocation.entries
         )
 
