@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "tuning": (
         "AllocationEntry", "ConditionReport", "PowerAllocation", "TuningPopulation1D",
-        "TuningPopulation2D", "check_condition", "mean_derivative", "mean_response",
+        "TuningPopulation2D", "check_condition", "mean_derivative",
         "optimal_tuning_1d", "optimal_tuning_2d",
     ),
     "fisher": (

@@ -6,11 +6,13 @@ output digests so runs can be reproduced and compared byte for byte.
 
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
 optimization, 5 bad parameter range, 6 simulation failure. A request too large
-to allocate, or a result that overflows to infinity or NaN at accepted flag
-values, exits 6 from ``simulate`` and 5 from any other command. A failed
-command changes no file: every output and the manifest are written to staging
-files beside their targets and renamed into place, the manifest last, only
-once all are written; a failure removes the staging files.
+to allocate, a result that overflows to infinity or NaN at accepted flag
+values, or an information that is 0 (so no Cramer-Rao bound) exits 6 from
+``simulate`` and 5 from any other command; ``main`` alone maps these, naming
+the flags the result was computed at. A failed command changes no file: every
+output and the manifest are written to staging files beside their targets and
+renamed into place, the manifest last, only once all are written; a failure
+removes the staging files.
 
 Each command imports the analysis modules it calls when it runs, so a process
 loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
@@ -22,7 +24,6 @@ loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import math
 import os
@@ -37,6 +38,7 @@ from .errors import (
     ConditionViolatedError,
     MalformedKernelError,
     MultiModePopulationError,
+    NonpositiveInformationError,
     NotPositiveSemidefiniteError,
     ResolutionOutOfRangeError,
     SingularCovarianceError,
@@ -184,15 +186,6 @@ def _require_count(flag: str, value: int, minimum: int) -> None:
         raise ParameterRangeError(f"{flag} must be >= {minimum}, got {value}")
 
 
-@contextlib.contextmanager
-def _finite_at(flags: str):
-    """Turn a result that is not finite into a ParameterRangeError naming the ``flags`` it was computed at."""
-    try:
-        yield
-    except rio.NonFiniteError as exc:
-        raise ParameterRangeError(f"the result is not finite at {flags}: {exc}") from None
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -253,8 +246,7 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
         "dim": args.dim,
         "power": args.power,
     }
-    with _finite_at(f"--power {args.power!r}"):
-        rio.write_json(payload, out)
+    rio.write_json(payload, out)
     if curves_out is not None:
         pop = TuningPopulation1D(kernel, search.allocation)
         rio.write_curves_csv(pop, curves_out, samples=args.curves_samples, offset=args.offset or 0.0)
@@ -281,8 +273,7 @@ def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None, list[Pa
     if args.dim == 2:
         pop2d = TuningPopulation2D(pop)
         payload.update(fisher_2d(pop2d).to_dict())
-    with _finite_at(f"--power {args.power!r}"):
-        rio.write_json(payload, out)
+    rio.write_json(payload, out)
     print(rio.dumps_json(payload))
     return EXIT_OK, None, [args.kernel]
 
@@ -311,9 +302,7 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
         raise ParameterRangeError(f"--phase-shift {problem}")
     pop2d = TuningPopulation2D(x, args.phase_shift)
     cx, cy = sample_firing_field(pop2d, tuple(args.neuron), args.res, offset=args.offset)
-    offset = "" if args.offset is None else f" and --offset {args.offset!r}"
-    with _finite_at(f"--power {args.power!r}{offset}"):
-        rio.write_pgm(cx, cy, out_pgm)
+    rio.write_pgm(cx, cy, out_pgm)
     rio.write_field_csv(cx, cy, out_csv)
     return EXIT_OK, None, [args.kernel]
 
@@ -392,13 +381,7 @@ def _cmd_simulate(args: argparse.Namespace, out: Path, dump: Path | None) -> tup
     for w in caught:
         _warn(str(w.message))
     payload = result.to_dict()
-    try:
-        rio.write_json(payload, out)
-    except rio.NonFiniteError as exc:
-        raise ValueError(
-            f"result is not finite ({exc}); there is no Cramer-Rao bound to compare "
-            "with, as when the active frequency's noise eigenvalue is 0"
-        ) from None
+    rio.write_json(payload, out)
     if dump is not None:
         rio.write_trials_csv(estimates, dump)
     print(rio.dumps_json(payload))
@@ -415,6 +398,9 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
     (MultiModePopulationError, EXIT_SIMULATION_FAILURE),
 )
 
+
+#: The flags that each command's reported numbers depend on, named when a result is not finite.
+_RESULT_FLAGS = {"optimize": ("power",), "fisher": ("power",), "field2d": ("power", "offset")}
 
 #: Each command's output path arguments; the first one names the manifest.
 _OUTPUT_ARGS = {
@@ -464,9 +450,16 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, err_type):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        # a request or a result beyond reach: a simulation failure, or a parameter out of range
+        out_of_range = EXIT_SIMULATION_FAILURE if args.command == "simulate" else EXIT_BAD_PARAMETER
+        if isinstance(exc, (rio.NonFiniteError, NonpositiveInformationError)):
+            values = {name: vars(args)[name] for name in _RESULT_FLAGS.get(args.command, ())}
+            at = " and ".join(f"--{name} {value!r}" for name, value in values.items() if value is not None)
+            print(f"error: the result is not finite{at and ' at ' + at}: {exc}", file=sys.stderr)
+            return out_of_range
         if isinstance(exc, MemoryError):
             print(f"error: cannot allocate memory for this request: {exc}", file=sys.stderr)
-            return EXIT_SIMULATION_FAILURE if args.command == "simulate" else EXIT_BAD_PARAMETER
+            return out_of_range
         if args.command == "simulate" and isinstance(exc, (ValueError, KeyError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SIMULATION_FAILURE

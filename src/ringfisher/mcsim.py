@@ -178,16 +178,21 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
     (trials, 2m) coefficient noise of the plus snapshot, then, in two_snapshot mode, of the
     reference snapshot. Both estimators read the same draws.
 
-    Raises before any draw: ValueError with no active frequency, SingularCovarianceError
-    (local) unless every eigenvalue is positive, MultiModePopulationError (phase) unless
-    one frequency is active, NotPositiveSemidefiniteError (phase) on a negative eigenvalue.
+    Raises before any draw, in this order: SingularCovarianceError (local) unless every
+    eigenvalue is positive, NotPositiveSemidefiniteError (phase) on a negative eigenvalue,
+    ValueError unless the information is positive (no entry, or every power 0 or so small
+    that the sum underflows), MultiModePopulationError (phase) unless one frequency is active.
     """
     pop, delta, trials = config.population, config.delta_theta, config.trials
     two_snapshot = config.mode == "two_snapshot"
-    if not pop.allocation.entries:
-        raise ValueError("the population has no active frequency, so no displacement is observable")
     if config.estimator == "local_linear":
-        weights = _gram_weights(pop)
+        weights = _gram_weights(pop)  # a singular covariance is named before the spectrum's sign
+    info = _spectral_sum(pop.allocation, pop.decomp, 0)
+    if not info > 0.0:
+        raise ValueError(
+            f"the population has no active frequency (information {info!r}), so no displacement is observable"
+        )
+    if config.estimator == "local_linear":
 
         def read(plus: np.ndarray, ref: np.ndarray, theta: float) -> np.ndarray:
             return (plus - ref) @ (_coefficients(pop, theta, 1) * weights) / info
@@ -202,7 +207,6 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
 
     active = [e.frequency for e in pop.allocation.entries]
     sd = config.noise_scale * np.repeat(_sqrt_eigenvalues(pop.decomp)[active], 2)
-    info = _spectral_sum(pop.allocation, pop.decomp, 0)
 
     def steps() -> Iterator[np.ndarray]:
         rng = make_rng(config.seed)

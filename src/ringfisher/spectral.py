@@ -129,22 +129,14 @@ class CorrelationKernel:
         """Frequencies 0 < k < n/2, each carrying a (cos, sin) eigenvector pair."""
         return range(1, (self.n + 1) // 2)
 
-    @property
-    def modes(self) -> tuple[EigenMode, ...]:
-        """Every frequency 0..floor(n/2) in order, so frequency k is ``modes[k]``."""
-        return tuple(self.mode(k) for k in range(self.n // 2 + 1))
-
     def mode(self, frequency: int) -> EigenMode:
         if not 0 <= frequency <= self.n // 2:
             raise KeyError(f"no mode at frequency {frequency}")
         return EigenMode(
             frequency=int(frequency),
             eigenvalue=float(self.eigenvalues[frequency]),
-            paired=0 < frequency < (self.n + 1) // 2,
+            paired=frequency in self.paired_frequencies,
         )
-
-    def is_paired(self, frequency: int) -> bool:
-        return self.mode(frequency).paired
 
     def _angles(self, frequency: int) -> np.ndarray:
         """2 pi k i / n for i in 0..n-1, with k i reduced mod n in integers first, so
@@ -153,16 +145,12 @@ class CorrelationKernel:
 
     def cos_vector(self, frequency: int) -> np.ndarray:
         """Unit-norm cosine eigenvector at the given frequency."""
-        n = self.n
-        if frequency == 0:
-            return np.full(n, 1.0 / math.sqrt(n))
-        if n % 2 == 0 and frequency == n // 2:
-            return np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-        return math.sqrt(2.0 / n) * np.cos(self._angles(frequency))
+        scale = math.sqrt(2.0 / self.n) if frequency in self.paired_frequencies else 1.0 / math.sqrt(self.n)
+        return scale * np.cos(self._angles(frequency))
 
     def sin_vector(self, frequency: int) -> np.ndarray:
         """Unit-norm sine eigenvector; only paired frequencies have one."""
-        if not self.is_paired(frequency):
+        if frequency not in self.paired_frequencies:
             raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
         return math.sqrt(2.0 / self.n) * np.sin(self._angles(frequency))
 
@@ -171,12 +159,12 @@ class CorrelationKernel:
 SpectralDecomposition = CorrelationKernel
 
 
-def _nonnegative(lams: np.ndarray, first: int = 0) -> np.ndarray:
-    """``lams`` (frequencies first, first + 1, ...); NotPositiveSemidefiniteError if one is below -PSD_TOLERANCE."""
+def _nonnegative(lams: np.ndarray) -> np.ndarray:
+    """``lams`` (frequencies 0, 1, ...); NotPositiveSemidefiniteError if one is below -PSD_TOLERANCE."""
     k = int(np.argmin(lams))
     if lams[k] < -PSD_TOLERANCE:
         raise NotPositiveSemidefiniteError(
-            f"kernel is not positive semidefinite: eigenvalue {lams[k]:.6g} at frequency {first + k}"
+            f"kernel is not positive semidefinite: eigenvalue {lams[k]:.6g} at frequency {k}"
         )
     return lams
 
@@ -310,7 +298,9 @@ def synthesize(decomp: SpectralDecomposition, coeffs: Mapping[int, tuple[float, 
     scale = _bin_scale(decomp.n)
     bins = np.zeros(scale.size, dtype=complex)
     for k, (a, b) in coeffs.items():
-        if decomp.is_paired(k):
+        if not 0 <= k < scale.size:
+            raise KeyError(f"no mode at frequency {k}")
+        if k in decomp.paired_frequencies:
             bins.imag[k] = -b * scale[k]
         elif b != 0.0:
             raise UnpairedModeError(f"frequency {k} has no sine eigenvector to weight")
@@ -335,8 +325,8 @@ def rotate_pattern(
     """
     out: dict[int, tuple[float, float]] = {}
     for k, (a, b) in coeffs.items():
-        if not decomp.is_paired(k):
-            raise UnpairedModeError(f"cannot rotate singleton frequency {k}")
+        if k not in decomp.paired_frequencies:
+            raise UnpairedModeError(f"cannot rotate frequency {k}: it has no sine eigenvector")
         c, s = math.cos(k * theta), math.sin(k * theta)
         out[k] = (a * c - b * s, b * c + a * s)
     return out

@@ -214,15 +214,6 @@ def _basis(pop: TuningPopulation1D) -> np.ndarray:
     return out
 
 
-def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
-    """Mean population activity f(theta); rows follow theta when given an array.
-
-    The integral of the derivative profile with integration constants fixed
-    to zero.
-    """
-    return _coefficients(pop, theta, 0) @ _basis(pop)
-
-
 def mean_derivative(pop: TuningPopulation1D, theta) -> np.ndarray:
     """Derivative of the mean activity with respect to theta (closed form)."""
     return _coefficients(pop, theta, 1) @ _basis(pop)
@@ -323,11 +314,11 @@ def _spectral_sum(allocation: PowerAllocation, decomp: SpectralDecomposition, p:
     """Sum over the allocation's entries, in order, of w / (k^p lambda_k).
 
     NotPositiveSemidefiniteError on a negative eigenvalue; a zero one gives an infinite
-    sum, and so does an overflow, silently.
+    sum (NaN where its power is 0 too), and so does an overflow, silently.
     """
     lams = _nonnegative(decomp.eigenvalues)
     total = 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         for e in allocation.entries:
             k = e.frequency
             total += e.power / (k**p * lams[k])

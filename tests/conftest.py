@@ -21,7 +21,7 @@ from ringfisher.spectral import (
     exponential_kernel,
     kernel_from_spectrum,
 )
-from ringfisher.tuning import TuningPopulation1D, _lattice_waveform
+from ringfisher.tuning import TuningPopulation1D, _basis, _coefficients, _lattice_waveform
 
 
 def dense_ring_matrix(kernel: CorrelationKernel) -> np.ndarray:
@@ -55,6 +55,17 @@ def float_digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
+def modes(decomp: SpectralDecomposition) -> tuple:
+    """Every frequency's ``EigenMode``, 0..floor(n/2) in order, so frequency k is ``modes(decomp)[k]``."""
+    return tuple(decomp.mode(k) for k in range(decomp.n // 2 + 1))
+
+
+def mean_response(pop: TuningPopulation1D, theta) -> np.ndarray:
+    """Mean population activity f(theta), rows following theta when given an array: the
+    order-0 coefficients on the active eigenvector rows, integration constants zero."""
+    return _coefficients(pop, theta, 0) @ _basis(pop)
+
+
 def dense_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
     """Independent oracle: sorted eigenvalues from a dense symmetric solver."""
     return np.linalg.eigvalsh(dense_ring_matrix(kernel))
@@ -63,7 +74,7 @@ def dense_eigenvalues(kernel: CorrelationKernel) -> np.ndarray:
 def dense_basis(decomp: SpectralDecomposition) -> np.ndarray:
     """Dense oracle: orthonormal eigenvectors as columns cos0, cos1, sin1, ..., cos n/2 (even n)."""
     cols = []
-    for m in decomp.modes:
+    for m in modes(decomp):
         cols.append(decomp.cos_vector(m.frequency))
         if m.paired:
             cols.append(decomp.sin_vector(m.frequency))
@@ -72,7 +83,7 @@ def dense_basis(decomp: SpectralDecomposition) -> np.ndarray:
 
 def column_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
     """Eigenvalue of each ``dense_basis`` column."""
-    return np.array([m.eigenvalue for m in decomp.modes for _ in range(2 if m.paired else 1)])
+    return np.array([m.eigenvalue for m in modes(decomp) for _ in range(2 if m.paired else 1)])
 
 
 def eigenvalue_multiset(decomp: SpectralDecomposition) -> np.ndarray:

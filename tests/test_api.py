@@ -23,7 +23,7 @@ PUBLIC_API = [
     "decompose", "errors", "exponential_kernel", "fisher",
     "fisher_1d", "fisher_1d_spectral", "fisher_2d", "fisher_derivative", "fisher_max_bound",
     "fisher_report_1d", "gaussian_kernel", "kernel_from_spectrum", "maximize_fisher_1d",
-    "maximize_fisher_2d", "mcsim", "mean_derivative", "mean_response", "mode_coefficients",
+    "maximize_fisher_2d", "mcsim", "mean_derivative", "mode_coefficients",
     "optimal", "optimal_tuning_1d", "optimal_tuning_2d", "rotate_pattern",
     "run_displacement_trials", "run_path_integration", "spectral", "synthesize", "tuning",
     "validate_psd",
@@ -37,7 +37,7 @@ TEST_ONLY = {
     "spectral": ["materialize_dense", "DENSE_SIZE_LIMIT", "TorusInverseReport", "torus_inverse_check"],
     "tuning": [
         "signal_power", "ShiftReport", "curves_shift_report", "shifted_copy_check",
-        "count_toroidal_maxima", "_NEIGHBOR_SHIFTS",
+        "count_toroidal_maxima", "_NEIGHBOR_SHIFTS", "mean_response",
     ],
 }
 TEST_ONLY_ATTRIBUTES = [
@@ -46,12 +46,14 @@ TEST_ONLY_ATTRIBUTES = [
     ("spectral", "EigenMode", "multiplicity"),
     ("spectral", "CorrelationKernel", "max_distance"),
     ("spectral", "CorrelationKernel", "value_at_distance"),
+    ("spectral", "CorrelationKernel", "modes"),
     ("tuning", "PowerAllocation", "scaled"),
     ("tuning", "PowerAllocation", "frequencies"),
 ]
 # Attributes deleted because nothing in the package, its tests or the README called them.
 DELETED_ATTRIBUTES = [
     ("spectral", "TorusCorrelation", "n"),
+    ("spectral", "CorrelationKernel", "is_paired"),
     ("tuning", "PowerAllocation", "to_dict"),
 ]
 # Result records, whose JSON form is their fields: all inherit the one ``to_dict``.

@@ -24,7 +24,7 @@ from ringfisher.cli import _OUTPUT_ARGS, load_sim_config, main
 from ringfisher.errors import MalformedKernelError
 from ringfisher.mcsim import SimConfig
 from ringfisher.spectral import decompose, exponential_kernel
-from conftest import INVALID_SPECTRA, count_toroidal_maxima, read_field_csv
+from conftest import INVALID_SPECTRA, count_toroidal_maxima, modes, read_field_csv
 
 
 def write_kernel(path, n, values):
@@ -64,7 +64,7 @@ class TestDecomposeCommand:
         assert main(["decompose", str(kernel_file), str(out)]) == 0
         rows = out.read_text().strip().splitlines()[1:]
         expected = decompose(exponential_kernel(8, c0=1.0, rho=0.5))
-        for row, mode in zip(rows, expected.modes):
+        for row, mode in zip(rows, modes(expected)):
             k, lam, paired = row.split(",")
             assert int(k) == mode.frequency
             assert float(lam) == pytest.approx(mode.eigenvalue, rel=1e-15)
@@ -577,6 +577,23 @@ class TestSimulateCommand:
         assert "no active frequency" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-200], ids=["zero", "underflow"])
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    def test_zero_power_allocation_exit_6(self, tmp_path, capsys, estimator, amplitude):
+        # the square of 1e-200 underflows to a power of 0: no information, as with no entry
+        config = {
+            "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.45, 0.2, 0.1, 0.05]}},
+            "allocation": [{"frequency": 1, "amplitude": amplitude}],
+            "trials": 200,
+            "estimator": estimator,
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        assert main(argv) == 6
+        assert "no active frequency (information 0.0)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_noiseless_active_frequency_exit_6(self, tmp_path, capsys):
         # eigenvalue 0 at k = 2: the phase readout is exact and the information infinite
         config = {
@@ -589,7 +606,8 @@ class TestSimulateCommand:
         config_file.write_text(json.dumps(config))
         argv = ["simulate", str(config_file), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
         assert main(argv) == 6
-        assert "fisher_information = inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fisher_information = inf" in err and "warning" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
@@ -879,6 +897,20 @@ class TestOverflowingResults:
         assert "error: the result is not finite at --power" in err and flag in err and keys in err
         assert "Warning" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["K.json"]
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [("optimize", "information must be positive, got 0.0"), ("fisher", "crb = inf")],
+        ids=["optimize", "fisher"],
+    )
+    def test_zero_information_exit_5(self, tmp_path, capsys, command, keys):
+        # lambda_1 of this kernel exceeds 1, so the smallest power over it rounds to 0
+        kernel = tmp_path / "K10.json"
+        kernel.write_text(json.dumps({"n": 8, "family": "exponential", "params": {"c0": 10, "rho": 0.5}}))
+        assert self.run([command, str(kernel), str(tmp_path / "o.json"), "--power", "5e-324"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: the result is not finite at --power 5e-324: ") and keys in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["K10.json"]
 
     def test_graymap_of_a_finite_field_whose_range_overflows_is_exact(self, tmp_path, kernel, capsys):
         pgm, csv_out = tmp_path / "f.pgm", tmp_path / "f.csv"

@@ -28,12 +28,11 @@ from ringfisher.tuning import (
     _coefficients,
     _gram_weights,
     mean_derivative,
-    mean_response,
     optimal_tuning_1d,
     optimal_tuning_2d,
 )
 
-from conftest import dense_ring_matrix, random_psd_kernel, white_kernel
+from conftest import dense_ring_matrix, mean_response, random_psd_kernel, white_kernel
 from test_tuning import random_population, single_mode_pop
 
 IDENTITY_REL = 1e-9

@@ -28,7 +28,6 @@ from ringfisher.tuning import (
     TuningPopulation1D,
     TuningPopulation2D,
     _lattice_waveform,
-    mean_response,
     optimal_tuning_1d,
     sample_firing_field,
 )
@@ -37,6 +36,7 @@ from conftest import (
     csv_module_curves_csv,
     csv_module_field_csv,
     exact_pgm,
+    mean_response,
     read_field_csv,
     white_kernel,
     whole_array_pgm,

@@ -39,7 +39,6 @@ from ringfisher.tuning import (
     TuningPopulation1D,
     _coefficients,
     mean_derivative,
-    mean_response,
     optimal_tuning_1d,
 )
 
@@ -50,6 +49,7 @@ from conftest import (
     dense_ring_matrix,
     dense_torus_matrix,
     float_digest,
+    mean_response,
     random_psd_kernel,
     white_kernel,
 )
@@ -311,7 +311,8 @@ class TestCovarianceErrors:
 
 
 class TestEmptyPopulation:
-    """A population with no active frequency is rejected before any draw."""
+    """A population with no information, because no frequency is active or every power is 0
+    or too small to add to it, is rejected before any draw."""
 
     RUNNERS = {
         "displacement": lambda pop, estimator: run_displacement_trials(
@@ -322,15 +323,27 @@ class TestEmptyPopulation:
         ),
     }
 
+    @staticmethod
+    def no_draws(seed):
+        raise AssertionError("drew noise for a population with no information")
+
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_rejected_before_drawing(self, monkeypatch, n6_decomp, runner, estimator):
-        def no_draws(seed):
-            raise AssertionError("drew noise for an empty population")
-
-        monkeypatch.setattr(mcsim, "make_rng", no_draws)
+        monkeypatch.setattr(mcsim, "make_rng", self.no_draws)
         pop = TuningPopulation1D(n6_decomp, PowerAllocation(entries=()))
         with pytest.raises(ValueError, match="no active frequency"):
+            self.RUNNERS[runner](pop, estimator)
+
+    # lambda_1 is 1.25 c0, so at c0 = 10 the smallest power, 5e-324, over lambda_1 rounds to 0
+    @pytest.mark.parametrize("c0, power", [(1.0, 0.0), (10.0, 5e-324)], ids=["zero", "underflow"])
+    @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_zero_information_rejected_before_drawing(self, monkeypatch, runner, estimator, c0, power):
+        monkeypatch.setattr(mcsim, "make_rng", self.no_draws)
+        kernel = CorrelationKernel(6, tuple(c0 * c for c in (1.0, 0.4, 0.1, 0.05)))
+        pop = TuningPopulation1D(decompose(kernel), PowerAllocation((AllocationEntry(1, power),)))
+        with pytest.raises(ValueError, match=r"no active frequency \(information 0\.0\)"):
             self.RUNNERS[runner](pop, estimator)
 
 

@@ -45,6 +45,7 @@ from conftest import (
     dense_torus_matrix,
     eigenvalue_multiset,
     float_digest,
+    modes,
     random_psd_kernel,
     separable_torus_inverse,
     white_kernel,
@@ -53,7 +54,7 @@ from conftest import (
 
 class TestDecompose:
     def test_n4_closed_form(self, n4_decomp):
-        by_freq = {m.frequency: m for m in n4_decomp.modes}
+        by_freq = {m.frequency: m for m in modes(n4_decomp)}
         assert by_freq[0].eigenvalue == pytest.approx(2.25, abs=1e-12)
         assert by_freq[1].eigenvalue == pytest.approx(0.75, abs=1e-12)
         assert by_freq[2].eigenvalue == pytest.approx(0.25, abs=1e-12)
@@ -65,7 +66,7 @@ class TestDecompose:
 
     def test_white_noise_flat_spectrum(self):
         decomp = decompose(white_kernel(8, sigma_sq=4.0))
-        assert all(m.eigenvalue == pytest.approx(4.0, abs=0) for m in decomp.modes)
+        assert all(m.eigenvalue == pytest.approx(4.0, abs=0) for m in modes(decomp))
 
     def test_n6_matches_dense_oracle(self, n6_decomp):
         np.testing.assert_allclose(
@@ -73,9 +74,9 @@ class TestDecompose:
         )
 
     def test_modes_sorted_and_complete(self, n6_decomp):
-        freqs = [m.frequency for m in n6_decomp.modes]
+        freqs = [m.frequency for m in modes(n6_decomp)]
         assert freqs == sorted(freqs) == [0, 1, 2, 3]
-        assert sum(2 if m.paired else 1 for m in n6_decomp.modes) == 6
+        assert sum(2 if m.paired else 1 for m in modes(n6_decomp)) == 6
 
     @pytest.mark.parametrize("frequency", [-1, 4])
     def test_mode_out_of_range_raises_key_error(self, n6_decomp, frequency):
@@ -255,7 +256,7 @@ class TestSpectralProperties:
     def test_eigenvector_residuals(self, n, rng):
         decomp = decompose(random_psd_kernel(rng, n))
         dense = dense_ring_matrix(decomp)
-        for m in decomp.modes:
+        for m in modes(decomp):
             w = decomp.cos_vector(m.frequency)
             np.testing.assert_allclose(dense @ w, m.eigenvalue * w, atol=1e-10)
             if m.paired:
@@ -325,9 +326,9 @@ class TestFftMatchesDenseOracle:
         v = rng.normal(size=n)
         expected = dense_basis(decomp).T @ v
         coeffs = mode_coefficients(decomp, v)
-        got = [c for m in decomp.modes for c in coeffs[m.frequency][: 2 if m.paired else 1]]
+        got = [c for m in modes(decomp) for c in coeffs[m.frequency][: 2 if m.paired else 1]]
         assert_close_relative(got, expected)
-        for m in decomp.modes:
+        for m in modes(decomp):
             if not m.paired:
                 assert coeffs[m.frequency][1] == 0.0
 
@@ -338,20 +339,20 @@ class TestFftMatchesDenseOracle:
         decomp = decompose(random_psd_kernel(rng, n))
         coeffs = {
             m.frequency: (rng.normal(), rng.normal() if m.paired else 0.0)
-            for m in decomp.modes
+            for m in modes(decomp)
             if rng.random() < 0.7
         }
         expected = np.zeros(n)
         for k, (a, b) in coeffs.items():
             expected += a * decomp.cos_vector(k)
-            if decomp.is_paired(k):
+            if k in decomp.paired_frequencies:
                 expected += b * decomp.sin_vector(k)
         assert_close_relative(synthesize(decomp, coeffs), expected)
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_sine_weight_on_singleton_rejected(self, n):
         decomp = decompose(white_kernel(n))
-        singletons = [m.frequency for m in decomp.modes if not m.paired]
+        singletons = [m.frequency for m in modes(decomp) if not m.paired]
         for k in singletons:
             with pytest.raises(UnpairedModeError):
                 synthesize(decomp, {k: (1.0, 0.5)})
@@ -390,7 +391,7 @@ class TestBinLayout:
     def test_synthesis_keeps_its_bits(self, n):
         decomp = decompose(exponential_kernel(n, rho=0.4))
         z = make_rng(200 + n).standard_normal(n)
-        coeffs = {k: (z[k], z[n - 1 - k] if decomp.is_paired(k) else 0.0) for k in range(n // 2 + 1)}
+        coeffs = {k: (z[k], z[n - 1 - k] if k in decomp.paired_frequencies else 0.0) for k in range(n // 2 + 1)}
         assert float_digest(synthesize(decomp, coeffs)) == self.SYNTHESIS_DIGESTS[n]
 
     @pytest.mark.parametrize("n", [7, 8])

@@ -16,13 +16,12 @@ from ringfisher.tuning import (
     TuningPopulation1D,
     TuningPopulation2D,
     mean_derivative,
-    mean_response,
     optimal_tuning_1d,
     optimal_tuning_2d,
     sample_firing_field,
 )
 
-from conftest import count_toroidal_maxima, dense_ring_matrix, random_psd_kernel, white_kernel
+from conftest import count_toroidal_maxima, dense_ring_matrix, mean_response, random_psd_kernel, white_kernel
 
 
 def single_mode_pop(decomp, frequency=1, power=1.0, phase=0.0):
