@@ -311,7 +311,8 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
 #: (SimConfig itself checks the ``mode`` and ``estimator`` strings).
 _SIM_FIELDS = {
     "seed": rio.json_integer, "delta_theta": rio.json_number, "trials": rio.json_integer,
-    "mode": dict.get, "estimator": dict.get, "theta0": rio.json_number, "noise_scale": rio.json_number,
+    "mode": rio.json_string, "estimator": rio.json_string,
+    "theta0": rio.json_number, "noise_scale": rio.json_number,
 }
 
 

@@ -73,6 +73,14 @@ def json_integer(definition: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def json_string(definition: dict, key: str) -> str:
+    """``definition[key]``; MalformedKernelError unless the key is present and its value a JSON string."""
+    value = _field(definition, key, None)
+    if not isinstance(value, str):
+        raise MalformedKernelError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def kernel_from_dict(definition: dict) -> CorrelationKernel:
     """Build a kernel from its definition mapping (see ``load_kernel``)."""
     try:

@@ -45,6 +45,7 @@ from .spectral import (
     TorusCorrelation,
     _columns_to_bins,
     _nonnegative,
+    _positive,
     _Record,
 )
 from .tuning import TuningPopulation1D, _coefficients, _gram_weights, _spectral_sum
@@ -55,18 +56,17 @@ Mode = Literal["known_reference", "two_snapshot"]
 Estimator = Literal["local_linear", "phase"]
 
 #: Linearization guard of the local estimator: warn when max frequency times displacement
-#: exceeds this. The phase estimator warns from pi on, where its wrapped estimate aliases.
+#: exceeds this.
 SMALL_DISPLACEMENT_LIMIT = 0.1
+
+#: Aliasing guard of the phase estimator: warn when k |delta_theta| plus this many standard
+#: deviations of the noisy phase difference reaches pi, the edge of the wrapped interval.
+PHASE_WRAP_SDS = 6.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed by the seed: the same seed gives the same stream."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _sqrt_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
-    """Noise standard deviation per mode; NotPositiveSemidefiniteError on a negative eigenvalue."""
-    return np.sqrt(np.clip(_nonnegative(decomp.eigenvalues), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class NoiseModel:
         torus = isinstance(self.decomp, TorusCorrelation)
         axis = self.decomp.axis if torus else self.decomp
         n = axis.n
-        sigma = self.scale * _sqrt_eigenvalues(axis)
+        sigma = self.scale * np.sqrt(np.clip(_nonnegative(axis.eigenvalues), 0.0, None))
         # the normals go in as a temporary, freed before irfft allocates its output
         if torus:
             # B (z * sigma sigma^T) B^T: synthesize along the last axis, then along the other one.
@@ -115,6 +115,8 @@ class SimConfig:
 
     Raises ValueError unless trials >= 100, seed >= 0, mode and estimator are
     known, noise_scale is finite and >= 0, and delta_theta and theta0 are finite.
+    Warns when the step is too large for the estimator (see SMALL_DISPLACEMENT_LIMIT
+    and PHASE_WRAP_SDS).
     """
 
     population: TuningPopulation1D
@@ -143,15 +145,35 @@ class SimConfig:
         k_max = self.population.allocation.max_frequency()
         turn = k_max * abs(self.delta_theta)
         if self.estimator == "local_linear" and turn > SMALL_DISPLACEMENT_LIMIT:
-            problem = "the local estimator linearization degrades"
-        elif self.estimator == "phase" and turn >= math.pi:
-            problem = f"the phase estimate wraps into [-pi/{k_max}, pi/{k_max}) and aliases"
+            message = (
+                f"displacement {self.delta_theta} is large for frequency {k_max}; "
+                "the local estimator linearization degrades"
+            )
+        elif self.estimator == "phase" and turn + PHASE_WRAP_SDS * (sd := self._phase_difference_sd()) >= math.pi:
+            message = (
+                f"displacement {self.delta_theta} turns frequency {k_max}'s phase by {turn:.3g} rad, which "
+                f"with {PHASE_WRAP_SDS:g} phase-difference sds of {sd:.3g} rad reaches pi; "
+                f"the phase estimate wraps into [-pi/{k_max}, pi/{k_max}) and aliases"
+            )
         else:
             return
-        warnings.warn(
-            f"displacement {self.delta_theta} is large for frequency {k_max}; {problem}",
-            stacklevel=3,  # past the dataclass-generated __init__, to its caller
-        )
+        warnings.warn(message, stacklevel=3)  # past the dataclass-generated __init__, to its caller
+
+    @property
+    def snapshots(self) -> float:
+        """Noisy snapshots per estimate: 1 in known_reference mode, 2 in two_snapshot mode."""
+        return 2.0 if self.mode == "two_snapshot" else 1.0
+
+    def _phase_difference_sd(self) -> float:
+        """Standard deviation of the noisy phase difference k (theta_plus - theta_ref) at the
+        largest active frequency k: sigma k sqrt(snapshots lambda_k / w_k), as each snapshot's
+        (cos, sin) pair lies at radius sqrt(w_k) / k against noise sigma sqrt(lambda_k) on
+        each. 0 without signal there (no entry, or power 0): that run fails on its information."""
+        e = max(self.population.allocation.entries, key=lambda e: e.frequency, default=None)
+        if e is None or e.power == 0.0:
+            return 0.0
+        lam = max(float(self.population.decomp.eigenvalues[e.frequency]), 0.0)
+        return self.noise_scale * e.frequency * math.sqrt(self.snapshots * lam / e.power)
 
 
 @dataclass(frozen=True)
@@ -179,14 +201,16 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
     reference snapshot. Both estimators read the same draws.
 
     Raises before any draw, in this order: SingularCovarianceError (local) unless every
-    eigenvalue is positive, NotPositiveSemidefiniteError (phase) on a negative eigenvalue,
-    ValueError unless the information is positive (no entry, or every power 0 or so small
-    that the sum underflows), MultiModePopulationError (phase) unless one frequency is active.
+    eigenvalue is positive, as the local readout is C^-1 f'; NotPositiveSemidefiniteError
+    on a negative eigenvalue; ValueError unless the information is positive (no entry, or
+    every power 0 or so small that the sum underflows, or a negative active eigenvalue);
+    MultiModePopulationError (phase) unless one frequency is active.
     """
     pop, delta, trials = config.population, config.delta_theta, config.trials
     two_snapshot = config.mode == "two_snapshot"
     if config.estimator == "local_linear":
-        weights = _gram_weights(pop)  # a singular covariance is named before the spectrum's sign
+        _positive(pop.decomp.eigenvalues)  # a singular covariance is named before the spectrum's sign
+        weights = _gram_weights(pop)
     info = _spectral_sum(pop.allocation, pop.decomp, 0)
     if not info > 0.0:
         raise ValueError(
@@ -206,7 +230,7 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
             return (angle_change + period / 2.0) % period - period / 2.0
 
     active = [e.frequency for e in pop.allocation.entries]
-    sd = config.noise_scale * np.repeat(_sqrt_eigenvalues(pop.decomp)[active], 2)
+    sd = config.noise_scale * np.repeat(np.sqrt(pop.decomp.eigenvalues[active]), 2)
 
     def steps() -> Iterator[np.ndarray]:
         rng = make_rng(config.seed)
@@ -231,8 +255,7 @@ def run_displacement_trials(
     """
     info, steps = _step_estimates(config)
     estimates = next(steps)
-    snapshots = 2.0 if config.mode == "two_snapshot" else 1.0
-    crb_ref = snapshots * config.noise_scale**2 / info
+    crb_ref = config.snapshots * config.noise_scale**2 / info
     mean = float(np.mean(estimates))
     variance = float(np.var(estimates, ddof=1))
     result = SimResult(

@@ -197,12 +197,13 @@ def _gram_weights(pop: TuningPopulation1D) -> np.ndarray:
 
     The diagonal of G = W C^-1 W^T, whose off-diagonal entries vanish because the
     rows are eigenvectors, so the information of coefficient vectors a and b is
-    sum(a * w * b). SingularCovarianceError unless every eigenvalue exceeds
-    PSD_TOLERANCE, as for ``apply_inverse``.
+    sum(a * w * b). The spectrum is judged as by every optimum (``_paired_arrays``):
+    NotPositiveSemidefiniteError on a negative eigenvalue anywhere, then
+    SingularCovarianceError unless every paired one exceeds PSD_TOLERANCE.
     """
-    lams = _positive(pop.decomp.eigenvalues)
+    freqs, lams = _paired_arrays(pop.decomp)
     active = np.array([e.frequency for e in pop.allocation.entries], dtype=int)
-    return np.repeat(1.0 / lams[active], 2)
+    return np.repeat(1.0 / lams[active - freqs[0]], 2)
 
 
 def _basis(pop: TuningPopulation1D) -> np.ndarray:
@@ -260,13 +261,13 @@ def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) 
 
 
 def _paired_arrays(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Paired frequencies (ascending) and their eigenvalues, the view every optimum and
-    ordering reads: NotPositiveSemidefiniteError on a negative eigenvalue anywhere,
-    SingularCovarianceError unless every paired one is positive."""
+    """Paired frequencies (ascending) and a read-only view of their eigenvalues, which every
+    optimum, ordering and Fisher form reads: NotPositiveSemidefiniteError on a negative
+    eigenvalue anywhere, SingularCovarianceError unless every paired one is positive."""
     paired = decomp.paired_frequencies
-    freqs = np.arange(paired.start, paired.stop)
     _nonnegative(decomp.eigenvalues)
-    return freqs, _positive(decomp.eigenvalues[freqs], first=paired.start)
+    lams = _positive(decomp.eigenvalues[paired.start : paired.stop], first=paired.start)
+    return np.arange(paired.start, paired.stop), lams
 
 
 def _ties(freqs: np.ndarray, scores: np.ndarray) -> np.ndarray:

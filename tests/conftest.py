@@ -150,14 +150,19 @@ def white_kernel(n: int, sigma_sq: float = 1.0) -> CorrelationKernel:
     return CorrelationKernel(n, (sigma_sq,) + (0.0,) * (n // 2))
 
 
-#: n = 8 spectra (frequencies 0..4) that no optimum or ordering may read, with the error
-#: each must raise: a negative paired eigenvalue, a negative singleton at k = 0, and a
-#: paired eigenvalue too small to divide by.
+#: n = 8 spectra (frequencies 0..4) that no optimum, ordering or Fisher form may read, with
+#: the error each must raise: a negative paired eigenvalue, a negative singleton at k = 0,
+#: and a paired eigenvalue too small to divide by.
 INVALID_SPECTRA = {
     "negative_paired": ((1.0, 0.5, -0.3, 1.0, 1.0), NotPositiveSemidefiniteError),
     "negative_k0": ((-0.2, 0.5, 1.0, 1.0, 1.0), NotPositiveSemidefiniteError),
     "tiny_paired": ((1.0, 5.6e-17, 0.5, 1.0, 1.0), SingularCovarianceError),
 }
+
+#: An n = 8 spectrum with no common mode (lambda_0 = 0): every optimum, ordering and Fisher
+#: form reads it, as they divide by the paired eigenvalues only; the local readout, C^-1 f',
+#: divides by all of them and refuses it.
+ZERO_COMMON_MODE = (0.0, 0.5, 1.0, 1.0, 1.0)
 
 
 _NEIGHBOR_SHIFTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]

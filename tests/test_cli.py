@@ -24,7 +24,7 @@ from ringfisher.cli import _OUTPUT_ARGS, load_sim_config, main
 from ringfisher.errors import MalformedKernelError
 from ringfisher.mcsim import SimConfig
 from ringfisher.spectral import decompose, exponential_kernel
-from conftest import INVALID_SPECTRA, count_toroidal_maxima, modes, read_field_csv
+from conftest import INVALID_SPECTRA, ZERO_COMMON_MODE, count_toroidal_maxima, modes, read_field_csv
 
 
 def write_kernel(path, n, values):
@@ -610,6 +610,18 @@ class TestSimulateCommand:
         assert "fisher_information = inf" in err and "warning" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("mode, sd", [("known_reference", "2.02"), ("two_snapshot", "2.86")])
+    def test_low_signal_phase_run_warns(self, tmp_path, capsys, mode, sd):
+        # the golden ring-8 phase runs (efficiency 1.917 and 2.909): their noise alone reaches the wrap
+        write_kernel(tmp_path / "ring8.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05])
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel_file": "ring8.json", "allocation": "optimal", "trials": 100,
+                                           "seed": 5, "estimator": "phase", "mode": mode}))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 0
+        expected = ("warning: displacement 0.001 turns frequency 3's phase by 0.003 rad, "
+                    f"which with 6 phase-difference sds of {sd} rad reaches pi")
+        assert expected in capsys.readouterr().err
+
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     def test_unallocatable_trial_count_exit_6(self, tmp_path, capsys, estimator):
         # 1e15 trials need petabytes: beyond a 47-bit address space under any overcommit setting
@@ -667,6 +679,31 @@ class TestInvalidSpectrum:
         assert main(["decompose", str(kernel_file), str(out)]) == code
         assert len(out.read_text().splitlines()) == 1 + 5
         assert (tmp_path / "decomp.csv.manifest.json").exists()
+
+
+class TestZeroCommonMode:
+    """On a spectrum with lambda_0 = 0 every command that divides by the paired eigenvalues
+    only runs; the local readout, which divides by all of them, exits 3 naming frequency 0."""
+
+    @pytest.mark.parametrize("command", ["optimize", "optimize_dim2", "optimize_audit", "fisher",
+                                         "fisher_dim2", "field2d_optimal"])
+    def test_exit_0_with_output(self, tmp_path, capsys, command):
+        kernel_file = spectrum_kernel_file(tmp_path, 8, ZERO_COMMON_MODE)
+        argv, outputs = TestInvalidSpectrum.commands(tmp_path, kernel_file)[command]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert all(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("estimator, code", [("local_linear", 3), ("phase", 0)])
+    def test_simulate(self, tmp_path, capsys, estimator, code):
+        kernel_file = spectrum_kernel_file(tmp_path, 8, ZERO_COMMON_MODE)
+        config, out = tmp_path / "config.json", tmp_path / "r.json"
+        config.write_text(json.dumps(
+            {"kernel_file": kernel_file.name, "allocation": "optimal", "trials": 200, "estimator": estimator}))
+        assert main(["simulate", str(config), str(out)]) == code
+        if code:
+            assert "eigenvalue 0 at frequency 0" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
 
 
 class TestOverflowingSpectrum:
@@ -736,6 +773,21 @@ class TestMalformedFieldTypes:
         config_file.write_text(json.dumps(config))
         assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key, value, code, message", [
+        ("mode", 5, 2, "mode must be a string, got 5"),
+        ("estimator", None, 2, "estimator must be a string, got null"),
+        ("mode", "both", 6, "unknown mode 'both'"),
+    ])
+    def test_mode_and_estimator_must_be_known_strings(self, tmp_path, capsys, key, value, code, message):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({
+            "kernel": {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}},
+            "trials": 200, key: value,
+        }))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == code
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_unknown_allocation_names_both_forms(self, tmp_path, capsys):

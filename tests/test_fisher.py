@@ -32,7 +32,14 @@ from ringfisher.tuning import (
     optimal_tuning_2d,
 )
 
-from conftest import dense_ring_matrix, mean_response, random_psd_kernel, white_kernel
+from conftest import (
+    INVALID_SPECTRA,
+    ZERO_COMMON_MODE,
+    dense_ring_matrix,
+    mean_response,
+    random_psd_kernel,
+    white_kernel,
+)
 from test_tuning import random_population, single_mode_pop
 
 IDENTITY_REL = 1e-9
@@ -244,6 +251,36 @@ class TestGram:
             closed = _coefficients(pop, theta, 2) @ _basis(pop)
             fd = (mean_derivative(pop, theta + h) - mean_derivative(pop, theta - h)) / (2.0 * h)
             np.testing.assert_allclose(closed, fd, rtol=0, atol=FINITE_DIFFERENCE_REL * np.abs(closed).max())
+
+
+class TestSpectrumGuard:
+    """Every Fisher form judges the spectrum as the optima do: a negative eigenvalue anywhere
+    and a paired one too small to divide by are refused, a zero singleton is read."""
+
+    FORMS = {
+        "fisher_report_1d": lambda pop: fisher_report_1d(pop, theta_samples=8),
+        "fisher_2d": lambda pop: fisher_2d(TuningPopulation2D(pop, 0.4)),
+        "fisher_derivative": lambda pop: fisher_derivative(pop, 0.3),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("spectrum", sorted(INVALID_SPECTRA))
+    def test_invalid_spectrum_rejected(self, form, spectrum):
+        lams, error = INVALID_SPECTRA[spectrum]
+        # frequency 3 is active, so each form refuses an eigenvalue it would not divide by
+        pop = TuningPopulation1D(decompose(kernel_from_spectrum(8, lams)), PowerAllocation.single(3, 1.0))
+        with pytest.raises(error, match="at frequency"):
+            self.FORMS[form](pop)
+
+    def test_zero_common_mode_read(self):
+        decomp = decompose(kernel_from_spectrum(8, ZERO_COMMON_MODE))
+        report = fisher_report_1d(optimal_tuning_1d(decomp, 2.0), theta_samples=8)
+        assert report.fi_spectral == report.fi_max_bound == 4.0
+        np.testing.assert_allclose(report.fi_theta, 4.0, rtol=4 * np.finfo(float).eps, atol=0)
+        torus = fisher_2d(optimal_tuning_2d(decomp, 2.0), theta=(0.2, 1.3))
+        assert torus.product_form == 16.0
+        assert torus.i_x == pytest.approx(16.0, rel=1e-15)
+        assert torus.i_xy == pytest.approx(0.0, abs=1e-15)
 
 
 class TestDiagonalGramExactness:

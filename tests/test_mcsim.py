@@ -646,6 +646,20 @@ class TestRunDisplacementTrials:
         with pytest.warns(UserWarning, match=aliases):
             run_path_integration(pop, steps=2, step_delta=0.11, trials=100, estimator="phase")
 
+    def test_phase_run_warns_where_its_noise_reaches_the_wrap(self):
+        # k* delta = 3.1 < pi, but the phase difference's sd s = 0.0179 rad puts pi 2.3 s away
+        pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1e6)
+        with pytest.warns(UserWarning, match=r"by 3\.1 rad, which with 6 phase-difference sds of 0\.0179 rad"):
+            config = SimConfig(pop, delta_theta=0.1, trials=2000, seed=3, estimator="phase")
+        assert run_displacement_trials(config).efficiency < 0.01
+
+    @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
+    def test_phase_difference_sd_matches_the_estimates(self, mode):
+        pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1e6)
+        config = SimConfig(pop, delta_theta=0.01, trials=20_000, seed=4, mode=mode, estimator="phase")
+        _, estimates = run_displacement_trials(config, with_estimates=True)
+        assert 31 * np.std(estimates) == pytest.approx(config._phase_difference_sd(), rel=0.03)
+
     def test_seed_determinism(self, n4_decomp):
         pop = optimal_tuning_1d(n4_decomp, 1.0)
         first = run_displacement_trials(SimConfig(population=pop, trials=500, seed=77))
