@@ -315,6 +315,10 @@ _SIM_FIELDS = {
     "theta0": rio.json_number, "noise_scale": rio.json_number,
 }
 
+#: Every key a simulation config may hold, and every key of an allocation entry; any other is refused.
+_SIM_KEYS = ("kernel", "kernel_file", "allocation", "power", *_SIM_FIELDS)
+_ENTRY_KEYS = ("frequency", "amplitude", "phase")
+
 
 def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimConfig, list[Path]]:
     """Build a SimConfig from a JSON file mirroring its fields, with the files read for it:
@@ -326,15 +330,19 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimCo
     list of {frequency, amplitude, phase} entries, amplitude a standing for the
     power a * a; ``power`` goes with "optimal" only. A field the file leaves
     out takes SimConfig's default; ``seed_override`` replaces the file's seed,
-    which is then not read.
+    which is then not read. A key outside these, at the top level or in an
+    allocation entry, and a config naming both ``kernel`` and ``kernel_file``,
+    raise MalformedKernelError.
     """
     from .mcsim import SimConfig
     from .tuning import AllocationEntry, PowerAllocation, TuningPopulation1D, optimal_tuning_1d
 
-    definition = rio.read_json_object(path, "simulation config")
+    definition = rio.known_keys(rio.read_json_object(path, "simulation config"), _SIM_KEYS, "simulation config")
     if seed_override is not None:
         definition = {**definition, "seed": seed_override}
     inputs = [path]
+    if "kernel" in definition and "kernel_file" in definition:
+        raise MalformedKernelError("a simulation config names its kernel once: 'kernel' or 'kernel_file', not both")
     if "kernel" in definition:
         kernel = rio.kernel_from_dict(definition["kernel"])
     elif isinstance(definition.get("kernel_file"), str):
@@ -351,7 +359,9 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimCo
                 "'power' applies only to the 'optimal' allocation; "
                 "a list under 'allocation' sets each entry's power by its amplitude"
             )
-        entries = [rio.json_object(e, "allocation entry") for e in allocation]
+        entries = [
+            rio.known_keys(rio.json_object(e, "allocation entry"), _ENTRY_KEYS, "allocation entry") for e in allocation
+        ]
         parsed = [
             (rio.json_integer(e, "frequency"), rio.json_number(e, "amplitude"), rio.json_number(e, "phase", 0.0))
             for e in entries

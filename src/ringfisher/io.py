@@ -73,12 +73,25 @@ def json_integer(definition: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def known_keys(definition: dict, known: tuple[str, ...], noun: str) -> dict:
+    """``definition``; MalformedKernelError naming the first key (in file order) that is not
+    ``known``, so a misspelled key fails instead of leaving its field at the default."""
+    for key in definition:
+        if key not in known:
+            raise MalformedKernelError(f"unknown key {key!r} in {noun}; known keys: {', '.join(known)}")
+    return definition
+
+
 def json_string(definition: dict, key: str) -> str:
     """``definition[key]``; MalformedKernelError unless the key is present and its value a JSON string."""
     value = _field(definition, key, None)
     if not isinstance(value, str):
         raise MalformedKernelError(f"{key} must be a string, got {json.dumps(value)}")
     return value
+
+
+#: The keys of each kernel family's ``params``.
+_FAMILY_PARAMS = {"explicit": ("values",), "exponential": ("c0", "rho"), "gaussian": ("c0", "length")}
 
 
 def kernel_from_dict(definition: dict) -> CorrelationKernel:
@@ -88,9 +101,13 @@ def kernel_from_dict(definition: dict) -> CorrelationKernel:
         family = definition["family"]
     except (TypeError, KeyError) as exc:
         raise MalformedKernelError(f"kernel definition missing field: {exc}") from exc
+    known_keys(definition, ("n", "family", "params"), "kernel definition")
     params = json_object(definition.get("params", {}), "params")
     if not isinstance(n, int):
         raise MalformedKernelError(f"n must be an integer, got {n!r}")
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        raise MalformedKernelError(f"unknown kernel family {family!r}")
+    known_keys(params, _FAMILY_PARAMS[family], f"{family} kernel params")
     if family == "explicit":
         values = params.get("values")
         if not isinstance(values, list):
@@ -98,9 +115,7 @@ def kernel_from_dict(definition: dict) -> CorrelationKernel:
         return CorrelationKernel(n, tuple(_number(v, "params.values entry") for v in values))
     if family == "exponential":
         return exponential_kernel(n, c0=json_number(params, "c0", 1.0), rho=json_number(params, "rho"))
-    if family == "gaussian":
-        return gaussian_kernel(n, c0=json_number(params, "c0", 1.0), length=json_number(params, "length"))
-    raise MalformedKernelError(f"unknown kernel family {family!r}")
+    return gaussian_kernel(n, c0=json_number(params, "c0", 1.0), length=json_number(params, "length"))
 
 
 def load_kernel(path: str | Path) -> CorrelationKernel:
@@ -109,7 +124,8 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
     JSON object with fields ``n``, ``family`` (explicit | exponential |
     gaussian) and ``params``: the explicit form lists the covariances
     c_0..c_{floor(n/2)} under ``values``; exponential takes ``c0`` and ``rho``;
-    gaussian takes ``c0`` and ``length``.
+    gaussian takes ``c0`` and ``length``. Any other key, at either level, is
+    refused (``known_keys``).
     """
     return kernel_from_dict(read_json_object(path, "kernel file"))
 

@@ -14,17 +14,18 @@ Both estimators are readouts of that one draw. The local readout is the
 coefficient change weighted by the order-1 coefficients of f'(theta_ref) over
 lambda_k (``tuning._gram_weights``) and divided by the information
 I = sum_k w_k / lambda_k (``tuning._spectral_sum``): the projection of the
-response change on C^-1 f'(theta_ref), over I. The phase readout reads each
-snapshot's angle from the single active frequency's (cos, sin) pair, needing
-no reference up to the mode's angular ambiguity, and wraps their difference
-into one period. The tests read whole responses with a dense solve and
-explicit cos/sin projections as the oracle of both. A snapshot costs 2m
-normals per trial, whatever n. One noisy snapshot against a known mean bounds
-the variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the one
-description and validator of an experiment, and one step loop draws for both
-runners: ``run_displacement_trials`` takes its first step and
-``run_path_integration`` its first ``steps``, with the noise scales and the
-information computed once per run.
+response change on C^-1 f'(theta_ref), over I. The phase readout is a change
+readout: the turn from the reference snapshot's (cos, sin) pair (a0, b0) at the
+single active frequency k to the plus snapshot's (a1, b1),
+arctan2(a0 b1 - a1 b0, a0 a1 + b0 b1) / k in (-pi/k, pi/k], which reads neither
+the position nor the entry's phase. The tests read whole responses with a dense
+solve and explicit cos/sin projections as the oracle of both. A snapshot costs
+2m normals per trial, whatever n. One noisy snapshot against a known mean
+bounds the variance at 1/I, two noisy snapshots at 2/I. ``SimConfig`` is the
+one description and validator of an experiment: it judges the population, and
+derives the information once, before it warns. One step loop, which only draws
+and reads, serves both runners: ``run_displacement_trials`` takes its first
+step and ``run_path_integration`` its first ``steps``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
 from .errors import MultiModePopulationError
 from .spectral import (
-    TWO_PI,
     SpectralDecomposition,
     TorusCorrelation,
     _columns_to_bins,
@@ -95,28 +96,19 @@ class NoiseModel:
         return np.fft.irfft(_columns_to_bins(rng.standard_normal((size, n)), sigma), n)
 
 
-def _single_frequency(pop: TuningPopulation1D) -> tuple[int, float]:
-    if len(pop.allocation.entries) != 1:
-        raise MultiModePopulationError(
-            f"phase readout needs exactly one active frequency, got {len(pop.allocation.entries)}"
-        )
-    e = pop.allocation.entries[0]
-    return e.frequency, e.phase
-
-
-def _phase_angle(k: int, phase: float, a, b):
-    """Position modulo 2 pi / k whose (cos, sin) projections are (a, b)."""
-    return np.mod((np.arctan2(a, -b) - phase) / k, TWO_PI / k)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One displacement-estimation experiment, validated on construction.
 
     Raises ValueError unless trials >= 100, seed >= 0, mode and estimator are
     known, noise_scale is finite and >= 0, and delta_theta and theta0 are finite.
-    Warns when the step is too large for the estimator (see SMALL_DISPLACEMENT_LIMIT
-    and PHASE_WRAP_SDS).
+    Then judges the population, in this order: SingularCovarianceError (local) unless
+    every eigenvalue is positive, as the local readout is C^-1 f';
+    NotPositiveSemidefiniteError on a negative eigenvalue; ValueError unless the
+    information is positive (no entry, or every power 0 or so small that the sum
+    underflows, or a negative active eigenvalue); MultiModePopulationError (phase)
+    unless one frequency is active. Only then warns, when the step is too large for
+    the estimator (see SMALL_DISPLACEMENT_LIMIT and PHASE_WRAP_SDS).
     """
 
     population: TuningPopulation1D
@@ -142,6 +134,16 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.estimator not in ("local_linear", "phase"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        entries = self.population.allocation.entries
+        if self.estimator == "local_linear":
+            _positive(self.population.decomp.eigenvalues)  # a singular covariance is named before the spectrum's sign
+        if not self.information > 0.0:
+            raise ValueError(
+                f"the population has no active frequency (information {self.information!r}), "
+                "so no displacement is observable"
+            )
+        if self.estimator == "phase" and len(entries) != 1:
+            raise MultiModePopulationError(f"phase readout needs exactly one active frequency, got {len(entries)}")
         k_max = self.population.allocation.max_frequency()
         turn = k_max * abs(self.delta_theta)
         if self.estimator == "local_linear" and turn > SMALL_DISPLACEMENT_LIMIT:
@@ -153,7 +155,7 @@ class SimConfig:
             message = (
                 f"displacement {self.delta_theta} turns frequency {k_max}'s phase by {turn:.3g} rad, which "
                 f"with {PHASE_WRAP_SDS:g} phase-difference sds of {sd:.3g} rad reaches pi; "
-                f"the phase estimate wraps into [-pi/{k_max}, pi/{k_max}) and aliases"
+                f"the phase estimate wraps into (-pi/{k_max}, pi/{k_max}] and aliases"
             )
         else:
             return
@@ -164,15 +166,17 @@ class SimConfig:
         """Noisy snapshots per estimate: 1 in known_reference mode, 2 in two_snapshot mode."""
         return 2.0 if self.mode == "two_snapshot" else 1.0
 
+    @cached_property
+    def information(self) -> float:
+        """The Fisher information I = sum_k w_k / lambda_k of the population at any position."""
+        return _spectral_sum(self.population.allocation, self.population.decomp, 0)
+
     def _phase_difference_sd(self) -> float:
         """Standard deviation of the noisy phase difference k (theta_plus - theta_ref) at the
-        largest active frequency k: sigma k sqrt(snapshots lambda_k / w_k), as each snapshot's
-        (cos, sin) pair lies at radius sqrt(w_k) / k against noise sigma sqrt(lambda_k) on
-        each. 0 without signal there (no entry, or power 0): that run fails on its information."""
-        e = max(self.population.allocation.entries, key=lambda e: e.frequency, default=None)
-        if e is None or e.power == 0.0:
-            return 0.0
-        lam = max(float(self.population.decomp.eigenvalues[e.frequency]), 0.0)
+        one active frequency k: sigma k sqrt(snapshots lambda_k / w_k), as each snapshot's
+        (cos, sin) pair lies at radius sqrt(w_k) / k against noise sigma sqrt(lambda_k) on each."""
+        (e,) = self.population.allocation.entries
+        lam = float(self.population.decomp.eigenvalues[e.frequency])
         return self.noise_scale * e.frequency * math.sqrt(self.snapshots * lam / e.power)
 
 
@@ -194,40 +198,27 @@ class SimResult(_Record):
     delta_theta: float
 
 
-def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
-    """The information I and the estimates of steps 0, 1, ..., each of delta_theta from
-    theta0 + s delta_theta, with noise drawn from one ``make_rng(seed)`` stream: the
-    (trials, 2m) coefficient noise of the plus snapshot, then, in two_snapshot mode, of the
-    reference snapshot. Both estimators read the same draws.
-
-    Raises before any draw, in this order: SingularCovarianceError (local) unless every
-    eigenvalue is positive, as the local readout is C^-1 f'; NotPositiveSemidefiniteError
-    on a negative eigenvalue; ValueError unless the information is positive (no entry, or
-    every power 0 or so small that the sum underflows, or a negative active eigenvalue);
-    MultiModePopulationError (phase) unless one frequency is active.
+def _step_estimates(config: SimConfig) -> Iterator[np.ndarray]:
+    """The estimates of steps 0, 1, ..., each of delta_theta from theta0 + s delta_theta, with
+    noise drawn from one ``make_rng(seed)`` stream: the (trials, 2m) coefficient noise of the
+    plus snapshot, then, in two_snapshot mode, of the reference snapshot. Both estimators read
+    the same draws of a population that ``SimConfig`` has already judged.
     """
-    pop, delta, trials = config.population, config.delta_theta, config.trials
+    pop, delta, trials, info = config.population, config.delta_theta, config.trials, config.information
     two_snapshot = config.mode == "two_snapshot"
     if config.estimator == "local_linear":
-        _positive(pop.decomp.eigenvalues)  # a singular covariance is named before the spectrum's sign
         weights = _gram_weights(pop)
-    info = _spectral_sum(pop.allocation, pop.decomp, 0)
-    if not info > 0.0:
-        raise ValueError(
-            f"the population has no active frequency (information {info!r}), so no displacement is observable"
-        )
-    if config.estimator == "local_linear":
 
         def read(plus: np.ndarray, ref: np.ndarray, theta: float) -> np.ndarray:
             return (plus - ref) @ (_coefficients(pop, theta, 1) * weights) / info
 
     else:
-        k, phase = _single_frequency(pop)
-        period = TWO_PI / k
+        k = pop.allocation.entries[0].frequency
 
         def read(plus: np.ndarray, ref: np.ndarray, theta: float) -> np.ndarray:
-            angle_change = _phase_angle(k, phase, *plus.T) - _phase_angle(k, phase, *ref.T)
-            return (angle_change + period / 2.0) % period - period / 2.0
+            # the turn from the reference pair (a0, b0) to the plus pair (a1, b1), in (-pi/k, pi/k]
+            (a1, b1), (a0, b0) = plus.T, ref.T
+            return np.arctan2(a0 * b1 - a1 * b0, a0 * a1 + b0 * b1) / k
 
     active = [e.frequency for e in pop.allocation.entries]
     sd = config.noise_scale * np.repeat(np.sqrt(pop.decomp.eigenvalues[active]), 2)
@@ -242,7 +233,7 @@ def _step_estimates(config: SimConfig) -> tuple[float, Iterator[np.ndarray]]:
                 ref = ref + sd * rng.standard_normal((trials, sd.size))
             yield read(plus, ref, theta)
 
-    return info, steps()
+    return steps()
 
 
 def run_displacement_trials(
@@ -253,8 +244,7 @@ def run_displacement_trials(
     With ``with_estimates`` the per-trial estimates are returned alongside the
     aggregate result (for dump-style exports).
     """
-    info, steps = _step_estimates(config)
-    estimates = next(steps)
+    estimates, info = next(_step_estimates(config)), config.information
     crb_ref = config.snapshots * config.noise_scale**2 / info
     mean = float(np.mean(estimates))
     variance = float(np.var(estimates, ddof=1))
@@ -311,7 +301,7 @@ def run_path_integration(
         pop, delta_theta=step_delta, trials=trials, seed=seed, mode=mode,
         estimator=estimator, theta0=theta0, noise_scale=noise_scale,
     )
-    _, estimates = _step_estimates(config)
+    estimates = _step_estimates(config)
     cumulative = np.zeros(trials)
     variance_by_step = []
     for s, step in zip(range(1, steps + 1), estimates):

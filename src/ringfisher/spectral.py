@@ -192,9 +192,11 @@ def gaussian_kernel(n: int, c0: float = 1.0, length: float = 1.0) -> Correlation
     """Ring-Gaussian decay c_d = c0 * exp(-d^2 / (2 length^2)), PSD-checked."""
     if length <= 0.0:
         raise MalformedKernelError(f"length must be positive, got {length}")
-    kernel = CorrelationKernel(
-        n, tuple(c0 * math.exp(-(d * d) / (2.0 * length * length)) for d in range(n // 2 + 1))
-    )
+    two_l2 = 2.0 * length * length
+    # where 2 length^2 underflows to 0 the kernel is its limit (c0, 0, ..., 0), as it is
+    # already where the quotient overflows to -inf
+    decay = [math.exp(-(d * d) / two_l2) if two_l2 else float(d == 0) for d in range(n // 2 + 1)]
+    kernel = CorrelationKernel(n, tuple(c0 * w for w in decay))
     _nonnegative(kernel.eigenvalues)
     return kernel
 

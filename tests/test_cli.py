@@ -140,6 +140,14 @@ class TestOptimizeCommand:
 
 
 class TestFisherCommand:
+    def test_gaussian_whose_two_length_squared_underflows_runs(self, tmp_path):
+        # 2 length^2 underflows to 0 at length 1e-200: the kernel is the length-1e-160 one, (1, 0, ..., 0)
+        for length in (1e-200, 1e-160):
+            kernel_file = tmp_path / f"gauss-{length}.json"
+            kernel_file.write_text(json.dumps({"n": 8, "family": "gaussian", "params": {"length": length}}))
+            assert main(["fisher", str(kernel_file), str(tmp_path / f"fisher-{length}.json")]) == 0
+        assert (tmp_path / "fisher-1e-200.json").read_bytes() == (tmp_path / "fisher-1e-160.json").read_bytes()
+
     def test_report_schema(self, tmp_path, n4_kernel_file):
         out = tmp_path / "fisher.json"
         assert main(["fisher", str(n4_kernel_file), str(out), "--dim", "2"]) == 0
@@ -464,6 +472,11 @@ class TestSimulateCommand:
             "kernel": {"n": 8, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25, 0.125, 0.0625]}},
             "allocation": [{"frequency": 3, "amplitude": amplitude, "phase": 0.5}],
         }))
+        if amplitude == 0.0:
+            # power 0 carries no information, which SimConfig refuses as the config is loaded
+            with pytest.raises(ValueError, match=r"no active frequency \(information 0\.0\)"):
+                load_sim_config(config_file)
+            return
         (entry,) = load_sim_config(config_file)[0].population.allocation.entries
         assert (entry.frequency, entry.power, entry.amplitude, entry.phase) == (3, amplitude * amplitude, amplitude, 0.5)
 
@@ -800,6 +813,48 @@ class TestMalformedFieldTypes:
         err = capsys.readouterr().err
         assert "'optimal'" in err and "list of {frequency, amplitude, phase}" in err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestUnknownKeys:
+    """A key that no reader knows exits 2 naming it, at every level of a kernel or simulate
+    file, instead of leaving its field at the default; nothing is written."""
+
+    KERNEL = {"n": 4, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25]}}
+
+    @pytest.mark.parametrize("config, key", [
+        ({"trails": 500}, "'trails'"),
+        ({"allocation": [{"frequency": 1, "amplitude": 1.0, "phse": 0.4}]}, "'phse'"),
+        ({"kernel": {**KERNEL, "famliy": "explicit"}}, "'famliy'"),
+        ({"kernel": {**KERNEL, "params": {"values": [1.0, 0.5, 0.25], "value": [1.0]}}}, "'value'"),
+    ], ids=["top-level", "allocation-entry", "kernel", "kernel-params"])
+    def test_simulate_config_exit_2(self, tmp_path, capsys, config, key):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel": self.KERNEL, "trials": 200, **config}))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        assert f"unknown key {key}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_kernel_and_kernel_file_together_exit_2(self, tmp_path, capsys):
+        write_kernel(tmp_path / "kernel.json", 8, [1.0, 0.45, 0.2, 0.1, 0.05])
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel": self.KERNEL, "kernel_file": "kernel.json", "trials": 200}))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'kernel'" in err and "'kernel_file'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "kernel.json"]
+
+    @pytest.mark.parametrize("definition, key", [
+        ({"n": 8, "family": "exponential", "params": {"rho": 0.5}, "size": 8}, "'size'"),
+        ({"n": 8, "family": "explicit", "params": {"values": [1.0, 0.5, 0.25, 0.1, 0.05], "c0": 2.0}}, "'c0'"),
+        ({"n": 8, "family": "exponential", "params": {"C0": 2.0, "rho": 0.5}}, "'C0'"),
+        ({"n": 8, "family": "gaussian", "params": {"length": 1.0, "rho": 0.5}}, "'rho'"),
+    ], ids=["kernel", "explicit-params", "exponential-params", "gaussian-params"])
+    def test_kernel_file_exit_2(self, tmp_path, capsys, definition, key):
+        kernel_file = tmp_path / "kernel.json"
+        kernel_file.write_text(json.dumps(definition))
+        assert main(["fisher", str(kernel_file), str(tmp_path / "f.json")]) == 2
+        assert f"unknown key {key}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["kernel.json"]
 
 
 class TestParameterRanges:
@@ -1237,15 +1292,15 @@ class TestGoldenOutputs:
         "simulate-phase-known": (
             ["simulate", "{sim_phase_known}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
             {
-                "r.json": "fe10bcf0ce089652e3df5ae4fd76e7d91c5209de2d624e643a908f8e4fb8cce5",
-                "trials.csv": "72f714fbfc7a191054d0a7b30665daba4c383c03d178599879baeaf11bf58b51",
+                "r.json": "9824e98bde17b31c13b45933c1c8c5e97e99bb0ef65ab0f17a507ce612011d82",
+                "trials.csv": "34e90e683a789b0afe06bd11dc3597de54aee15a064ccd24b4cae09b2526ce36",
             },
         ),
         "simulate-phase-two": (
             ["simulate", "{sim_phase_two}", "{out}/r.json", "--dump-trials", "{out}/trials.csv"],
             {
-                "r.json": "4c2144283e3c8bda0382c11e7124fafbc8e931187dc0e40b027fea2714698a4e",
-                "trials.csv": "a9817e8506354aab603a35ac369576a34376fa3e93839247f6820d68f626f6b8",
+                "r.json": "82666964d7899a8f58190171d1db1e22dc8f75ff359944efc3c9998abbd9b0b7",
+                "trials.csv": "51613b57000ae1763f40f97e5843ca38821a186f4893604ba0fc09cf158a74e1",
             },
         ),
     }

@@ -304,7 +304,8 @@ class TestCovarianceErrors:
             run_path_integration(pop, steps=2, trials=200, seed=1, estimator="phase")
 
     def test_phase_runs_with_a_zero_eigenvalue_at_an_inactive_frequency(self):
-        pop = TuningPopulation1D(decompose(ZERO_AT_2), PowerAllocation.single(1, 1.0))
+        # power 100 over lambda_1 = 1.28: s = 0.11 rad, so the phase bound applies and no warning fires
+        pop = TuningPopulation1D(decompose(ZERO_AT_2), PowerAllocation.single(1, 100.0))
         result = run_displacement_trials(SimConfig(population=pop, trials=200, seed=1, estimator="phase"))
         assert result.empirical_variance > 0.0
         run_path_integration(pop, steps=2, trials=200, seed=1, estimator="phase")
@@ -347,13 +348,43 @@ class TestEmptyPopulation:
             self.RUNNERS[runner](pop, estimator)
 
 
+class TestRefusedBeforeWarning:
+    """``SimConfig`` judges the population before it warns, so a run it refuses emits no warning,
+    though each of these would warn of its step or its noise."""
+
+    @pytest.mark.parametrize("runner", sorted(TestEmptyPopulation.RUNNERS))
+    @pytest.mark.parametrize("case", ["singular", "negative", "underflow", "multi-mode"])
+    def test_refused_run_emits_no_warning(self, monkeypatch, n6_decomp, runner, case):
+        monkeypatch.setattr(mcsim, "make_rng", TestEmptyPopulation.no_draws)
+        underflow = decompose(CorrelationKernel(6, (10.0, 4.0, 1.0, 0.5)))  # 5e-324 / lambda_1 is 0
+        error, pop, estimator = {
+            "singular": (SingularCovarianceError, single_mode_pop(decompose(ZERO_AT_2), frequency=3), "local_linear"),
+            "negative": (NotPositiveSemidefiniteError, single_mode_pop(decompose(NEGATIVE_AT_2)), "phase"),
+            "underflow": (ValueError, single_mode_pop(underflow, power=5e-324), "phase"),
+            "multi-mode": (
+                MultiModePopulationError,
+                TuningPopulation1D(n6_decomp, PowerAllocation((AllocationEntry(1, 0.64), AllocationEntry(2, 0.36)))),
+                "phase",
+            ),
+        }[case]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                if runner == "displacement":
+                    SimConfig(population=pop, delta_theta=0.05, trials=200, seed=1, estimator=estimator)
+                else:
+                    run_path_integration(pop, steps=2, step_delta=0.05, trials=200, seed=1, estimator=estimator)
+        assert [str(w.message) for w in seen] == []
+
+
 class TestMonteCarloPathStaysInModeSpace:
     """No response vector, eigenvector, inverse or FFT on the Monte Carlo path."""
 
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
     def test_no_n_space_work(self, monkeypatch, n6_decomp, mode, estimator):
-        pop = optimal_tuning_1d(n6_decomp, 1.0)
+        # a phase run at power 100 has s <= 0.21 rad, well inside the wrap
+        pop = optimal_tuning_1d(n6_decomp, 100.0 if estimator == "phase" else 1.0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("n-space work on the Monte Carlo path")
@@ -638,9 +669,9 @@ class TestRunDisplacementTrials:
         assert abs(result.empirical_variance - result.crb_reference) < 5.0 * result.variance_stderr
 
     def test_phase_run_warns_where_the_wrapped_estimate_aliases(self):
-        # k* delta = 3.41 >= pi: the step lies outside the wrapped interval [-pi/31, pi/31)
+        # k* delta = 3.41 >= pi: the step lies outside the wrapped interval (-pi/31, pi/31]
         pop = optimal_tuning_1d(decompose(exponential_kernel(64, 1.0, 0.5)), 1e6)
-        aliases = r"wraps into \[-pi/31, pi/31\) and aliases"
+        aliases = r"wraps into \(-pi/31, pi/31\] and aliases"
         with pytest.warns(UserWarning, match=aliases):
             SimConfig(pop, delta_theta=0.11, trials=100, estimator="phase")
         with pytest.warns(UserWarning, match=aliases):
@@ -670,13 +701,14 @@ class TestRunDisplacementTrials:
         )
 
     def test_crb_respected_and_bias_small(self, n4_decomp, n6_decomp):
-        for decomp, mode, estimator, seed in [
-            (n4_decomp, "known_reference", "local_linear", 1),
-            (n4_decomp, "two_snapshot", "local_linear", 2),
-            (n4_decomp, "two_snapshot", "phase", 3),
-            (n6_decomp, "known_reference", "local_linear", 4),
+        # the phase case runs at power 100 (s = 0.12 rad), where the bound applies to its wrapped estimate
+        for decomp, mode, estimator, seed, power in [
+            (n4_decomp, "known_reference", "local_linear", 1, 1.0),
+            (n4_decomp, "two_snapshot", "local_linear", 2, 1.0),
+            (n4_decomp, "two_snapshot", "phase", 3, 100.0),
+            (n6_decomp, "known_reference", "local_linear", 4, 1.0),
         ]:
-            pop = optimal_tuning_1d(decomp, 1.0)
+            pop = optimal_tuning_1d(decomp, power)
             config = SimConfig(
                 population=pop, trials=20_000, seed=seed, mode=mode, estimator=estimator
             )
@@ -691,7 +723,8 @@ class TestPathIntegration:
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
     def test_single_step_equals_displacement_run(self, n4_decomp, mode, estimator):
-        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        # a phase run at power 100 has s <= 0.086 rad, well inside the wrap
+        pop = optimal_tuning_1d(n4_decomp, 100.0 if estimator == "phase" else 1.0)
         run = {"trials": 5000, "seed": 21, "mode": mode, "estimator": estimator, "theta0": 0.3, "noise_scale": 0.7}
         direct, estimates = run_displacement_trials(SimConfig(population=pop, **run), with_estimates=True)
         path = run_path_integration(pop, steps=1, **run)

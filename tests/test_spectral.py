@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringfisher.errors import (
@@ -434,6 +434,20 @@ class TestKernelFamilies:
         # wide ring-Gaussian kernels lose positive semidefiniteness
         with pytest.raises(NotPositiveSemidefiniteError):
             gaussian_kernel(8, length=4.0)
+
+    @pytest.mark.parametrize("c0", [1.0, 2.5])
+    def test_gaussian_whose_two_length_squared_underflows_is_its_limit(self, c0):
+        # 2 length^2 is 0.0 at length 1e-200 and the subnormal 2e-320 at 1e-160, where every
+        # quotient but the one at d = 0 overflows to -inf: both kernels are (c0, 0, ..., 0)
+        narrow = gaussian_kernel(8, c0=c0, length=1e-200)
+        assert narrow.values == gaussian_kernel(8, c0=c0, length=1e-160).values == (c0, 0.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(length=st.floats(1e-161, 1.5), c0=st.floats(0.1, 10.0))
+    @example(length=1e-160, c0=1.0)  # 2 length^2 is subnormal
+    def test_gaussian_keeps_the_bits_of_its_formula(self, length, c0):
+        expected = tuple(c0 * math.exp(-(d * d) / (2.0 * length * length)) for d in range(9))
+        assert gaussian_kernel(16, c0=c0, length=length).values == expected
 
     def test_spectrum_of_the_wrong_length_rejected(self):
         with pytest.raises(MalformedKernelError, match="need 5 eigenvalues for n=8"):
