@@ -5,7 +5,14 @@ artifacts (CSV, JSON, binary graymap) and writes a manifest listing input and
 output digests so runs can be reproduced and compared byte for byte.
 
 Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
-optimization, 5 bad parameter range, 6 simulation failure. A request too large
+optimization, 5 bad parameter range, 6 simulation failure. ``main`` checks every
+number flag against its range (``_FLAG_RANGES``, so ``--offset`` is checked for
+every command), and that no two outputs or the manifest name one file, before
+any file is read; a flag range that needs the kernel (a paired ``--k``, a
+``--neuron`` on the ring, a ``--phase-shift`` at the rendered frequency) is
+checked by its handler once the kernel is read. Input files are read by
+``rio.read_fields``; a ``simulate`` config's keys are ``SimConfig``'s fields
+and the four that build its population. A request too large
 to allocate, a result that overflows to infinity or NaN at accepted flag
 values, or an information that is 0 (so no Cramer-Rao bound) exits 6 from
 ``simulate`` and 5 from any other command; ``main`` alone maps these, naming
@@ -24,6 +31,7 @@ loads only those: ``decompose`` reads the spectrum alone, ``field2d`` adds
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import math
 import os
@@ -171,21 +179,6 @@ def _require_neuron(kernel, neuron: tuple[int, int]) -> None:
         )
 
 
-def _require_power(power: float) -> None:
-    if not (math.isfinite(power) and power > 0.0):
-        raise ParameterRangeError(f"--power must be positive and finite, got {power}")
-
-
-def _require_finite(flag: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ParameterRangeError(f"{flag} must be finite, got {value}")
-
-
-def _require_count(flag: str, value: int, minimum: int) -> None:
-    if value < minimum:
-        raise ParameterRangeError(f"{flag} must be >= {minimum}, got {value}")
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -211,10 +204,6 @@ def _cmd_optimize(args: argparse.Namespace, out: Path, curves_out: Path | None) 
     from .tuning import TuningPopulation1D, TuningPopulation2D, _paired_arrays, _ties, check_condition
 
     kernel = rio.load_kernel(args.kernel)
-    _require_power(args.power)
-    _require_count("--audit-trials", args.audit_trials, 0)
-    _require_count("--curves-samples", args.curves_samples, 1)
-    _require_finite("--offset", args.offset)
     seed = args.seed if args.seed is not None else 0
     condition = check_condition(kernel)
     if _ties(*_paired_arrays(kernel)).size > 1:
@@ -259,8 +248,6 @@ def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None, list[Pa
     from .tuning import PowerAllocation, TuningPopulation1D, TuningPopulation2D, check_condition, optimal_tuning_1d
 
     kernel = rio.load_kernel(args.kernel)
-    _require_power(args.power)
-    _require_count("--theta-samples", args.theta_samples, 1)
     if args.k is not None:
         _require_paired(kernel, args.k)
         pop = TuningPopulation1D(kernel, PowerAllocation.single(args.k, args.power))
@@ -289,9 +276,7 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
     )
 
     kernel = rio.load_kernel(args.kernel)
-    _require_power(args.power)
     _require_neuron(kernel, args.neuron)
-    _require_finite("--offset", args.offset)
     if args.optimal:
         x = optimal_tuning_2d(kernel, args.power).x
     else:
@@ -307,65 +292,57 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
     return EXIT_OK, None, [args.kernel]
 
 
-#: The SimConfig fields a simulation config may set, each with the reader of its JSON value
-#: (SimConfig itself checks the ``mode`` and ``estimator`` strings).
-_SIM_FIELDS = {
-    "seed": rio.json_integer, "delta_theta": rio.json_number, "trials": rio.json_integer,
-    "mode": rio.json_string, "estimator": rio.json_string,
-    "theta0": rio.json_number, "noise_scale": rio.json_number,
-}
-
-#: Every key a simulation config may hold, and every key of an allocation entry; any other is refused.
-_SIM_KEYS = ("kernel", "kernel_file", "allocation", "power", *_SIM_FIELDS)
-_ENTRY_KEYS = ("frequency", "amplitude", "phase")
+#: The fields of an allocation entry.
+_ENTRY_FIELDS = {"frequency": (int, rio.REQUIRED), "amplitude": (float, rio.REQUIRED), "phase": (float, 0.0)}
 
 
 def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimConfig, list[Path]]:
     """Build a SimConfig from a JSON file mirroring its fields, with the files read for it:
     ``path``, then the kernel file if it names one.
 
-    The kernel is given inline under ``kernel`` or by path under
-    ``kernel_file`` (relative to the config file). ``allocation`` is either
-    the string "optimal", which spends ``power`` on the optimal frequency, or a
-    list of {frequency, amplitude, phase} entries, amplitude a standing for the
-    power a * a; ``power`` goes with "optimal" only. A field the file leaves
-    out takes SimConfig's default; ``seed_override`` replaces the file's seed,
-    which is then not read. A key outside these, at the top level or in an
-    allocation entry, and a config naming both ``kernel`` and ``kernel_file``,
-    raise MalformedKernelError.
+    The keys are SimConfig's fields, each of the kind of its default (so an
+    integer field accepts an integral float such as 200.0), and a field the file
+    leaves out takes SimConfig's default; ``rio.read_fields`` refuses any other
+    key, at the top level or in an allocation entry. Four more keys build the
+    population. The kernel is given inline under ``kernel`` or by path under
+    ``kernel_file`` (relative to the config file), not both. ``allocation`` is
+    either the string "optimal", which spends ``power`` on the optimal frequency,
+    or a list of {frequency, amplitude, phase} entries, amplitude a standing for
+    the power a * a; ``power`` goes with "optimal" only. ``seed_override``
+    replaces the file's seed, which is then not read.
     """
     from .mcsim import SimConfig
     from .tuning import AllocationEntry, PowerAllocation, TuningPopulation1D, optimal_tuning_1d
 
-    definition = rio.known_keys(rio.read_json_object(path, "simulation config"), _SIM_KEYS, "simulation config")
+    # the four keys that build the population, then SimConfig's own fields, each of the kind of its default
+    table = {"kernel": (dict, None), "kernel_file": (str, None), "allocation": (object, "optimal"), "power": (float, 1.0)}
+    for f in dataclasses.fields(SimConfig):
+        if f.default is not dataclasses.MISSING:
+            table[f.name] = (type(f.default), f.default)
+    definition = rio.read_json_object(path, "simulation config")
     if seed_override is not None:
         definition = {**definition, "seed": seed_override}
+    fields = rio.read_fields(definition, table, "simulation config")
     inputs = [path]
-    if "kernel" in definition and "kernel_file" in definition:
+    if "kernel" in fields and "kernel_file" in fields:
         raise MalformedKernelError("a simulation config names its kernel once: 'kernel' or 'kernel_file', not both")
-    if "kernel" in definition:
-        kernel = rio.kernel_from_dict(definition["kernel"])
-    elif isinstance(definition.get("kernel_file"), str):
-        inputs.append(Path(path).parent / definition["kernel_file"])
+    if "kernel" in fields:
+        kernel = rio.kernel_from_dict(fields.pop("kernel"))
+    elif "kernel_file" in fields:
+        inputs.append(Path(path).parent / fields.pop("kernel_file"))
         kernel = rio.load_kernel(inputs[-1])
     else:
         raise MalformedKernelError("simulation config needs 'kernel' or a 'kernel_file' path")
-    allocation = definition.get("allocation", "optimal")
+    allocation, power = fields.pop("allocation"), fields.pop("power")
     if allocation == "optimal":
-        pop = optimal_tuning_1d(kernel, rio.json_number(definition, "power", 1.0))
+        pop = optimal_tuning_1d(kernel, power)
     elif isinstance(allocation, list):
         if "power" in definition:
             raise MalformedKernelError(
                 "'power' applies only to the 'optimal' allocation; "
                 "a list under 'allocation' sets each entry's power by its amplitude"
             )
-        entries = [
-            rio.known_keys(rio.json_object(e, "allocation entry"), _ENTRY_KEYS, "allocation entry") for e in allocation
-        ]
-        parsed = [
-            (rio.json_integer(e, "frequency"), rio.json_number(e, "amplitude"), rio.json_number(e, "phase", 0.0))
-            for e in entries
-        ]
+        parsed = [rio.read_fields(e, _ENTRY_FIELDS, "allocation entry").values() for e in allocation]
         for frequency, amplitude, _ in parsed:
             if amplitude < 0.0 or not math.isfinite(amplitude * amplitude):
                 raise ValueError(
@@ -378,7 +355,6 @@ def load_sim_config(path: Path, seed_override: int | None = None) -> tuple[SimCo
         raise MalformedKernelError(
             "allocation must be 'optimal' or a list of {frequency, amplitude, phase}"
         )
-    fields = {key: read(definition, key) for key, read in _SIM_FIELDS.items() if key in definition}
     return SimConfig(population=pop, **fields), inputs
 
 
@@ -413,13 +389,23 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
 #: The flags that each command's reported numbers depend on, named when a result is not finite.
 _RESULT_FLAGS = {"optimize": ("power",), "fisher": ("power",), "field2d": ("power", "offset")}
 
-#: Each command's output path arguments; the first one names the manifest.
+#: Each number flag's range, as a test and its wording, checked before any file is read.
+_FLAG_RANGES = {
+    "seed": (lambda value: value >= 0, ">= 0"),
+    "audit_trials": (lambda value: value >= 0, ">= 0"),
+    "curves_samples": (lambda value: value >= 1, ">= 1"),
+    "theta_samples": (lambda value: value >= 1, ">= 1"),
+    "power": (lambda value: math.isfinite(value) and value > 0.0, "positive and finite"),
+    "offset": (math.isfinite, "finite"),
+}
+
+#: Each command's output path arguments, as the usage names them; the first one names the manifest.
 _OUTPUT_ARGS = {
     "decompose": ("out",),
-    "optimize": ("out", "curves_out"),
+    "optimize": ("out", "--curves-out"),
     "fisher": ("out",),
     "field2d": ("out_pgm", "out_csv"),
-    "simulate": ("out", "dump_trials"),
+    "simulate": ("out", "--dump-trials"),
 }
 
 
@@ -437,13 +423,27 @@ def _staging_path(path: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = [_resolve(args, getattr(args, name)) for name in _OUTPUT_ARGS[args.command]]
+    names = (*_OUTPUT_ARGS[args.command], "the manifest")
+    outputs = [_resolve(args, getattr(args, name.lstrip("-").replace("-", "_"))) for name in names[:-1]]
     manifest = Path(f"{outputs[0]}.manifest.json")
+    for name, (valid, rule) in _FLAG_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not valid(value):
+            print(f"error: --{name.replace('_', '-')} must be {rule}, got {value}", file=sys.stderr)
+            return EXIT_BAD_PARAMETER
+    # two outputs that name one file (a symlink's target) would overwrite each other
+    targets: dict[str, str] = {}
+    for name, path in zip(names, (*outputs, manifest)):
+        if path is None:
+            continue
+        target = os.path.realpath(path)
+        if target in targets:
+            print(f"error: {targets[target]} and {name} name one file, {target}", file=sys.stderr)
+            return EXIT_MALFORMED_INPUT
+        targets[target] = name
     # the handler and the manifest writer fill staging files, which replace the outputs only once all are written
     staged = {path: _staging_path(path) for path in (*outputs, manifest) if path is not None}
     try:
-        if args.seed is not None:
-            _require_count("--seed", args.seed, 0)
         code, seed, inputs = args.handler(args, *(staged.get(path) for path in outputs))
         _write_manifest(args, staged[manifest], inputs, {p: staged[p] for p in outputs if p is not None}, seed)
         for path, written in staged.items():

@@ -1,5 +1,9 @@
 """File formats: kernel definitions, CSV exports, graymap images, JSON reports.
 
+Every JSON input is read by one rule, ``read_fields``: a table gives each key
+its kind and its default, and any other key is refused. Kernel families are a
+table of their own: family -> (builder, fields of its ``params``).
+
 Loading a kernel needs ``spectral`` alone: the curve export imports ``tuning``
 and the digest imports ``hashlib`` when they run.
 """
@@ -33,89 +37,80 @@ class NonFiniteError(ValueError):
     """A result holds a NaN or infinite value, which no output format here can hold."""
 
 
-def _number(value, name: str) -> float:
+#: The default of a field that a JSON object must hold.
+REQUIRED = object()
+
+_KIND_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _read_value(value, kind: type, name: str):
+    """``value`` as ``kind``: float (a JSON number), int (a JSON number that is integral, so
+    3.0 reads as 3), str, list, dict (a JSON object) or object (any JSON value); otherwise
+    MalformedKernelError naming ``name``. A boolean is not a number."""
+    if kind not in (int, float):
+        if not isinstance(value, kind):
+            raise MalformedKernelError(f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedKernelError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def json_object(value, name: str) -> dict:
-    """``value`` itself; MalformedKernelError unless it is a JSON object."""
-    if not isinstance(value, dict):
-        raise MalformedKernelError(f"{name} must be a JSON object, got {json.dumps(value)}")
-    return value
-
-
-def _field(definition: dict, key: str, default):
-    if key in definition:
-        return definition[key]
-    if default is None:
-        raise MalformedKernelError(f"missing field {key!r}")
-    return default
-
-
-def json_number(definition: dict, key: str, default: float | None = None) -> float:
-    """``definition[key]`` as a float, or ``default`` when the key is absent.
-
-    Raises MalformedKernelError when a key without default is absent or the
-    value is not a JSON number (null, a string, a boolean, a list, an object).
-    """
-    return _number(_field(definition, key, default), key)
-
-
-def json_integer(definition: dict, key: str, default: int | None = None) -> int:
-    """Like ``json_number`` for an int; integral floats such as 3.0 are accepted."""
-    value = _field(definition, key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not _number(value, key).is_integer():
-        raise MalformedKernelError(f"{key} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def known_keys(definition: dict, known: tuple[str, ...], noun: str) -> dict:
-    """``definition``; MalformedKernelError naming the first key (in file order) that is not
-    ``known``, so a misspelled key fails instead of leaving its field at the default."""
-    for key in definition:
-        if key not in known:
-            raise MalformedKernelError(f"unknown key {key!r} in {noun}; known keys: {', '.join(known)}")
-    return definition
-
-
-def json_string(definition: dict, key: str) -> str:
-    """``definition[key]``; MalformedKernelError unless the key is present and its value a JSON string."""
-    value = _field(definition, key, None)
-    if not isinstance(value, str):
-        raise MalformedKernelError(f"{key} must be a string, got {json.dumps(value)}")
-    return value
-
-
-#: The keys of each kernel family's ``params``.
-_FAMILY_PARAMS = {"explicit": ("values",), "exponential": ("c0", "rho"), "gaussian": ("c0", "length")}
-
-
-def kernel_from_dict(definition: dict) -> CorrelationKernel:
-    """Build a kernel from its definition mapping (see ``load_kernel``)."""
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise MalformedKernelError(f"{name} must be an integer, got {json.dumps(value)}")
+        return int(value)
     try:
-        n = definition["n"]
-        family = definition["family"]
-    except (TypeError, KeyError) as exc:
-        raise MalformedKernelError(f"kernel definition missing field: {exc}") from exc
-    known_keys(definition, ("n", "family", "params"), "kernel definition")
-    params = json_object(definition.get("params", {}), "params")
-    if not isinstance(n, int):
-        raise MalformedKernelError(f"n must be an integer, got {n!r}")
-    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the largest double
+        raise MalformedKernelError(f"{name} must be a number within the range of a double, got {value}") from None
+
+
+def read_fields(definition, fields: dict[str, tuple[type, object]], noun: str) -> dict:
+    """The fields of the JSON object ``definition``, read by one rule.
+
+    ``fields`` maps each known key to its (kind, default); see ``_read_value`` for the
+    kinds. A key that ``definition`` leaves out takes its default, raises when the
+    default is REQUIRED, and stays out of the result when the default is None.
+    MalformedKernelError, naming ``noun``, unless ``definition`` is an object whose every
+    key is known (the first unknown key in file order is named, so a misspelled key fails
+    instead of leaving its field at the default) and whose every value is of its kind.
+    """
+    if not isinstance(definition, dict):
+        raise MalformedKernelError(f"{noun} must be a JSON object, got {json.dumps(definition)}")
+    for key in definition:
+        if key not in fields:
+            raise MalformedKernelError(f"unknown key {key!r} in {noun}; known keys: {', '.join(fields)}")
+    read = {}
+    for key, (kind, default) in fields.items():
+        if key in definition:
+            read[key] = _read_value(definition[key], kind, key)
+        elif default is REQUIRED:
+            raise MalformedKernelError(f"{noun} missing field {key!r}")
+        elif default is not None:
+            read[key] = default
+    return read
+
+
+def _explicit_kernel(n: int, values: list) -> CorrelationKernel:
+    return CorrelationKernel(n, tuple(_read_value(v, float, "params.values entry") for v in values))
+
+
+#: Each kernel family's builder and the fields of its ``params``.
+_FAMILIES = {
+    "explicit": (_explicit_kernel, {"values": (list, REQUIRED)}),
+    "exponential": (exponential_kernel, {"c0": (float, 1.0), "rho": (float, REQUIRED)}),
+    "gaussian": (gaussian_kernel, {"c0": (float, 1.0), "length": (float, REQUIRED)}),
+}
+
+_KERNEL_FIELDS = {"n": (int, REQUIRED), "family": (str, REQUIRED), "params": (dict, {})}
+
+
+def kernel_from_dict(definition) -> CorrelationKernel:
+    """Build a kernel from its definition mapping (see ``load_kernel``)."""
+    fields = read_fields(definition, _KERNEL_FIELDS, "kernel definition")
+    family = fields["family"]
+    if family not in _FAMILIES:
         raise MalformedKernelError(f"unknown kernel family {family!r}")
-    known_keys(params, _FAMILY_PARAMS[family], f"{family} kernel params")
-    if family == "explicit":
-        values = params.get("values")
-        if not isinstance(values, list):
-            raise MalformedKernelError("explicit kernel needs params.values as a list")
-        return CorrelationKernel(n, tuple(_number(v, "params.values entry") for v in values))
-    if family == "exponential":
-        return exponential_kernel(n, c0=json_number(params, "c0", 1.0), rho=json_number(params, "rho"))
-    return gaussian_kernel(n, c0=json_number(params, "c0", 1.0), length=json_number(params, "length"))
+    build, params = _FAMILIES[family]
+    return build(fields["n"], **read_fields(fields["params"], params, f"{family} kernel params"))
 
 
 def load_kernel(path: str | Path) -> CorrelationKernel:
@@ -124,8 +119,9 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
     JSON object with fields ``n``, ``family`` (explicit | exponential |
     gaussian) and ``params``: the explicit form lists the covariances
     c_0..c_{floor(n/2)} under ``values``; exponential takes ``c0`` and ``rho``;
-    gaussian takes ``c0`` and ``length``. Any other key, at either level, is
-    refused (``known_keys``).
+    gaussian takes ``c0`` and ``length``. The fields are read by ``read_fields``,
+    so any other key, at either level, is refused, and ``n`` may be written as an
+    integral float such as 8.0.
     """
     return kernel_from_dict(read_json_object(path, "kernel file"))
 

@@ -244,10 +244,14 @@ def run_displacement_trials(
     With ``with_estimates`` the per-trial estimates are returned alongside the
     aggregate result (for dump-style exports).
     """
-    estimates, info = next(_step_estimates(config)), config.information
-    crb_ref = config.snapshots * config.noise_scale**2 / info
-    mean = float(np.mean(estimates))
-    variance = float(np.var(estimates, ddof=1))
+    info = config.information
+    # a noise scale near the largest double overflows the draws and their moments to inf or
+    # NaN, which the result holds (and the CLI reports) instead of a NumPy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = next(_step_estimates(config))
+        mean = float(np.mean(estimates))
+        variance = float(np.var(estimates, ddof=1))
+    crb_ref = config.snapshots * config.noise_scale * config.noise_scale / info
     result = SimResult(
         mean_estimate=mean,
         empirical_variance=variance,
@@ -304,17 +308,19 @@ def run_path_integration(
     estimates = _step_estimates(config)
     cumulative = np.zeros(trials)
     variance_by_step = []
-    for s, step in zip(range(1, steps + 1), estimates):
-        cumulative = cumulative + step
-        errors = cumulative - s * step_delta
-        variance_by_step.append(float(np.var(errors, ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_displacement_trials
+        for s, step in zip(range(1, steps + 1), estimates):
+            cumulative = cumulative + step
+            errors = cumulative - s * step_delta
+            variance_by_step.append(float(np.var(errors, ddof=1)))
+        mean_final_error = float(np.mean(cumulative - steps * step_delta))
     single, final = variance_by_step[0], variance_by_step[-1]
     ratio = final / (steps * single) if single > 0.0 else float("nan")
     return PathIntegrationReport(
         steps=steps,
         trials=trials,
         step_delta=step_delta,
-        mean_final_error=float(np.mean(cumulative - steps * step_delta)),
+        mean_final_error=mean_final_error,
         final_error_variance=final,
         single_step_variance=single,
         linear_growth_ratio=ratio,

@@ -70,6 +70,12 @@ class TestDecomposeCommand:
             assert float(lam) == pytest.approx(mode.eigenvalue, rel=1e-15)
             assert paired == str(mode.paired).lower()
 
+    def test_integral_float_n_reads_as_the_integer(self, tmp_path):
+        for n in (8, 8.0):
+            (tmp_path / f"k{n}.json").write_text(json.dumps({"n": n, "family": "exponential", "params": {"rho": 0.5}}))
+            assert main(["decompose", str(tmp_path / f"k{n}.json"), str(tmp_path / f"d{n}.csv")]) == 0
+        assert (tmp_path / "d8.0.csv").read_bytes() == (tmp_path / "d8.csv").read_bytes()
+
     def test_invalid_kernel_exit_3_names_frequency(self, tmp_path, capsys):
         kernel_file = write_kernel(tmp_path / "bad.json", 4, [1.0, 1.2, 0.0])
         out = tmp_path / "decomp.csv"
@@ -856,6 +862,62 @@ class TestUnknownKeys:
         assert f"unknown key {key}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["kernel.json"]
 
+    def test_simulate_known_keys_are_the_sim_config_fields(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"kernel": self.KERNEL, "trails": 500}))
+        assert main(["simulate", str(config_file), str(tmp_path / "r.json")]) == 2
+        known = capsys.readouterr().err.rstrip("\n").split("; known keys: ")[1].split(", ")
+        fields = [f.name for f in dataclasses.fields(SimConfig) if f.name != "population"]
+        assert sorted(known) == sorted(["kernel", "kernel_file", "allocation", "power", *fields])
+
+
+class TestOverlappingOutputs:
+    """Two outputs, or an output and the manifest, that name one file exit 2 naming both
+    arguments, and nothing is written."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["field2d", "kernel.json", "same.out", "same.out", "--k", "1"], "out_pgm and out_csv"),
+        (["optimize", "kernel.json", "o.json", "--curves-out", "o.json"], "out and --curves-out"),
+        (["simulate", "config.json", "r.json", "--dump-trials", "r.json.manifest.json"], "--dump-trials and the manifest"),
+        (["field2d", "kernel.json", "link.csv", "f.csv", "--k", "1"], "out_pgm and out_csv"),
+        (["--out-dir", "sub", "field2d", "kernel.json", "f.pgm", "../sub/f.pgm", "--k", "1"], "out_pgm and out_csv"),
+    ], ids=["field2d", "optimize-curves", "simulate-manifest", "symlink", "out-dir"])
+    def test_exit_2_before_any_file_is_written(self, tmp_path, n4_kernel_file, capsys, monkeypatch, argv, names):
+        (tmp_path / "config.json").write_text(json.dumps({"kernel_file": "kernel.json", "trials": 200}))
+        (tmp_path / "link.csv").symlink_to("f.csv")
+        (tmp_path / "sub").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {names} name one file, {tmp_path.resolve()}")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestOverflowingNoiseScale:
+    """A noise scale whose square, or whose draws' moments, overflow exits 6 with the error
+    line alone (and the intended aliasing warning of a phase run), writing nothing."""
+
+    @pytest.mark.parametrize("scale, mode, estimator", [
+        (1.4e154, "known_reference", "local_linear"),
+        (1e154, "known_reference", "local_linear"),
+        (1e160, "two_snapshot", "phase"),
+    ])
+    def test_exit_6_without_a_numpy_warning(self, tmp_path, capsys, scale, mode, estimator):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kernel": {"n": 8, "family": "exponential", "params": {"c0": 1.0, "rho": 0.5}},
+            "trials": 100, "noise_scale": scale, "mode": mode, "estimator": estimator,
+        }))
+        argv = ["simulate", str(config), str(tmp_path / "r.json"), "--dump-trials", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 6
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("error: the result is not finite: ") and "empirical_variance" in lines[-1]
+        assert len(lines) == 1 + (estimator == "phase") and all(line.endswith("and aliases") for line in lines[:-1])
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestParameterRanges:
     """Counts and powers outside their documented ranges exit 5 before any output is written."""
@@ -907,13 +969,17 @@ class TestParameterRanges:
         assert not curves.exists()
         assert not (tmp_path / "o.json.manifest.json").exists()
 
-    @pytest.mark.parametrize("command", ["optimize", "field2d"])
+    @pytest.mark.parametrize("command", ["decompose", "optimize", "fisher", "field2d", "simulate"])
     @pytest.mark.parametrize("offset", ["nan", "inf"])
     def test_non_finite_offset_exit_5(self, tmp_path, n4_kernel_file, capsys, command, offset):
+        # checked for every command before any file is read: simulate never opens its missing config
         out = tmp_path / "out"
         argv = {
+            "decompose": ["decompose", str(n4_kernel_file), str(out)],
             "optimize": ["optimize", str(n4_kernel_file), str(out), "--curves-out", str(tmp_path / "c.csv")],
+            "fisher": ["fisher", str(n4_kernel_file), str(out)],
             "field2d": ["field2d", str(n4_kernel_file), str(out), str(tmp_path / "f.csv"), "--k", "1"],
+            "simulate": ["simulate", str(tmp_path / "missing.json"), str(out)],
         }[command]
         assert main([f"--offset={offset}", *argv]) == 5
         assert "--offset" in capsys.readouterr().err
@@ -958,6 +1024,18 @@ class TestParameterRanges:
         assert main(["--seed", "-1", command[0], str(n4_kernel_file), str(out), *command[1:]]) == 5
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [
+        None, {"n": 8, "family": "gaussian", "params": {"length": 2.0}}, {"n": 8, "family": "mystery"},
+    ], ids=["missing-2", "not-psd-3", "malformed-2"])
+    @pytest.mark.parametrize("flag", [["--power", "-1"], ["--theta-samples", "0"]], ids=["power", "theta-samples"])
+    def test_bad_flag_beside_a_bad_kernel_exit_5(self, tmp_path, capsys, kernel, flag):
+        # the flag is checked before the kernel file is read; the id names the kernel's own exit code
+        kernel_file = tmp_path / "kernel.json"
+        if kernel is not None:
+            kernel_file.write_text(json.dumps(kernel))
+        assert self.run(tmp_path, kernel_file, "fisher", *flag) == 5
+        assert capsys.readouterr().err.startswith(f"error: {flag[0]} must be ")
 
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"

@@ -164,6 +164,81 @@ class TestKernelFiles:
         assert str(excinfo.value).startswith(message.format(noun=noun, path=path))
 
 
+#: JSON values of every type, with the numbers that sit on a kind's edge: integral and
+#: non-integral floats, signed zero, infinities and NaN (which ``json`` reads), integers
+#: above 2**63 and integers that no double holds.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**70),
+    st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([3.0, -0.0, 1e300, 2.0**63, 0.5, -2.5]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def reads_as(value, kind):
+    """The value that ``kind`` reads ``value`` as, or None when it refuses it: an int or a
+    float is a number (a boolean is not); an integer field takes an integral number; a float
+    field takes any number a double holds (integers from 2**1024 - 2**970 round past the
+    largest double)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        fits = number and (isinstance(value, float) or abs(value) < 2**1024 - 2**970)
+        return (float(value),) if fits else None
+    if kind is int:
+        integral = number and (isinstance(value, int) or math.isfinite(value) and value == math.floor(value))
+        return (int(value),) if integral else None
+    return (value,) if isinstance(value, kind) else None
+
+
+class TestFieldReader:
+    """``read_fields``: one rule for every key of every JSON input."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(value=math.inf, kind=int)
+    @example(value=math.nan, kind=float)
+    @example(value=True, kind=float)
+    @example(value=8.0, kind=int)
+    @example(value=10**400, kind=float)
+    @example(value=2**64, kind=int)
+    @given(value=JSON_VALUES, kind=st.sampled_from([float, int, str, list, dict, object]))
+    def test_each_value_is_accepted_or_refused_by_its_kind(self, value, kind):
+        expected = reads_as(value, kind)
+        if expected is None:
+            with pytest.raises(MalformedKernelError, match=r"^x must be "):
+                rio.read_fields({"x": value}, {"x": (kind, rio.REQUIRED)}, "test object")
+            return
+        read = rio.read_fields({"x": value}, {"x": (kind, rio.REQUIRED)}, "test object")["x"]
+        assert type(read) is type(expected[0])
+        assert read == expected[0] or (read != read and expected[0] != expected[0])  # NaN reads as NaN
+        if kind is float:
+            assert math.copysign(1.0, read) == math.copysign(1.0, expected[0])  # -0.0 stays negative
+
+    @example(definition=[1, 2])
+    @given(definition=JSON_SCALARS)
+    def test_only_an_object_has_fields(self, definition):
+        with pytest.raises(MalformedKernelError, match=r"^test object must be a JSON object, got "):
+            rio.read_fields(definition, {}, "test object")
+
+    def test_absent_keys_take_the_default_raise_or_stay_out(self):
+        fields = {"a": (float, 2.5), "b": (str, None), "c": (int, rio.REQUIRED)}
+        assert rio.read_fields({"c": 3.0}, fields, "test object") == {"a": 2.5, "c": 3}
+        with pytest.raises(MalformedKernelError, match=r"^test object missing field 'c'$"):
+            rio.read_fields({"a": 1.0}, fields, "test object")
+
+    def test_the_first_unknown_key_in_file_order_is_named(self):
+        with pytest.raises(MalformedKernelError) as excinfo:
+            rio.read_fields({"a": 1, "zz": 2, "b": 3}, {"a": (int, 0)}, "test object")
+        assert str(excinfo.value) == "unknown key 'zz' in test object; known keys: a"
+
+
 class TestCsvFormats:
     def test_field_roundtrip(self, tmp_path, rng):
         cx, cy = rng.normal(size=9), rng.normal(size=7)

@@ -719,6 +719,28 @@ class TestRunDisplacementTrials:
             assert abs(result.bias) < bias_tol + 1e-2 * config.delta_theta
 
 
+class TestOverflowingNoise:
+    """A noise scale near the largest double overflows the draws: both runners return the
+    non-finite statistics, which the CLI reports, without a NumPy warning."""
+
+    @pytest.mark.parametrize("scale", [1e154, 1.4e154, 1e200])
+    def test_displacement_run(self, n4_decomp, scale):
+        config = SimConfig(population=optimal_tuning_1d(n4_decomp, 1.0), trials=100, noise_scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_displacement_trials(config)
+        assert result.empirical_variance == math.inf and result.variance_stderr == math.inf
+        assert result.crb_reference == scale * scale / config.information  # inf once the square overflows
+
+    def test_path_integration(self, n4_decomp):
+        pop = optimal_tuning_1d(n4_decomp, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_path_integration(pop, steps=3, trials=100, noise_scale=1e200)
+        assert report.variance_by_step == (math.inf,) * 3
+        assert math.isnan(report.linear_growth_ratio)
+
+
 class TestPathIntegration:
     @pytest.mark.parametrize("estimator", ["local_linear", "phase"])
     @pytest.mark.parametrize("mode", ["known_reference", "two_snapshot"])
