@@ -22,9 +22,8 @@ from ._version import __version__
 _EXPORTS = {
     "errors": (
         "ConditionViolatedError", "MalformedKernelError", "MultiModePopulationError",
-        "NonpositiveInformationError", "NotPositiveSemidefiniteError",
-        "ResolutionOutOfRangeError", "RingFisherError", "SingularCovarianceError",
-        "UnpairedModeError",
+        "NotPositiveSemidefiniteError", "ParameterRangeError", "RingFisherError",
+        "SingularCovarianceError",
     ),
     "spectral": (
         "CorrelationKernel", "EigenMode", "PsdReport", "SpectralDecomposition",

@@ -8,15 +8,18 @@ Exit codes: 0 success, 2 malformed input, 3 invalid covariance, 4 infeasible
 optimization, 5 bad parameter range, 6 simulation failure. ``main`` checks every
 number flag against its range (``_FLAG_RANGES``, so ``--offset`` is checked for
 every command), and that no two outputs or the manifest name one file, before
-any file is read; a flag range that needs the kernel (a paired ``--k``, a
-``--neuron`` on the ring, a ``--phase-shift`` at the rendered frequency) is
-checked by its handler once the kernel is read. Input files are read by
-``rio.read_fields``; a ``simulate`` config's keys are ``SimConfig``'s fields
-and the four that build its population. A request too large
-to allocate, a result that overflows to infinity or NaN at accepted flag
-values, or an information that is 0 (so no Cramer-Rao bound) exits 6 from
+any file is read. A ``--neuron`` on the ring and a ``--phase-shift`` at the
+rendered frequency are checked by their handler once the kernel is read, and
+``--k`` by the population it builds, which refuses a frequency that is not a
+paired mode. Input files are read by ``rio.read_fields``; a ``simulate``
+config's keys are ``SimConfig``'s fields and the four that build its
+population. A value out of its range (``ParameterRangeError``), a request too
+large to allocate, or a result that is infinite or NaN at accepted flag values
+(an information of 0 has an infinite Cramer-Rao bound) exits 6 from
 ``simulate`` and 5 from any other command; ``main`` alone maps these, naming
-the flags the result was computed at. A failed command changes no file: every
+the flags a result was computed at. No output may name an input: ``main``
+compares the files a handler read with the outputs before any is replaced,
+and exits 2. A failed command changes no file: every
 output and the manifest are written to staging files beside their targets and
 renamed into place, the manifest last, only once all are written; a failure
 removes the staging files.
@@ -46,9 +49,8 @@ from .errors import (
     ConditionViolatedError,
     MalformedKernelError,
     MultiModePopulationError,
-    NonpositiveInformationError,
     NotPositiveSemidefiniteError,
-    ResolutionOutOfRangeError,
+    ParameterRangeError,
     SingularCovarianceError,
 )
 from .spectral import validate_psd
@@ -62,10 +64,6 @@ EXIT_INVALID_COVARIANCE = 3
 EXIT_INFEASIBLE_OPTIMIZATION = 4
 EXIT_BAD_PARAMETER = 5
 EXIT_SIMULATION_FAILURE = 6
-
-
-class ParameterRangeError(ValueError):
-    """CLI-level parameter outside its documented range."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,15 +161,6 @@ def _write_manifest(
     rio.write_json(payload, manifest)
 
 
-def _require_paired(kernel, frequency: int) -> None:
-    paired = kernel.paired_frequencies
-    if frequency not in paired:
-        raise ParameterRangeError(
-            f"frequency {frequency} is not a paired mode of the n={kernel.n} ring "
-            f"(paired: {paired.start}..{paired.stop - 1})"
-        )
-
-
 def _require_neuron(kernel, neuron: tuple[int, int]) -> None:
     if not all(0 <= index < kernel.n for index in neuron):
         raise ParameterRangeError(
@@ -249,7 +238,6 @@ def _cmd_fisher(args: argparse.Namespace, out: Path) -> tuple[int, None, list[Pa
 
     kernel = rio.load_kernel(args.kernel)
     if args.k is not None:
-        _require_paired(kernel, args.k)
         pop = TuningPopulation1D(kernel, PowerAllocation.single(args.k, args.power))
     else:
         pop = optimal_tuning_1d(kernel, args.power)
@@ -280,7 +268,6 @@ def _cmd_field2d(args: argparse.Namespace, out_pgm: Path, out_csv: Path) -> tupl
     if args.optimal:
         x = optimal_tuning_2d(kernel, args.power).x
     else:
-        _require_paired(kernel, args.k)
         x = TuningPopulation1D(kernel, PowerAllocation.single(args.k, args.power))
     problem = _phase_shift_problem(args.phase_shift, x.allocation.max_frequency())
     if problem:
@@ -380,8 +367,6 @@ _EXIT_CODE_BY_ERROR: tuple[tuple[type[Exception], int], ...] = (
     (NotPositiveSemidefiniteError, EXIT_INVALID_COVARIANCE),
     (SingularCovarianceError, EXIT_INVALID_COVARIANCE),
     (ConditionViolatedError, EXIT_INFEASIBLE_OPTIMIZATION),
-    (ResolutionOutOfRangeError, EXIT_BAD_PARAMETER),
-    (ParameterRangeError, EXIT_BAD_PARAMETER),
     (MultiModePopulationError, EXIT_SIMULATION_FAILURE),
 )
 
@@ -445,6 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     staged = {path: _staging_path(path) for path in (*outputs, manifest) if path is not None}
     try:
         code, seed, inputs = args.handler(args, *(staged.get(path) for path in outputs))
+        # an output that names an input (a symlink's target) would replace it
+        for source in inputs:
+            target = os.path.realpath(source)
+            if target in targets:
+                raise MalformedKernelError(f"{targets[target]} and the input {source} name one file, {target}")
         _write_manifest(args, staged[manifest], inputs, {p: staged[p] for p in outputs if p is not None}, seed)
         for path, written in staged.items():
             os.replace(written, os.path.realpath(path))
@@ -463,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
                 return code
         # a request or a result beyond reach: a simulation failure, or a parameter out of range
         out_of_range = EXIT_SIMULATION_FAILURE if args.command == "simulate" else EXIT_BAD_PARAMETER
-        if isinstance(exc, (rio.NonFiniteError, NonpositiveInformationError)):
+        if isinstance(exc, rio.NonFiniteError):
             values = {name: vars(args)[name] for name in _RESULT_FLAGS.get(args.command, ())}
             at = " and ".join(f"--{name} {value!r}" for name, value in values.items() if value is not None)
             print(f"error: the result is not finite{at and ' at ' + at}: {exc}", file=sys.stderr)
@@ -471,9 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, MemoryError):
             print(f"error: cannot allocate memory for this request: {exc}", file=sys.stderr)
             return out_of_range
-        if args.command == "simulate" and isinstance(exc, (ValueError, KeyError)):
+        if isinstance(exc, ParameterRangeError) or args.command == "simulate" and isinstance(exc, (ValueError, KeyError)):
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SIMULATION_FAILURE
+            return out_of_range
         if isinstance(exc, (ValueError, KeyError, OSError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED_INPUT

@@ -17,20 +17,12 @@ class SingularCovarianceError(RingFisherError):
     """Covariance cannot be inverted: an eigenvalue is at or below tolerance."""
 
 
-class UnpairedModeError(RingFisherError):
-    """Coefficient rotation targeted a frequency without a sine partner."""
-
-
 class ConditionViolatedError(RingFisherError):
     """The two spectral orderings disagree; single-mode concentration invalid."""
 
 
-class ResolutionOutOfRangeError(RingFisherError):
-    """Requested field sampling resolution is outside the supported range."""
-
-
-class NonpositiveInformationError(RingFisherError):
-    """Cramer-Rao reciprocal requested for a nonpositive Fisher information."""
+class ParameterRangeError(RingFisherError, ValueError):
+    """A value lies outside its range: an unpaired frequency, a field resolution, a phase shift."""
 
 
 class MultiModePopulationError(RingFisherError):

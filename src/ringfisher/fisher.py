@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveInformationError
 from .spectral import TWO_PI, SpectralDecomposition, _Record, apply_inverse
 from .tuning import (
     PowerAllocation,
@@ -69,10 +68,9 @@ def fisher_derivative(pop: TuningPopulation1D, theta: float = 0.0) -> float:
 
 
 def crb(fi: float) -> float:
-    """Cramer-Rao bound: reciprocal of a positive Fisher information."""
-    if fi <= 0.0:
-        raise NonpositiveInformationError(f"information must be positive, got {fi}")
-    return 1.0 / fi
+    """Cramer-Rao bound: the reciprocal of the Fisher information, inf where that is not
+    positive (no unbiased estimate has a finite variance then)."""
+    return 1.0 / fi if fi > 0.0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def fisher_report_1d(pop: TuningPopulation1D, theta_samples: int = 64) -> Fisher
         fi_theta=values,
         fi_spectral=spectral,
         fi_max_bound=fisher_max_bound(pop.decomp, pop.allocation.power),
-        crb=crb(spectral) if spectral > 0 else float("inf"),
+        crb=crb(spectral),
     )
 
 

@@ -127,10 +127,12 @@ def load_kernel(path: str | Path) -> CorrelationKernel:
 
 
 def read_json_object(path: str | Path, noun: str) -> dict:
-    """The JSON object a file holds; MalformedKernelError, naming ``noun``, otherwise."""
+    """The JSON object a file holds; MalformedKernelError, naming ``noun``, otherwise: also for
+    text that is not UTF-8, an integer literal beyond Python's digit limit, or nesting too deep
+    to parse."""
     try:
         definition = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise MalformedKernelError(f"cannot read {noun} {path}: {exc}") from exc
     if not isinstance(definition, dict):
         raise MalformedKernelError(f"{noun} must hold a JSON object")

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (
     MalformedKernelError,
     NotPositiveSemidefiniteError,
+    ParameterRangeError,
     SingularCovarianceError,
-    UnpairedModeError,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -151,7 +151,7 @@ class CorrelationKernel:
     def sin_vector(self, frequency: int) -> np.ndarray:
         """Unit-norm sine eigenvector; only paired frequencies have one."""
         if frequency not in self.paired_frequencies:
-            raise UnpairedModeError(f"frequency {frequency} has no sine eigenvector")
+            raise ParameterRangeError(f"frequency {frequency} has no sine eigenvector")
         return math.sqrt(2.0 / self.n) * np.sin(self._angles(frequency))
 
 
@@ -305,7 +305,7 @@ def synthesize(decomp: SpectralDecomposition, coeffs: Mapping[int, tuple[float, 
         if k in decomp.paired_frequencies:
             bins.imag[k] = -b * scale[k]
         elif b != 0.0:
-            raise UnpairedModeError(f"frequency {k} has no sine eigenvector to weight")
+            raise ParameterRangeError(f"frequency {k} has no sine eigenvector to weight")
         bins.real[k] = a * scale[k]
     return np.fft.irfft(bins, decomp.n)
 
@@ -328,7 +328,7 @@ def rotate_pattern(
     out: dict[int, tuple[float, float]] = {}
     for k, (a, b) in coeffs.items():
         if k not in decomp.paired_frequencies:
-            raise UnpairedModeError(f"cannot rotate frequency {k}: it has no sine eigenvector")
+            raise ParameterRangeError(f"cannot rotate frequency {k}: it has no sine eigenvector")
         c, s = math.cos(k * theta), math.sin(k * theta)
         out[k] = (a * c - b * s, b * c + a * s)
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionViolatedError, ResolutionOutOfRangeError
+from .errors import ConditionViolatedError, ParameterRangeError
 from .spectral import TWO_PI, SpectralDecomposition, _nonnegative, _positive, _Record
 
 FIELD_RESOLUTION_MIN = 8
@@ -44,8 +44,9 @@ class AllocationEntry:
     """One active frequency with its power w (the number every objective reads) and phase.
 
     ``amplitude`` is derived, sqrt(w): the derivative profile's coefficient on
-    the frequency's cos and sin eigenvectors. ValueError unless the frequency
-    is >= 1, the power finite and >= 0 and the phase finite.
+    the frequency's cos and sin eigenvectors. ParameterRangeError unless the
+    frequency is >= 1; ValueError unless the power is finite and >= 0 and the
+    phase finite.
     """
 
     frequency: int
@@ -58,7 +59,7 @@ class AllocationEntry:
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "phase", float(self.phase))
         if self.frequency < 1:
-            raise ValueError(f"allocation frequencies must be >= 1, got {self.frequency}")
+            raise ParameterRangeError(f"allocation frequencies must be >= 1, got {self.frequency}")
         if not 0.0 <= self.power < math.inf:
             raise ValueError(f"power must be finite and >= 0, got {self.power!r} at frequency {self.frequency}")
         if not math.isfinite(self.phase):
@@ -110,16 +111,21 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class TuningPopulation1D:
-    """Ring population whose derivative profile is the given allocation."""
+    """Ring population whose derivative profile is the given allocation.
+
+    ParameterRangeError unless every active frequency is paired.
+    """
 
     decomp: SpectralDecomposition
     allocation: PowerAllocation
 
     def __post_init__(self) -> None:
+        paired = self.decomp.paired_frequencies
         for e in self.allocation.entries:
-            if e.frequency not in self.decomp.paired_frequencies:
-                raise ValueError(
-                    f"frequency {e.frequency} is not a paired mode of the n={self.decomp.n} ring"
+            if e.frequency not in paired:
+                raise ParameterRangeError(
+                    f"frequency {e.frequency} is not a paired mode of the n={self.decomp.n} ring "
+                    f"(paired: {paired.start}..{paired.stop - 1})"
                 )
 
     @property
@@ -149,7 +155,7 @@ class TuningPopulation2D:
 
     The y axis is ``x`` with each phase c_k moved by k * phase_shift, so both
     axes share the kernel and the power spectrum by construction.
-    ValueError unless |k * phase_shift| < 2**52 at the largest active frequency k.
+    ParameterRangeError unless |k * phase_shift| < 2**52 at the largest active frequency k.
     """
 
     x: TuningPopulation1D
@@ -158,7 +164,7 @@ class TuningPopulation2D:
     def __post_init__(self) -> None:
         problem = _phase_shift_problem(self.phase_shift, self.x.allocation.max_frequency())
         if problem:
-            raise ValueError(f"phase_shift {problem}")
+            raise ParameterRangeError(f"phase_shift {problem}")
 
     @property
     def y(self) -> TuningPopulation1D:
@@ -248,7 +254,7 @@ def _lattice_waveform(pop: TuningPopulation1D, lattice: int, index: np.ndarray) 
     """
     # k index stays below n lattice, and a cosine's quarter steps below 5 lattice
     if lattice * max(pop.n, 5) > np.iinfo(np.int64).max:
-        raise ValueError(f"lattice of {lattice} points is too fine for int64 phases at n = {pop.n}")
+        raise ParameterRangeError(f"lattice of {lattice} points is too fine for int64 phases at n = {pop.n}")
     index = np.asarray(index, dtype=np.int64)
     out = np.zeros(index.shape)
     for e in pop.allocation.entries:
@@ -367,7 +373,7 @@ def sample_firing_field(
     The field is their outer product, entry (a, b) = cx[a] * cy[b]; the io
     writers form it row by row. Each curve is sampled at ``resolution``
     angles, which must lie in FIELD_RESOLUTION_MIN..FIELD_RESOLUTION_MAX (else
-    ResolutionOutOfRangeError). Neuron i's curve at angle index s is the
+    ParameterRangeError). Neuron i's curve at angle index s is the
     waveform at point (s L/res - i L/n) mod L of the L = lcm(res, n) lattice,
     so the curves of all neurons are exact shifts of one another. With
     ``offset`` None each curve is lifted by its own minimum, which renders the
@@ -375,7 +381,7 @@ def sample_firing_field(
     curve instead, so 0 keeps the signed product.
     """
     if not FIELD_RESOLUTION_MIN <= resolution <= FIELD_RESOLUTION_MAX:
-        raise ResolutionOutOfRangeError(
+        raise ParameterRangeError(
             f"resolution {resolution} outside [{FIELD_RESOLUTION_MIN}, {FIELD_RESOLUTION_MAX}]"
         )
     lattice = math.lcm(resolution, pop2d.n)

@@ -15,11 +15,11 @@ PUBLIC_API = [
     "AllocationEntry", "AllocationSearchResult",
     "ConditionReport", "ConditionViolatedError", "CorrelationKernel", "EigenMode",
     "FisherReport1D", "FisherReport2D", "MalformedKernelError", "MultiModePopulationError",
-    "NoiseModel", "NonpositiveInformationError", "NotPositiveSemidefiniteError",
-    "PathIntegrationReport", "PowerAllocation", "PsdReport", "ResolutionOutOfRangeError",
+    "NoiseModel", "NotPositiveSemidefiniteError", "ParameterRangeError",
+    "PathIntegrationReport", "PowerAllocation", "PsdReport",
     "RingFisherError", "SimConfig", "SimResult", "SingularCovarianceError",
     "SpectralDecomposition", "TorusCorrelation", "TuningPopulation1D", "TuningPopulation2D",
-    "UnpairedModeError", "apply_inverse", "audit_random_allocations", "check_condition", "crb",
+    "apply_inverse", "audit_random_allocations", "check_condition", "crb",
     "decompose", "errors", "exponential_kernel", "fisher",
     "fisher_1d", "fisher_1d_spectral", "fisher_2d", "fisher_derivative", "fisher_max_bound",
     "fisher_report_1d", "gaussian_kernel", "kernel_from_spectrum", "maximize_fisher_1d",

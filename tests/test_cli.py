@@ -91,6 +91,32 @@ class TestDecomposeCommand:
         assert main(["decompose", str(bad), str(tmp_path / "o.csv")]) == 2
 
 
+class TestUnparsableJson:
+    """JSON that the parser cannot hold exits 2 naming the file, from every command."""
+
+    #: The arguments of each command after its input file.
+    REST = {
+        "decompose": ["d.csv"],
+        "optimize": ["o.json"],
+        "fisher": ["f.json"],
+        "field2d": ["f.pgm", "f.csv", "--optimal"],
+        "simulate": ["r.json"],
+    }
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1' + "0" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["integer-beyond-the-digit-limit", "nesting-too-deep"])
+    @pytest.mark.parametrize("command", list(REST))
+    def test_exit_2_cannot_read(self, tmp_path, capsys, monkeypatch, command, text):
+        (tmp_path / "input.json").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "input.json", *self.REST[command]]) == 2
+        noun = "simulation config" if command == "simulate" else "kernel file"
+        assert capsys.readouterr().err.startswith(f"error: cannot read {noun} input.json: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
+
+
 class TestOptimizeCommand:
     def test_dim1_result(self, tmp_path, n4_kernel_file, capsys):
         out = tmp_path / "opt.json"
@@ -893,6 +919,28 @@ class TestOverlappingOutputs:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestOutputNamesAnInput:
+    """An output that names a file the command read (a symlink's target too) exits 2 naming
+    both, and every file keeps its bytes."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["decompose", "kernel.json", "kernel.json"], "out and the input kernel.json"),
+        (["optimize", "kernel.json", "o.json", "--curves-out", "kernel.json"], "--curves-out and the input kernel.json"),
+        (["simulate", "config.json", "kernel.json"], "out and the input kernel.json"),
+        (["decompose", "kernel.json", "link.json"], "out and the input kernel.json"),
+    ], ids=["decompose", "optimize-curves", "simulate-kernel-file", "symlink"])
+    def test_exit_2_and_the_input_keeps_its_bytes(self, tmp_path, n4_kernel_file, capsys, monkeypatch, argv, names):
+        (tmp_path / "config.json").write_text(json.dumps({"kernel_file": "kernel.json", "trials": 200}))
+        (tmp_path / "link.json").symlink_to("kernel.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"error: {names} name one file, {tmp_path.resolve() / 'kernel.json'}"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert (tmp_path / "link.json").is_symlink()
+
+
 class TestOverflowingNoiseScale:
     """A noise scale whose square, or whose draws' moments, overflow exits 6 with the error
     line alone (and the intended aliasing warning of a phase run), writing nothing."""
@@ -1037,6 +1085,44 @@ class TestParameterRanges:
         assert self.run(tmp_path, kernel_file, "fisher", *flag) == 5
         assert capsys.readouterr().err.startswith(f"error: {flag[0]} must be ")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["fisher", "kernel.json", "f.json", "--k", "0"], 5),
+        (["fisher", "kernel.json", "f.json", "--k", "-1"], 5),
+        (["fisher", "kernel.json", "f.json", "--k", "2"], 5),
+        (["field2d", "kernel.json", "f.pgm", "f.csv", "--k", "2"], 5),
+        (["field2d", "kernel.json", "f.pgm", "f.csv", "--k", "1", "--res", "7"], 5),
+        (["simulate", "frequency-0.json", "r.json"], 6),
+        (["simulate", "frequency-2.json", "r.json"], 6),
+    ], ids=["fisher-k-0", "fisher-k-minus1", "fisher-k-half-n", "field2d-k-unpaired", "field2d-res-7",
+            "simulate-frequency-0", "simulate-unpaired"])
+    def test_value_out_of_range_exit_code(self, tmp_path, n4_kernel_file, capsys, monkeypatch, argv, code):
+        # on the n = 4 ring only frequency 1 is paired
+        for frequency in (0, 2):
+            (tmp_path / f"frequency-{frequency}.json").write_text(json.dumps({
+                "kernel_file": "kernel.json", "trials": 200,
+                "allocation": [{"frequency": frequency, "amplitude": 1.0}],
+            }))
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("frequency, message", [
+        (0, "allocation frequencies must be >= 1, got 0"),
+        (2, "frequency 2 is not a paired mode of the n=4 ring (paired: 1..1)"),
+    ], ids=["frequency-0", "unpaired"])
+    def test_simulate_frequency_out_of_range_message(self, tmp_path, n4_kernel_file, capsys, frequency, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernel_file": "kernel.json", "allocation": [{"frequency": frequency, "amplitude": 1.0}]}))
+        assert main(["simulate", str(config), str(tmp_path / "r.json")]) == 6
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fisher_k_0_names_the_allocation_range(self, tmp_path, n4_kernel_file, capsys):
+        assert main(["fisher", str(n4_kernel_file), str(tmp_path / "f.json"), "--k", "0"]) == 5
+        assert capsys.readouterr().err == "error: allocation frequencies must be >= 1, got 0\n"
+
     def test_zero_audit_trials_still_skips_the_audit(self, tmp_path, n4_kernel_file):
         out = tmp_path / "o.json"
         assert main(["optimize", str(n4_kernel_file), str(out), "--audit-trials", "0"]) == 0
@@ -1085,7 +1171,7 @@ class TestOverflowingResults:
 
     @pytest.mark.parametrize(
         "command, keys",
-        [("optimize", "information must be positive, got 0.0"), ("fisher", "crb = inf")],
+        [("optimize", "fisher.crb = inf"), ("fisher", "crb = inf")],
         ids=["optimize", "fisher"],
     )
     def test_zero_information_exit_5(self, tmp_path, capsys, command, keys):

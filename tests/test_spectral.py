@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ringfisher.errors import (
     MalformedKernelError,
     NotPositiveSemidefiniteError,
+    ParameterRangeError,
     SingularCovarianceError,
-    UnpairedModeError,
 )
 from ringfisher import io as rio
 from ringfisher.fisher import fisher_1d, fisher_1d_spectral
@@ -184,7 +184,7 @@ class TestRotatePattern:
 
     @pytest.mark.parametrize("frequency", [0, 3])
     def test_singletons_rejected(self, n6_decomp, frequency):
-        with pytest.raises(UnpairedModeError):
+        with pytest.raises(ParameterRangeError):
             rotate_pattern(n6_decomp, {frequency: (1.0, 0.0)}, 0.1)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -224,6 +224,24 @@ class TestRotatePattern:
         np.testing.assert_allclose(
             synthesize(n6_decomp, mode_coefficients(n6_decomp, v)), v, atol=1e-12
         )
+
+
+class TestUnpairedFrequencyRange:
+    """Every spectral call that needs a sine eigenvector raises the one range error, a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda decomp: decomp.sin_vector(3),
+            lambda decomp: synthesize(decomp, {0: (1.0, 0.5)}),
+            lambda decomp: rotate_pattern(decomp, {3: (1.0, 0.0)}, 0.1),
+        ],
+        ids=["sin_vector", "synthesize", "rotate_pattern"],
+    )
+    def test_parameter_range_error(self, n6_decomp, call):
+        with pytest.raises(ValueError) as caught:
+            call(n6_decomp)
+        assert type(caught.value) is ParameterRangeError
 
 
 class TestTorusInverse:
@@ -354,7 +372,7 @@ class TestFftMatchesDenseOracle:
         decomp = decompose(white_kernel(n))
         singletons = [m.frequency for m in modes(decomp) if not m.paired]
         for k in singletons:
-            with pytest.raises(UnpairedModeError):
+            with pytest.raises(ParameterRangeError):
                 synthesize(decomp, {k: (1.0, 0.5)})
 
     def test_eigenvalues_read_only_and_shared(self, n6_decomp):
@@ -455,7 +473,7 @@ class TestKernelFamilies:
 
     @pytest.mark.parametrize("frequency", [0, 3])
     def test_singleton_has_no_sine_vector(self, n6_decomp, frequency):
-        with pytest.raises(UnpairedModeError):
+        with pytest.raises(ParameterRangeError):
             n6_decomp.sin_vector(frequency)
 
 

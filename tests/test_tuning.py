@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringfisher.errors import ConditionViolatedError, ResolutionOutOfRangeError
+from ringfisher.errors import ConditionViolatedError, ParameterRangeError
 from ringfisher.spectral import TWO_PI, decompose, kernel_from_spectrum
 from ringfisher.tuning import (
     AllocationEntry,
+    _lattice_waveform,
     PowerAllocation,
     TuningPopulation1D,
     TuningPopulation2D,
@@ -319,7 +320,7 @@ class TestFiringField:
     @pytest.mark.parametrize("resolution", [7, 5000])
     def test_resolution_range(self, n4_decomp, resolution):
         pop2d = optimal_tuning_2d(n4_decomp, 1.0)
-        with pytest.raises(ResolutionOutOfRangeError):
+        with pytest.raises(ParameterRangeError):
             sample_firing_field(pop2d, (0, 0), resolution)
 
 
@@ -336,6 +337,30 @@ def shift_error(curves):
     """
     step = curves.shape[0] // curves.shape[1]
     return float(np.max(np.abs(np.roll(curves, -1, axis=1) - np.roll(curves, step, axis=0))))
+
+
+class TestParameterRangeError:
+    """Every tuning value out of its range raises the one range error, a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda decomp: AllocationEntry(0, 1.0),
+            lambda decomp: single_mode_pop(decomp, frequency=3),
+            lambda decomp: TuningPopulation2D(single_mode_pop(decomp, frequency=2), 3e15),
+            lambda decomp: sample_firing_field(TuningPopulation2D(single_mode_pop(decomp)), (0, 0), 7),
+            lambda decomp: _lattice_waveform(single_mode_pop(decomp), 2**62, np.zeros(1, dtype=np.int64)),
+        ],
+        ids=["allocation-frequency-0", "unpaired-frequency", "phase-shift", "resolution", "int64-lattice"],
+    )
+    def test_parameter_range_error(self, n6_decomp, call):
+        with pytest.raises(ValueError) as caught:
+            call(n6_decomp)
+        assert type(caught.value) is ParameterRangeError
+
+    def test_unpaired_frequency_names_the_paired_range(self, n6_decomp):
+        with pytest.raises(ParameterRangeError, match=r"^frequency 3 is not a paired mode of the n=6 ring \(paired: 1..2\)$"):
+            single_mode_pop(n6_decomp, frequency=3)
 
 
 class TestShiftedCopies:
